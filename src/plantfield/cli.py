@@ -30,14 +30,15 @@ from .initial import sample_mu0, samples_to_state, surface_eval
 from .meanfield import (
     export_r2_csv,
     flow_eval_many,
-    load_model,
+    load_model,  # noqa: F401  (perfbench/spans.py wraps cli.load_model by name)
     load_model_dict,
+    model_from_dict,
     save_model,
     train,
 )
 from .metrics import ZMetricWeights, convergence_experiment, export_distances_csv
 from .population import IntegrationDivergedError, export_trajectory_csv, integrate
-from .solver import StepSizeUnderflowError
+from .solver import NonFiniteStateError, StepSizeUnderflowError
 from .textio import write_csv
 
 __all__ = ["main"]
@@ -152,7 +153,8 @@ def _parse_n_list(text: str) -> list:
 
 def _load_model_checked(path):
     try:
-        return load_model(path), load_model_dict(path)
+        mdict = load_model_dict(path)
+        return model_from_dict(mdict), mdict
     except FileNotFoundError as exc:
         raise ConfigError(f"model file not found: {path}") from exc
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -330,6 +332,7 @@ def main(argv=None) -> int:
         return 2
     except (
         IntegrationDivergedError,
+        NonFiniteStateError,
         StepSizeUnderflowError,
         FloatingPointError,
         OverflowError,

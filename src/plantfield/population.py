@@ -220,33 +220,15 @@ def _pair_row_sums(
     r: np.ndarray,
     kernel: np.ndarray,
     sigma_r: float,
-    fast_tanh: bool,
 ) -> np.ndarray:
-    """Row sums of r_j * kernel_ij * (1 + tanh((r_j - r_i)/sigma_r)).
-
-    The fast path rewrites the pairwise tanh through the addition
-    identity so only N scalar tanh evaluations are needed; agreement
-    with the direct form is at the 1e-11 level for log-sizes within a
-    few multiples of the ceiling, which is far below integration
-    tolerances.  The direct path is kept for exact reference use.
-    """
+    """Row sums of r_j * kernel_ij * (1 + tanh((r_j - r_i)/sigma_r))."""
     n = r.shape[0]
     out = np.empty(n)
-    if fast_tanh:
-        th = np.tanh(r / sigma_r)
-        for i0 in range(0, n, _BLOCK):
-            i1 = min(i0 + _BLOCK, n)
-            num = th[None, :] - th[i0:i1, None]
-            den = 1.0 - th[None, :] * th[i0:i1, None]
-            tij = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-            block = (r[None, :] * kernel[i0:i1, :]) * (1.0 + tij)
-            out[i0:i1] = block.sum(axis=1)
-    else:
-        for i0 in range(0, n, _BLOCK):
-            i1 = min(i0 + _BLOCK, n)
-            tij = np.tanh((r[None, :] - r[i0:i1, None]) / sigma_r)
-            block = (r[None, :] * kernel[i0:i1, :]) * (1.0 + tij)
-            out[i0:i1] = block.sum(axis=1)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        tij = np.tanh((r[None, :] - r[i0:i1, None]) / sigma_r)
+        block = (r[None, :] * kernel[i0:i1, :]) * (1.0 + tij)
+        out[i0:i1] = block.sum(axis=1)
     return out
 
 
@@ -254,11 +236,10 @@ def _competition_all(
     params: ModelParams,
     r: np.ndarray,
     kernel: np.ndarray,
-    fast_tanh: bool = False,
 ) -> np.ndarray:
     """Mean neighbour potential for every plant, from log-sizes."""
     n = r.shape[0]
-    row = _pair_row_sums(r, kernel, params.sigma_r, fast_tanh)
+    row = _pair_row_sums(r, kernel, params.sigma_r)
     # The j = i term of each row is r_i (unit kernel, tanh 0); remove it
     # so the average runs over the other N-1 plants only.
     return (row - r) / (2.0 * params.R_M * (n - 1))
@@ -268,7 +249,7 @@ def competition_index_all(params: ModelParams, state: PopulationState) -> np.nda
     """Mean competition load on every plant of ``state``; shape (N,)."""
     r = np.log(state.sizes / params.s_m)
     kernel = _spatial_kernel(state.positions(), params.sigma_x)
-    return _competition_all(params, r, kernel, fast_tanh=False)
+    return _competition_all(params, r, kernel)
 
 
 def competition_index(params: ModelParams, state: PopulationState, i: int) -> float:
@@ -315,7 +296,7 @@ def integrate(
     r0 = np.log(initial.sizes / params.s_m)
 
     def rhs(t, r):
-        c = _competition_all(params, r, kernel, fast_tanh=True)
+        c = _competition_all(params, r, kernel)
         return rates * (caps_log * (1.0 - c) - r)
 
     upper = caps_log
@@ -356,7 +337,7 @@ def integrate(
         r_t = dense(t)
         sizes_t = params.s_m * np.exp(r_t)
         states.append(PopulationState(initial.traits, sizes_t, t=float(t)))
-        c_rows.append(_competition_all(params, r_t, kernel, fast_tanh=False))
+        c_rows.append(_competition_all(params, r_t, kernel))
     c_mat = np.stack(c_rows)
     sizes_mat = np.stack([st.sizes for st in states])
     diagnostics = TrajectoryDiagnostics(

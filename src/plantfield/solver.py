@@ -18,7 +18,12 @@ import math
 
 import numpy as np
 
-__all__ = ["DenseSolution", "StepSizeUnderflowError", "solve_ode"]
+__all__ = [
+    "DenseSolution",
+    "NonFiniteStateError",
+    "StepSizeUnderflowError",
+    "solve_ode",
+]
 
 # Dormand-Prince 5(4) tableau.  The last stage row equals the 5th-order
 # weights (FSAL), so the derivative at the accepted point is free.
@@ -45,6 +50,17 @@ _MAX_FACTOR = 5.0
 
 class StepSizeUnderflowError(RuntimeError):
     """Raised when the adaptive controller cannot make progress."""
+
+
+class NonFiniteStateError(RuntimeError):
+    """Raised when a step produces a NaN or infinite state or error norm."""
+
+    def __init__(self, t: float, step_index: int):
+        self.t = t
+        self.step_index = step_index
+        super().__init__(
+            f"non-finite state or right-hand side at t={t!r} (step {step_index})"
+        )
 
 
 class DenseSolution:
@@ -167,6 +183,9 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
         # k[6] was evaluated at (t + h, y_new): the FSAL derivative.
         err = h * sum(_DP_ERR[j] * k[j] for j in range(7) if _DP_ERR[j] != 0.0)
         norm = _error_norm(err, y, y_new, rel_tol, abs_tol)
+        # A NaN norm would only shrink h until it underflows; say why.
+        if not (math.isfinite(norm) and np.all(np.isfinite(y_new))):
+            raise NonFiniteStateError(t, step_index)
         if norm <= 1.0:
             t = t + h
             if abs(t_end - t) <= 1e-12 * max(abs(t_end), 1.0):
@@ -208,6 +227,8 @@ def _solve_rk4(f, t0, t_end, y0, dt, monitor):
         k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
         k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
         y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y_new)):
+            raise NonFiniteStateError(t, step_index)
         t = t + h
         if abs(t_end - t) <= 1e-12 * max(abs(t_end), 1.0):
             t = t_end

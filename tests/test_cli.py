@@ -208,6 +208,18 @@ def test_exit_code_solver_failure(tmp_path):
     assert rc == 3
 
 
+def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys):
+    def nan_integrate(params, state0, cfg):
+        pf.solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, state0.sizes)
+
+    monkeypatch.setattr("plantfield.cli.integrate", nan_integrate)
+    rc = run("simulate", "--n", "4", "--out", str(tmp_path / "o"))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite" in err
+    assert "t=0.0 (step 0)" in err
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as exc:
         run()

@@ -260,6 +260,45 @@ def test_self_comparison_is_exactly_zero(params, mu0_uniform):
         assert r.runtime_seconds > 0.0
 
 
+def test_convergence_flow_gap_equals_member_probe_gap(
+    params, mu0_uniform, tiny_model
+):
+    # flow_gap is computed from the run's own trajectories; growing each
+    # member again as a probe against the frozen run must give the same
+    # gap, because the probe reproduces the member (criterion 04).
+    n, seed = 12, 4
+    t_grid = np.arange(7) * 0.5
+    (report,) = pf.convergence_experiment(
+        mu0_uniform, params, tiny_model, [n], t_grid, seed=seed
+    )
+    samples = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
+    cfg = pf.SolverConfig(t_end=float(t_grid[-1]), snapshot_times=t_grid)
+    traj = pf.integrate(params, pf.samples_to_state(samples), cfg)
+    probe_gaps = np.empty((t_grid.size, n))
+    for i, smp in enumerate(samples):
+        pt = pf.empirical_flow(params, traj, smp.s0, smp.traits, cfg)
+        mf = [pf.flow_eval(tiny_model, t, smp.s0, smp.traits) for t in t_grid]
+        probe_gaps[:, i] = np.abs(pt.sizes - np.array(mf))
+    assert np.all(report.flow_gap[1:] > 0.0)
+    np.testing.assert_allclose(
+        report.flow_gap, probe_gaps.mean(axis=1), rtol=0.0, atol=1e-8
+    )
+
+
+def test_convergence_experiment_grows_no_probes(
+    params, mu0_uniform, tiny_model, monkeypatch
+):
+    def no_probes(*args, **kwargs):
+        raise AssertionError("convergence_experiment must not grow probes")
+
+    monkeypatch.setattr("plantfield.metrics.empirical_flow", no_probes)
+    reports = pf.convergence_experiment(
+        mu0_uniform, params, tiny_model, [5, 8], [0.0, 1.0], seed=1
+    )
+    assert [r.N for r in reports] == [5, 8]
+    assert all(np.all(np.isfinite(r.flow_gap)) for r in reports)
+
+
 def test_convergence_experiment_validation(params, mu0_uniform, tiny_model):
     with pytest.raises(ValueError, match="increasing"):
         pf.convergence_experiment(

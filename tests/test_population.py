@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plantfield as pf
 from plantfield.population import (
@@ -55,13 +57,46 @@ def test_competition_index_bounds_checked(p, rng):
         pf.competition_index(p, state, 4)
 
 
-def test_fast_tanh_path_matches_direct(p, rng):
-    n = 700  # spans multiple row blocks
+@pytest.mark.parametrize("sigma_r", [0.02, 0.1, 0.3, 1.32])
+def test_pair_row_sums_match_double_loop(sigma_r, rng):
+    # Small sigma_r saturates tanh((r_j - r_i)/sigma_r); the row sums must
+    # stay exact there too, across both 512-row blocks.
+    n = 700
     r = rng.uniform(0.01, 2.99, n)
-    kernel = _spatial_kernel(rng.normal(size=(n, 2)), p.sigma_x)
-    fast = _pair_row_sums(r, kernel, p.sigma_r, fast_tanh=True)
-    direct = _pair_row_sums(r, kernel, p.sigma_r, fast_tanh=False)
-    assert np.max(np.abs(fast - direct)) < 1e-10
+    kernel = _spatial_kernel(rng.normal(size=(n, 2)), 0.5)
+    got = _pair_row_sums(r, kernel, sigma_r)
+    r_list = r.tolist()
+    for i in range(n):
+        k_row = kernel[i].tolist()
+        r_i = r_list[i]
+        want = math.fsum(
+            r_j * k_ij * (1.0 + math.tanh((r_j - r_i) / sigma_r))
+            for r_j, k_ij in zip(r_list, k_row)
+        )
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    sigma_r=st.floats(0.01, 10.0),
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_competition_index_matches_potential_for_any_sigma_r(sigma_r, n, seed):
+    p = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=sigma_r)
+    state = _random_state(p, n, np.random.default_rng(seed))
+    got = pf.competition_index_all(p, state)
+    pos = state.positions()
+    for i in range(n):
+        want = sum(
+            pf.competition_potential(
+                p, state.sizes[i], state.sizes[j],
+                float(np.linalg.norm(pos[i] - pos[j])),
+            )
+            for j in range(n)
+            if j != i
+        ) / (n - 1)
+        assert got[i] == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
 def test_rhs_matches_definition(p, rng):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from plantfield.solver import DenseSolution, StepSizeUnderflowError, solve_ode
+from plantfield.solver import (
+    DenseSolution,
+    NonFiniteStateError,
+    StepSizeUnderflowError,
+    solve_ode,
+)
 
 # A smooth 5-dimensional linear benchmark with cosine forcing.
 _A = np.diag([-1.0, -0.5, -2.0, -0.3, -1.5])
@@ -92,6 +97,22 @@ def test_zero_length_interval():
 def test_step_size_underflow_raises():
     with pytest.raises(StepSizeUnderflowError):
         solve_ode(_f, 0.0, 2.0, _Y0, max_step=1e-300)
+
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_non_finite_rhs_raises_its_own_error(method):
+    def f(t, y):
+        return np.where(t > 0.3, np.nan, -y)
+
+    with pytest.raises(NonFiniteStateError) as exc:
+        solve_ode(f, 0.0, 1.0, _Y0, method=method, dt_init=0.1)
+    assert 0.0 < exc.value.t <= 0.3
+    assert exc.value.step_index >= 1
+    assert "non-finite" in str(exc.value)
+
+    with pytest.raises(NonFiniteStateError) as exc:
+        solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, _Y0, method=method)
+    assert exc.value.t == 0.0 and exc.value.step_index == 0
 
 
 def test_monitor_sees_every_accepted_step():

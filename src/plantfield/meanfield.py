@@ -28,6 +28,7 @@ import numpy as np
 
 from .initial import Mu0Config, SurfaceParams, sample_mu0
 from .model import ModelParams, PlantTraits
+from .population import _pair_row_sums, _spatial_kernel
 from .textio import write_csv
 
 __all__ = [
@@ -190,7 +191,7 @@ def feature_map(
         vars_.append(np.exp(-gamma * spec.dt))
     V = np.stack(vars_, axis=1)
     feats = polynomial_features(V, spec.degree)
-    cauchy = 1.0 / (1.0 + (dx**2).sum(axis=1) / p.sigma_x**2)
+    cauchy = _spatial_kernel(x, p.sigma_x, spec.center[None, :])[:, 0]
     feats = feats * cauchy[:, None]
     return feats[0] if single else feats
 
@@ -220,12 +221,11 @@ def mc_potential(
     if np.any(s <= 0.0) or np.any(cloud_sizes <= 0.0):
         raise ValueError("sizes must be strictly positive")
     p = params
-    d2 = ((x[:, None, :] - cloud_positions[None, :, :]) ** 2).sum(axis=2)
-    spatial = 1.0 + d2 / p.sigma_x**2
-    r_probe = np.log(s / p.s_m)
-    r_cloud = np.log(cloud_sizes / p.s_m)
-    crowd = 1.0 + np.tanh((r_cloud[None, :] - r_probe[:, None]) / p.sigma_r)
-    vals = (r_cloud[None, :] / (2.0 * p.R_M * spatial) * crowd).mean(axis=1)
+    kernel = _spatial_kernel(x, p.sigma_x, cloud_positions)
+    row = _pair_row_sums(
+        np.log(s / p.s_m), kernel, p.sigma_r, np.log(cloud_sizes / p.s_m)
+    )
+    vals = row / (2.0 * p.R_M * cloud_sizes.shape[0])
     return float(vals[0]) if single else vals
 
 
@@ -318,7 +318,10 @@ def fit_stage(
 
 
 def stage_potential_eval(stage: PotentialStage, s, x, S=None, gamma=None):
-    """Clamped stage potential: the fitted combination projected into [0,1]."""
+    """Clamped stage potential: the fitted combination projected into [0,1].
+
+    Arity-3 stages ignore ``S`` and ``gamma``.
+    """
     feats = _stage_features(
         stage.spec, (s, x) if stage.spec.arity == 3 else (s, x, S, gamma)
     )
@@ -387,11 +390,7 @@ def _stage_values(model: MeanFieldModel, s0, x, S, gamma, upto: Optional[int] = 
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     vals = np.empty((m, s0.shape[0]))
     for k in range(m):
-        st = model.stages[k]
-        if st.spec.arity == 3:
-            vals[k] = np.atleast_1d(stage_potential_eval(st, s0, x))
-        else:
-            vals[k] = np.atleast_1d(stage_potential_eval(st, s0, x, S, gamma))
+        vals[k] = np.atleast_1d(stage_potential_eval(model.stages[k], s0, x, S, gamma))
     return vals
 
 
@@ -529,15 +528,9 @@ def train(
         return flow_eval_many(partial, t_k, s0, x, S, gamma, stage_vals=sv)
 
     def probe_stage_vals(s0, x, S, gamma):
-        vals = []
-        for st in stages:
-            if st.spec.arity == 3:
-                vals.append(np.atleast_1d(stage_potential_eval(st, s0, x)))
-            else:
-                vals.append(
-                    np.atleast_1d(stage_potential_eval(st, s0, x, S, gamma))
-                )
-        return vals
+        return [
+            np.atleast_1d(stage_potential_eval(st, s0, x, S, gamma)) for st in stages
+        ]
 
     for k in range(m_stages):
         t_k = k * dt
@@ -568,14 +561,9 @@ def train(
         )
         stage = fit_stage(spec, sets["train"], sets["test"], stage_index=k)
         stages.append(stage)
-        if stage.spec.arity == 3:
-            cloud_stage_vals.append(
-                np.atleast_1d(stage_potential_eval(stage, s0_c, x_c))
-            )
-        else:
-            cloud_stage_vals.append(
-                np.atleast_1d(stage_potential_eval(stage, s0_c, x_c, S_c, g_c))
-            )
+        cloud_stage_vals.append(
+            np.atleast_1d(stage_potential_eval(stage, s0_c, x_c, S_c, g_c))
+        )
 
     return MeanFieldModel(
         stages=stages,

@@ -137,18 +137,16 @@ def competition_potential(params: ModelParams, s, s_prime, dist):
     The value lies in ``[0, 1]`` whenever both sizes lie in
     ``[s_m, s_m * exp(R_M)]``.  It decreases with distance, increases with
     the neighbor's size, and decreases with the plant's own size.
-    Broadcasts over array arguments.
+    Broadcasts over array arguments; evaluated as :func:`log_potential`
+    at ``r = log(s/s_m)``, ``r' = log(s'/s_m)``.
     """
     s = np.asarray(s, dtype=float)
     s_prime = np.asarray(s_prime, dtype=float)
-    dist = np.asarray(dist, dtype=float)
     if np.any(s <= 0.0) or np.any(s_prime <= 0.0):
         raise ValueError("sizes must be strictly positive")
-    spatial = 1.0 + (dist / params.sigma_x) ** 2
-    growth = np.log(s_prime / params.s_m) / (2.0 * params.R_M * spatial)
-    crowding = 1.0 + np.tanh(np.log(s_prime / s) / params.sigma_r)
-    out = growth * crowding
-    return out if out.ndim else float(out)
+    return log_potential(
+        params, np.log(s / params.s_m), np.log(s_prime / params.s_m), dist
+    )
 
 
 def log_potential(params: ModelParams, r, r_prime, dist):
@@ -157,9 +155,9 @@ def log_potential(params: ModelParams, r, r_prime, dist):
         C_r(r, r', d) = r' / (2 R_M (1 + d^2 / sigma_x^2))
                         * (1 + tanh((r' - r) / sigma_r))
 
-    Identical to :func:`competition_potential` evaluated at
-    ``s = s_m e^r``, ``s' = s_m e^{r'}``; this is the form the integrator
-    uses because the coupled system is solved in log space.
+    This is the reference definition of the potential; the integrator
+    and the training targets sum it over whole populations with the
+    array kernel ``population._pair_row_sums``.
     """
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)

@@ -41,9 +41,9 @@ __all__ = [
 # roundoff and projected back; anything larger aborts the run.
 _BREACH_TOLERANCE = 1e-9
 
-# Row-block size for the O(N^2) pairwise reductions; keeps temporaries
-# near 16 MB at N = 4000 without changing any result (fixed order).
-_BLOCK = 512
+# Row-block size of the pairwise reductions: one (block, N) buffer is
+# reused by every block, so a call allocates no N x N temporary.
+_BLOCK = 128
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -162,10 +162,6 @@ class Trajectory:
     dense: DenseSolution = field(repr=False)
     params: ModelParams = field(repr=False)
 
-    def log_sizes_at(self, t: float) -> np.ndarray:
-        """Interpolated log-sizes r(t) of every plant."""
-        return self.dense(t)
-
     def sizes_at(self, t: float) -> np.ndarray:
         return self.params.s_m * np.exp(self.dense(t))
 
@@ -208,27 +204,52 @@ class EmpiricalMeasure:
         return self.sizes.shape[0]
 
 
-def _spatial_kernel(positions: np.ndarray, sigma_x: float) -> np.ndarray:
-    """Pairwise factor 1 / (1 + |x_i - x_j|^2 / sigma_x^2), shape (N, N)."""
-    d2 = (
-        (positions[:, None, :] - positions[None, :, :]) ** 2
-    ).sum(axis=2)
-    return 1.0 / (1.0 + d2 / sigma_x**2)
+def _spatial_kernel(
+    positions: np.ndarray,
+    sigma_x: float,
+    sources: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Factor 1 / (1 + |x_i - x'_j|^2 / sigma_x^2), (T, S); sources default to x."""
+    src = positions if sources is None else sources
+    k = np.subtract.outer(positions[:, 0], src[:, 0]) ** 2
+    k += np.subtract.outer(positions[:, 1], src[:, 1]) ** 2
+    k /= sigma_x**2
+    k += 1.0
+    return np.reciprocal(k, out=k)
 
 
 def _pair_row_sums(
     r: np.ndarray,
     kernel: np.ndarray,
     sigma_r: float,
+    r_sources: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Row sums of r_j * kernel_ij * (1 + tanh((r_j - r_i)/sigma_r))."""
-    n = r.shape[0]
-    out = np.empty(n)
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        tij = np.tanh((r[None, :] - r[i0:i1, None]) / sigma_r)
-        block = (r[None, :] * kernel[i0:i1, :]) * (1.0 + tij)
-        out[i0:i1] = block.sum(axis=1)
+    """Row sums of r'_j * kernel_ij * (1 + tanh((r'_j - r_i)/sigma_r)).
+
+    Targets r (T,) meet sources r' (S,) through the kernel (T, S).  With
+    no ``r_sources`` the targets are their own sources and the kernel
+    must be symmetric; tanh being odd, row block [i0, i1) then evaluates
+    only the columns j >= i0 and hands its negated transpose to the rows
+    below, which halves the work.  ``einsum`` does the sums in one thread
+    and a fixed order, where BLAS may spread them over threads.
+    """
+    sym = r_sources is None
+    src = r if sym else r_sources
+    n_t, n_s = kernel.shape
+    out = np.einsum("ij,j->i", kernel, src)
+    inv_sigma = 1.0 / sigma_r
+    buf = np.empty(min(_BLOCK, n_t) * n_s)
+    for i0 in range(0, n_t, _BLOCK):
+        i1 = min(i0 + _BLOCK, n_t)
+        c0 = i0 if sym else 0
+        w = buf[: (i1 - i0) * (n_s - c0)].reshape(i1 - i0, n_s - c0)
+        np.subtract(src[None, c0:], r[i0:i1, None], out=w)
+        w *= inv_sigma
+        np.tanh(w, out=w)
+        w *= kernel[i0:i1, c0:]
+        out[i0:i1] += np.einsum("ij,j->i", w, src[c0:])
+        if sym and i1 < n_t:
+            out[i1:] -= np.einsum("ij,i->j", w[:, i1 - i0 :], r[i0:i1])
     return out
 
 
@@ -331,15 +352,13 @@ def integrate(
     )
 
     snap_times = cfg.resolved_snapshot_times()
-    states = []
-    c_rows = []
-    for t in snap_times:
-        r_t = dense(t)
-        sizes_t = params.s_m * np.exp(r_t)
-        states.append(PopulationState(initial.traits, sizes_t, t=float(t)))
-        c_rows.append(_competition_all(params, r_t, kernel))
-    c_mat = np.stack(c_rows)
-    sizes_mat = np.stack([st.sizes for st in states])
+    r_mat = dense.eval_many(snap_times)
+    sizes_mat = params.s_m * np.exp(r_mat)
+    states = [
+        PopulationState(initial.traits, sizes_t, t=float(t))
+        for t, sizes_t in zip(snap_times, sizes_mat)
+    ]
+    c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
     diagnostics = TrajectoryDiagnostics(
         min_sizes=sizes_mat.min(axis=1),
         max_sizes=sizes_mat.max(axis=1),
@@ -383,21 +402,17 @@ def empirical_flow(
         raise ValueError("probe asymptotic size out of the admissible range")
 
     n = background.n
-    positions = background.states[0].positions()
-    d2 = ((positions - probe_traits.x[None, :]) ** 2).sum(axis=1)
-    probe_kernel = 1.0 / (1.0 + d2 / params.sigma_x**2)
+    probe_kernel = _spatial_kernel(
+        probe_traits.x[None, :], params.sigma_x, background.states[0].positions()
+    )
     cap_log = np.log(probe_traits.S / params.s_m)
     gamma = probe_traits.gamma
     two_rm = 2.0 * params.R_M
 
     def rhs(t, y):
-        r_p = y[0]
-        r_bg = background.dense(t)
-        terms = (
-            r_bg * probe_kernel * (1.0 + np.tanh((r_bg - r_p) / params.sigma_r))
-        )
-        c_hat = (float(np.sum(terms)) - r_p) / (two_rm * (n - 1))
-        return np.array([gamma * (cap_log * (1.0 - c_hat) - r_p)])
+        row = _pair_row_sums(y, probe_kernel, params.sigma_r, background.dense(t))
+        c_hat = (row - y) / (two_rm * (n - 1))
+        return gamma * (cap_log * (1.0 - c_hat) - y)
 
     r0 = np.array([np.log(probe_s0 / params.s_m)])
     dense = solve_ode(

@@ -25,19 +25,22 @@ __all__ = [
     "solve_ode",
 ]
 
-# Dormand-Prince 5(4) tableau.  The last stage row equals the 5th-order
-# weights (FSAL), so the derivative at the accepted point is free.
+# Dormand-Prince 5(4) tableau, zero-padded to 7 x 7.  The last stage row
+# equals the 5th-order weights (FSAL), so the derivative at the accepted
+# point is free.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
+)
+_DP_B5 = _DP_A[6]
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -86,38 +89,33 @@ class DenseSolution:
 
     def __call__(self, t: float) -> np.ndarray:
         """Evaluate the interpolant at a single time ``t``."""
-        ts = self.ts
-        if not (ts[0] <= t <= ts[-1]):
-            raise ValueError(
-                f"time {t} outside the integrated range [{ts[0]}, {ts[-1]}]"
-            )
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        k = min(max(k, 0), len(ts) - 2)
-        h = ts[k + 1] - ts[k]
-        if h == 0.0:
-            return self.ys[k].copy()
-        u = (t - ts[k]) / h
-        u2 = u * u
-        u3 = u2 * u
-        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
-        h10 = u3 - 2.0 * u2 + u
-        h01 = -2.0 * u3 + 3.0 * u2
-        h11 = u3 - u2
-        return (
-            h00 * self.ys[k]
-            + h01 * self.ys[k + 1]
-            + h * (h10 * self.fs[k] + h11 * self.fs[k + 1])
-        )
+        return self.eval_many([t])[0]
 
     def eval_many(self, times) -> np.ndarray:
         """Evaluate at several times; returns an array of shape (len(times), dim)."""
         times = np.asarray(times, dtype=float)
-        return np.stack([self(t) for t in times])
-
-
-def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+        ts = self.ts
+        lo, hi = times.min(), times.max()
+        if not (ts[0] <= lo and hi <= ts[-1]):
+            bad = lo if not ts[0] <= lo else hi
+            raise ValueError(
+                f"time {bad} outside the integrated range [{ts[0]}, {ts[-1]}]"
+            )
+        k = np.minimum(np.searchsorted(ts, times, side="right"), len(ts) - 1) - 1
+        h = ts[k + 1] - ts[k]
+        # A zero-length step (or a one-node solution) yields its node value.
+        u = (times - ts[k]) / np.where(h == 0.0, 1.0, h)
+        u2 = u * u
+        u3 = u2 * u
+        h00 = (2.0 * u3 - 3.0 * u2 + 1.0)[:, None]
+        h10 = (u3 - 2.0 * u2 + u)[:, None]
+        h01 = (-2.0 * u3 + 3.0 * u2)[:, None]
+        h11 = (u3 - u2)[:, None]
+        return (
+            h00 * self.ys[k]
+            + h01 * self.ys[k + 1]
+            + h[:, None] * (h10 * self.fs[k] + h11 * self.fs[k + 1])
+        )
 
 
 def solve_ode(
@@ -167,7 +165,7 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
     t = t0
     y = y0.copy()
     h = min(dt_init, max_step, t_end - t0)
-    k = [np.empty_like(y0) for _ in range(7)]
+    k = np.empty((7,) + y0.shape)
     k[0] = k1
     step_index = 0
     while t < t_end:
@@ -177,12 +175,12 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
                 f"step size underflow at t={t!r} (step {step_index})"
             )
         for i in range(1, 7):
-            yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i))
-            k[i] = np.asarray(f(t + _DP_C[i] * h, yi), dtype=float)
-        y_new = y + h * sum(_DP_B5[j] * k[j] for j in range(7) if _DP_B5[j] != 0.0)
+            k[i] = f(t + _DP_C[i] * h, y + h * (_DP_A[i, :i] @ k[:i]))
+        y_new = y + h * (_DP_B5 @ k)
         # k[6] was evaluated at (t + h, y_new): the FSAL derivative.
-        err = h * sum(_DP_ERR[j] * k[j] for j in range(7) if _DP_ERR[j] != 0.0)
-        norm = _error_norm(err, y, y_new, rel_tol, abs_tol)
+        err = h * (_DP_ERR @ k)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        norm = math.sqrt(float(np.mean((err / scale) ** 2)))
         # A NaN norm would only shrink h until it underflows; say why.
         if not (math.isfinite(norm) and np.all(np.isfinite(y_new))):
             raise NonFiniteStateError(t, step_index)
@@ -190,18 +188,18 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
             t = t + h
             if abs(t_end - t) <= 1e-12 * max(abs(t_end), 1.0):
                 t = t_end
-            f_new = k[6]
+            f_new = k[6].copy()
             if monitor is not None:
                 y_fixed = monitor(t, y_new, step_index)
                 if y_fixed is not y_new and not np.array_equal(y_fixed, y_new):
                     y_new = np.asarray(y_fixed, dtype=float)
-                    f_new = np.asarray(f(t, y_new), dtype=float)
+                    f_new = np.array(f(t, y_new), dtype=float)
                 else:
                     y_new = np.asarray(y_fixed, dtype=float)
             y = y_new
             ts.append(t)
             ys.append(y.copy())
-            fs.append(f_new.copy())
+            fs.append(f_new)
             k[0] = f_new
             step_index += 1
             factor = _MAX_FACTOR if norm == 0.0 else _SAFETY * norm ** -0.2

@@ -145,6 +145,29 @@ def test_mc_potential_batch_and_average(p, rng):
         assert got[k] == pytest.approx(manual, rel=1e-13)
 
 
+def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):
+    # sigma_r = 0.02 saturates the tanh term; 150 probes span a ragged
+    # second row block of the kernel.
+    q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=0.02)
+    probe_s = rng.uniform(0.06, 0.9, 150)
+    probe_x = rng.normal(size=(150, 2))
+    cloud_s = rng.uniform(0.06, 0.9, 90)
+    cloud_x = rng.normal(size=(90, 2))
+    got = pf.mc_potential(q, probe_s, probe_x, cloud_s, cloud_x)
+    r_cloud = [math.log(v / q.s_m) for v in cloud_s]
+    for k in range(150):
+        r_k = math.log(probe_s[k] / q.s_m)
+        want = math.fsum(
+            r_j
+            / (2.0 * q.R_M * (1.0 + float(np.sum((probe_x[k] - x_j) ** 2)) / 0.25))
+            * (1.0 + math.tanh((r_j - r_k) / q.sigma_r))
+            for r_j, x_j in zip(r_cloud, cloud_x)
+        ) / 90
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    again = pf.mc_potential(q, probe_s, probe_x, cloud_s, cloud_x)
+    assert np.array_equal(again, got)
+
+
 def test_mc_potential_subsample_consistency(p, mu0_uniform):
     # The cloud average at 10^3 atoms must sit within Monte-Carlo error
     # of the 10^5-atom estimate of the same integral.

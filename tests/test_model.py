@@ -43,9 +43,15 @@ def test_potential_log_form_agrees(p, rng):
     s = np.exp(rng.uniform(np.log(p.s_m), np.log(p.max_size), 200))
     sp = np.exp(rng.uniform(np.log(p.s_m), np.log(p.max_size), 200))
     d = rng.uniform(0.0, 3.0, 200)
-    direct = pf.competition_potential(p, s, sp, d)
+    # The size-space definition, written out here, against the log form.
+    direct = (
+        np.log(sp / p.s_m)
+        / (2.0 * p.R_M * (1.0 + (d / p.sigma_x) ** 2))
+        * (1.0 + np.tanh(np.log(sp / s) / p.sigma_r))
+    )
     logged = pf.log_potential(p, np.log(s / p.s_m), np.log(sp / p.s_m), d)
     assert np.max(np.abs(direct - logged)) < 1e-12
+    assert np.array_equal(pf.competition_potential(p, s, sp, d), logged)
 
 
 def test_potential_broadcasts_and_scalar_type(p):

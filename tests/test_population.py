@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plantfield as pf
+from plantfield import population
 from plantfield.population import (
+    _BLOCK,
     _competition_all,
     _pair_row_sums,
     _spatial_kernel,
@@ -57,23 +59,88 @@ def test_competition_index_bounds_checked(p, rng):
         pf.competition_index(p, state, 4)
 
 
+def _fsum_row_sums(r, kernel, sigma_r, r_sources):
+    """Brute-force row sums of r'_j k_ij (1 + tanh((r'_j - r_i)/sigma_r))."""
+    src = r_sources.tolist()
+    return np.array([
+        math.fsum(
+            r_j * k_ij * (1.0 + math.tanh((r_j - r_i) / sigma_r))
+            for r_j, k_ij in zip(src, k_row)
+        )
+        for r_i, k_row in zip(r.tolist(), kernel.tolist())
+    ])
+
+
 @pytest.mark.parametrize("sigma_r", [0.02, 0.1, 0.3, 1.32])
 def test_pair_row_sums_match_double_loop(sigma_r, rng):
     # Small sigma_r saturates tanh((r_j - r_i)/sigma_r); the row sums must
-    # stay exact there too, across both 512-row blocks.
-    n = 700
-    r = rng.uniform(0.01, 2.99, n)
-    kernel = _spatial_kernel(rng.normal(size=(n, 2)), 0.5)
-    got = _pair_row_sums(r, kernel, sigma_r)
-    r_list = r.tolist()
-    for i in range(n):
-        k_row = kernel[i].tolist()
-        r_i = r_list[i]
-        want = math.fsum(
-            r_j * k_ij * (1.0 + math.tanh((r_j - r_i) / sigma_r))
-            for r_j, k_ij in zip(r_list, k_row)
-        )
-        assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # stay exact there too.  The sizes cover one block, one block minus
+    # and plus a row, and six 128-row blocks with a ragged last one, so
+    # every path of the half-matrix (antisymmetric) evaluation runs.
+    for n in (2, _BLOCK - 1, _BLOCK + 1, 700):
+        r = rng.uniform(0.01, 2.99, n)
+        kernel = _spatial_kernel(rng.normal(size=(n, 2)), 0.5)
+        got = _pair_row_sums(r, kernel, sigma_r)
+        want = _fsum_row_sums(r, kernel, sigma_r, r)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert np.array_equal(_pair_row_sums(r, kernel, sigma_r), got)
+
+
+@pytest.mark.parametrize("sigma_r", [0.02, 0.1, 0.3, 1.32])
+def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
+    # Targets against a different set of sources (T != S, T spans a
+    # ragged second block), as the probes and the training targets use.
+    t_n, s_n = _BLOCK + 22, 90
+    r = rng.uniform(0.01, 2.99, t_n)
+    r_src = rng.uniform(0.01, 2.99, s_n)
+    kernel = _spatial_kernel(rng.normal(size=(t_n, 2)), 0.5, rng.normal(size=(s_n, 2)))
+    assert kernel.shape == (t_n, s_n)
+    got = _pair_row_sums(r, kernel, sigma_r, r_src)
+    want = _fsum_row_sums(r, kernel, sigma_r, r_src)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert np.array_equal(_pair_row_sums(r, kernel, sigma_r, r_src), got)
+
+
+def test_spatial_kernel_matches_definition(rng):
+    x = rng.normal(size=(7, 2))
+    y = rng.normal(size=(4, 2))
+    got = _spatial_kernel(x, 0.7, y)
+    for i in range(7):
+        for j in range(4):
+            d2 = float(np.sum((x[i] - y[j]) ** 2))
+            assert got[i, j] == pytest.approx(1.0 / (1.0 + d2 / 0.49), rel=1e-15)
+    sym = _spatial_kernel(x, 0.7)
+    assert np.array_equal(sym, sym.T)
+    assert np.array_equal(np.diag(sym), np.ones(7))
+
+
+def _direct_row_sums(r, kernel, sigma_r, r_sources=None):
+    """The full-matrix kernel formula, without blocks or antisymmetry."""
+    src = r if r_sources is None else r_sources
+    tanh = np.tanh((src[None, :] - r[:, None]) / sigma_r)
+    return (src[None, :] * kernel * (1.0 + tanh)).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [None, 300])
+def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatch):
+    # The default run (50 plants, one block) and a 300-plant run (three
+    # blocks, so the transposed half is used) must agree with the direct
+    # kernel to 1e-12 relative.  Step sizes the error controller sets can
+    # differ in the 11th digit; the snapshot values may not.
+    if n is None:
+        state0, traj, _ = default_run
+        cfg = exp_config.solver
+    else:
+        state0 = pf.samples_to_state(pf.sample_mu0(exp_config.mu0, n))
+        cfg = pf.SolverConfig(t_end=4.0)
+        traj = pf.integrate(exp_config.params, state0, cfg)
+    monkeypatch.setattr(population, "_pair_row_sums", _direct_row_sums)
+    direct = pf.integrate(exp_config.params, state0, cfg)
+    for got, want in zip(traj.states, direct.states):
+        assert got.sizes == pytest.approx(want.sizes, rel=1e-12, abs=0.0)
+    assert traj.diagnostics.c_indices == pytest.approx(
+        direct.diagnostics.c_indices, rel=1e-12, abs=1e-15
+    )
 
 
 @settings(deadline=None, max_examples=60)

@@ -82,6 +82,20 @@ def test_eval_many_stacks_rows():
     assert np.array_equal(out[0], _Y0)
 
 
+def test_eval_many_any_order_and_range_checked():
+    sol = solve_ode(_f, 0.0, 2.0, _Y0)
+    times = np.array([1.7, 0.0, 0.31, 2.0, 0.31])
+    out = sol.eval_many(times)
+    assert out.shape == (5, 5)
+    for row, t in zip(out, times):
+        assert np.array_equal(row, sol(float(t)))
+    assert np.array_equal(out[3], sol.ys[-1])
+    with pytest.raises(ValueError, match="outside"):
+        sol.eval_many([0.5, 2.5])
+    with pytest.raises(ValueError, match="outside"):
+        sol.eval_many([float("nan")])
+
+
 def test_final_node_is_exactly_t_end():
     for method, kw in (("rk45-adaptive", {}), ("rk4-fixed", {"dt_init": 0.03})):
         sol = solve_ode(_f, 0.0, 2.0, _Y0, method=method, **kw)
@@ -174,3 +188,11 @@ def test_dense_solution_single_segment_formula():
     )
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert dense(t)[0] == pytest.approx(t**3, abs=1e-15)
+
+
+def test_rk45_integrates_quartic_forcing_exactly():
+    # The 5th-order weights integrate y' = 5 t^4 exactly on every step,
+    # whatever the step sizes; the embedded 4th-order pair would not.
+    sol = solve_ode(lambda t, y: np.array([5.0 * t**4]), 0.0, 1.3, np.zeros(1))
+    assert len(sol.ts) > 2
+    assert sol.ys[:, 0] == pytest.approx(sol.ts**5, rel=1e-13, abs=1e-15)

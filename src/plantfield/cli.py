@@ -37,7 +37,12 @@ from .meanfield import (
     train,
 )
 from .metrics import ZMetricWeights, convergence_experiment, export_distances_csv
-from .population import IntegrationDivergedError, export_trajectory_csv, integrate
+from .population import (
+    IntegrationDivergedError,
+    _snapshot_times,
+    export_trajectory_csv,
+    integrate,
+)
 from .solver import NonFiniteStateError, StepSizeUnderflowError
 from .textio import write_csv
 
@@ -72,8 +77,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     header = f"config_sha256={ec.sha256} seed={ec.seed}"
 
-    samples = sample_mu0(ec.mu0, ec.n)
-    state0 = samples_to_state(samples)
+    state0 = samples_to_state(sample_mu0(ec.mu0, ec.n))
     traj = integrate(ec.params, state0, ec.solver)
 
     export_trajectory_csv(traj, out / "trajectory.csv", comments=[header])
@@ -170,13 +174,7 @@ def cmd_converge(args) -> int:
     n_list = _parse_n_list(args.n_list)
     model, _ = _load_model_checked(args.model)
 
-    snap_dt = flat["solver.snapshot_dt"]
-    n_snaps = int(np.floor(model.T / snap_dt + 1e-9))
-    t_grid = np.arange(n_snaps + 1) * snap_dt
-    if t_grid[-1] < model.T - 1e-9:
-        t_grid = np.append(t_grid, model.T)
-    else:
-        t_grid[-1] = model.T
+    t_grid = _snapshot_times(model.T, flat["solver.snapshot_dt"])
 
     weights = ZMetricWeights(
         s_m=model.params.s_m,
@@ -241,16 +239,13 @@ def cmd_potential_dump(args) -> int:
     # Positions beyond twice the spread were essentially unseen in training.
     extrapolated = (pts**2).sum(axis=1) > (2.0 * mu0.L) ** 2
 
-    rows = (
-        (
-            float(pts[i, 0]),
-            float(pts[i, 1]),
-            float(s_bar_vals[i]),
-            float(g_bar_vals[i]),
-            float(s_inf[i]),
-            int(extrapolated[i]),
-        )
-        for i in range(pts.shape[0])
+    rows = zip(
+        pts[:, 0].tolist(),
+        pts[:, 1].tolist(),
+        s_bar_vals.tolist(),
+        g_bar_vals.tolist(),
+        s_inf.tolist(),
+        extrapolated.astype(int).tolist(),
     )
     write_csv(out / "potential_surface.csv", columns, rows, comments=[header])
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 from .initial import Mu0Config, SurfaceParams
 from .metrics import ZMetricWeights
 from .model import ModelParams
-from .population import SolverConfig
+from .population import SolverConfig, _snapshot_times
 from .textio import sha256_hex
 
 __all__ = [
@@ -225,18 +225,6 @@ def _surface_from_flat(flat: dict, prefix: str) -> SurfaceParams:
             [[g("h2_11"), g("h2_12")], [g("h2_12"), g("h2_22")]]
         ),
     )
-
-
-def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
-    if snap_dt <= 0.0:
-        raise ConfigError("solver.snapshot_dt must be strictly positive")
-    n_steps = int(np.floor(t_end / snap_dt + 1e-9))
-    times = np.arange(n_steps + 1) * snap_dt
-    if times[-1] < t_end - 1e-9 * max(1.0, t_end):
-        times = np.append(times, t_end)
-    else:
-        times[-1] = min(times[-1], t_end)
-    return times
 
 
 def build_experiment_config(flat: dict) -> ExperimentConfig:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import ModelParams, PlantTraits
+from .model import ModelParams
 from .population import PopulationState
 from .textio import write_csv
 
@@ -166,10 +166,12 @@ class Mu0Config:
 
 @dataclass
 class Sample:
-    """One drawn plant: initial size plus its fixed traits."""
+    """Drawn plants as columns: s0 (n,), x (n, 2), S (n,) and gamma (n,)."""
 
-    s0: float
-    traits: PlantTraits
+    s0: np.ndarray
+    x: np.ndarray
+    S: np.ndarray
+    gamma: np.ndarray
 
 
 def _stream(seed: int, key: tuple) -> np.random.Generator:
@@ -221,13 +223,14 @@ def _redraw(seed, stream_id, i, mean, sd, lo, hi, accept):
     )
 
 
-def sample_mu0(cfg: Mu0Config, n: int) -> list:
+def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
     """Draw ``n`` i.i.d. plants from the initial law.
 
     Positions are N(0, L^2 I2); S and gamma are truncated normals
     centered on their surfaces at the drawn position; s0 follows the
     configured law.  The same (cfg, n) always produces bit-identical
-    output, and increasing ``n`` extends the shorter sample set.
+    output, and increasing ``n`` extends the shorter draw: its rows are
+    the first rows of the longer one.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -262,39 +265,30 @@ def sample_mu0(cfg: Mu0Config, n: int) -> list:
         u0 = _stream(cfg.seed, (_STREAM_S0,)).random(n)
         s0 = cfg.s0_min + (cfg.s0_max - cfg.s0_min) * u0
 
-    return [
-        Sample(
-            s0=float(s0[i]),
-            traits=PlantTraits(
-                x=positions[i].copy(), S=float(S[i]), gamma=float(gamma[i])
-            ),
-        )
-        for i in range(n)
-    ]
+    return Sample(s0=s0, x=positions, S=S, gamma=gamma)
 
 
-def samples_to_state(samples) -> PopulationState:
+def samples_to_state(sample: Sample) -> PopulationState:
     """Assemble drawn plants into a population at t = 0."""
     return PopulationState(
-        traits=[smp.traits for smp in samples],
-        sizes=np.array([smp.s0 for smp in samples]),
+        sizes=sample.s0,
+        positions=sample.x,
+        caps=sample.S,
+        rates=sample.gamma,
         t=0.0,
     )
 
 
-def export_samples_csv(samples, path, comments=()) -> None:
+def export_samples_csv(sample: Sample, path, comments=()) -> None:
     """Write one row per drawn plant: id,s0,x1,x2,S,gamma."""
     header = ["id", "s0", "x1", "x2", "S", "gamma"]
-
-    def rows():
-        for i, smp in enumerate(samples):
-            yield (
-                i,
-                smp.s0,
-                float(smp.traits.x[0]),
-                float(smp.traits.x[1]),
-                smp.traits.S,
-                smp.traits.gamma,
-            )
-
-    write_csv(path, header, rows(), comments=comments)
+    x1, x2 = sample.x.T.tolist()
+    rows = zip(
+        range(len(sample.s0)),
+        sample.s0.tolist(),
+        x1,
+        x2,
+        sample.S.tolist(),
+        sample.gamma.tolist(),
+    )
+    write_csv(path, header, rows, comments=comments)

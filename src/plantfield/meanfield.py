@@ -361,37 +361,46 @@ class MeanFieldModel:
 def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
     """Exponential time weights of each stage's contribution at time t.
 
-    For the stage [t_k, t_k + dt): weight 1 - e^{gamma (t_k - t)} while
-    the stage is in progress at t, e^{gamma (t_{k+1} - t)} -
-    e^{gamma (t_k - t)} once it is completed, and 0 before it starts.
-    The weights sum to 1 - e^{-gamma t} when every stage contributes.
+    For the stage [t_k, t_{k+1}) with t_k = k dt the weight is
+    e^{gamma (min(t, t_{k+1}) - t)} - e^{gamma (min(t, t_k) - t)}:
+    1 - e^{gamma (t_k - t)} while the stage is in progress at t,
+    e^{gamma (t_{k+1} - t)} - e^{gamma (t_k - t)} once it is completed,
+    and 0 before it starts.  The weights sum to 1 - e^{-gamma t} when
+    every stage contributes.  Shape (n_stages,) + broadcast(t, gamma).
     """
     t_b = np.atleast_1d(np.asarray(t, dtype=float))
     g_b = np.atleast_1d(np.asarray(gamma, dtype=float))
     t_b, g_b = np.broadcast_arrays(t_b, g_b)
-    w = np.zeros((n_stages,) + t_b.shape)
-    for k in range(n_stages):
-        t_k = k * dt
-        t_k1 = (k + 1) * dt
-        active = (t_b > t_k) & (t_b < t_k1)
-        done = t_b >= t_k1
-        if np.any(active):
-            w[k][active] = 1.0 - np.exp(g_b[active] * (t_k - t_b[active]))
-        if np.any(done):
-            w[k][done] = np.exp(g_b[done] * (t_k1 - t_b[done])) - np.exp(
-                g_b[done] * (t_k - t_b[done])
-            )
-    return w
+    k = np.arange(n_stages).reshape((n_stages,) + (1,) * t_b.ndim)
+    start = np.minimum(t_b, k * dt)
+    end = np.minimum(t_b, (k + 1) * dt)
+    return np.exp(g_b * (end - t_b)) - np.exp(g_b * (start - t_b))
 
 
-def _stage_values(model: MeanFieldModel, s0, x, S, gamma, upto: Optional[int] = None):
+def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
     """Evaluate every stage's clamped potential at initial data; (M, n)."""
-    m = model.n_stages if upto is None else upto
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    vals = np.empty((m, s0.shape[0]))
-    for k in range(m):
-        vals[k] = np.atleast_1d(stage_potential_eval(model.stages[k], s0, x, S, gamma))
-    return vals
+    return np.stack(
+        [
+            np.atleast_1d(stage_potential_eval(stage, s0, x, S, gamma))
+            for stage in model.stages
+        ]
+    )
+
+
+def _flow_exponents(model: MeanFieldModel, t, s0, x, S, gamma, stage_vals=None):
+    """Decay e^{-gamma t} and potential integral of atoms at one time t.
+
+    ``t`` is checked against the trained horizon and clamped into [0, T].
+    """
+    if not -1e-12 <= t <= model.T + 1e-12:
+        raise ValueError(f"time {t} outside the trained horizon [0, {model.T}]")
+    t = min(max(float(t), 0.0), model.T)
+    gamma = np.asarray(gamma, dtype=float)
+    if stage_vals is None:
+        stage_vals = _stage_values(model, s0, x, S, gamma)
+    w = _stage_weights(model.dt, model.n_stages, t, gamma)
+    return np.exp(-gamma * t), np.sum(stage_vals * w, axis=0)
 
 
 def reconstructed_potential_integral(
@@ -404,34 +413,13 @@ def reconstructed_potential_integral(
     potential at the probe's initial data.  Zero at t = 0 and for
     gamma = 0 (the weight density vanishes identically).
     """
-    if not -1e-12 <= t <= model.T + 1e-12:
-        raise ValueError(f"time {t} outside the trained horizon [0, {model.T}]")
-    t = min(max(t, 0.0), model.T)
-    if theta.gamma == 0.0:
-        return 0.0
-    vals = _stage_values(
-        model,
-        np.array([float(s)]),
-        np.asarray(theta.x, dtype=float)[None, :],
-        np.array([theta.S]),
-        np.array([theta.gamma]),
-    )[:, 0]
-    w = _stage_weights(model.dt, model.n_stages, float(t), float(theta.gamma))
-    return float(np.sum(vals * w[:, 0]))
+    _, chat = _flow_exponents(model, t, [s], [theta.x], [theta.S], [theta.gamma])
+    return float(chat[0])
 
 
 def flow_eval(model: MeanFieldModel, t: float, s0, theta: PlantTraits) -> float:
     """The surrogate flow: grow initial size s0 with traits theta to time t."""
-    p = model.params
-    if s0 <= p.s_m:
-        raise ValueError("initial size must exceed the minimal size")
-    chat = reconstructed_potential_integral(model, t, s0, theta)
-    decay = math.exp(-theta.gamma * float(t))
-    return float(
-        p.s_m
-        * (s0 / p.s_m) ** decay
-        * (theta.S / p.s_m) ** (1.0 - decay - chat)
-    )
+    return float(flow_eval_many(model, t, [s0], [theta.x], [theta.S], [theta.gamma])[0])
 
 
 def flow_eval_many(
@@ -443,24 +431,19 @@ def flow_eval_many(
     gamma: np.ndarray,
     stage_vals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Vectorized ``flow_eval`` over atoms sharing one evaluation time.
+    """The surrogate flow of many atoms sharing one evaluation time.
 
-    ``stage_vals`` may carry precomputed per-stage potentials of the
+    Grows each initial size s0_i with traits (x_i, S_i, gamma_i) to time
+    t.  ``stage_vals`` may carry precomputed per-stage potentials of the
     same atoms (from ``_stage_values``) to amortize feature evaluation
     across many times.
     """
-    if not -1e-12 <= t <= model.T + 1e-12:
-        raise ValueError(f"time {t} outside the trained horizon [0, {model.T}]")
-    t = min(max(float(t), 0.0), model.T)
     p = model.params
     s0 = np.asarray(s0, dtype=float)
     S = np.asarray(S, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if stage_vals is None:
-        stage_vals = _stage_values(model, s0, x, S, gamma)
-    w = _stage_weights(model.dt, model.n_stages, np.full(s0.shape, t), gamma)
-    chat = np.sum(stage_vals * w, axis=0)
-    decay = np.exp(-gamma * t)
+    if np.any(s0 <= p.s_m):
+        raise ValueError("initial size must exceed the minimal size")
+    decay, chat = _flow_exponents(model, t, s0, x, S, gamma, stage_vals)
     return p.s_m * (s0 / p.s_m) ** decay * (S / p.s_m) ** (1.0 - decay - chat)
 
 
@@ -503,10 +486,7 @@ def train(
 
     p = params
     cloud = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, _SET_CLOUD, 0)), N)
-    s0_c = np.array([smp.s0 for smp in cloud])
-    x_c = np.stack([smp.traits.x for smp in cloud])
-    S_c = np.array([smp.traits.S for smp in cloud])
-    g_c = np.array([smp.traits.gamma for smp in cloud])
+    s0_c, x_c, S_c, g_c = cloud.s0, cloud.x, cloud.S, cloud.gamma
 
     center = x_c.mean(axis=0)
     spread = float(np.std(x_c))
@@ -517,37 +497,31 @@ def train(
     stages: list = []
     cloud_stage_vals: list = []  # per fitted stage, its value on the cloud
 
-    def flow_sizes(s0, x, S, gamma, stage_vals_list, t_k):
-        if not stages:
-            return np.asarray(s0, dtype=float).copy()
-        partial = MeanFieldModel(
-            stages=list(stages), dt=dt, T=len(stages) * dt,
-            mu0_cfg=mu0_cfg, n_cloud=N, seed=seed, params=p,
-        )
-        sv = np.stack(stage_vals_list)
-        return flow_eval_many(partial, t_k, s0, x, S, gamma, stage_vals=sv)
-
-    def probe_stage_vals(s0, x, S, gamma):
-        return [
-            np.atleast_1d(stage_potential_eval(st, s0, x, S, gamma)) for st in stages
-        ]
-
     for k in range(m_stages):
         t_k = k * dt
-        sizes_cloud = flow_sizes(s0_c, x_c, S_c, g_c, cloud_stage_vals, t_k)
+        if k == 0:
+            sizes_cloud = s0_c
+        else:
+            # The flow built from the stages fitted so far advances every
+            # involved size to t_k.
+            partial = MeanFieldModel(
+                stages=list(stages), dt=dt, T=k * dt,
+                mu0_cfg=mu0_cfg, n_cloud=N, seed=seed, params=p,
+            )
+            sizes_cloud = flow_eval_many(
+                partial, t_k, s0_c, x_c, S_c, g_c,
+                stage_vals=np.stack(cloud_stage_vals),
+            )
 
         sets = {}
         for tag, name in ((_SET_TRAIN, "train"), (_SET_TEST, "test")):
-            draws = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), K)
-            s0_p = np.array([smp.s0 for smp in draws])
-            x_p = np.stack([smp.traits.x for smp in draws])
-            S_p = np.array([smp.traits.S for smp in draws])
-            g_p = np.array([smp.traits.gamma for smp in draws])
-            sizes_p = flow_sizes(
-                s0_p, x_p, S_p, g_p, probe_stage_vals(s0_p, x_p, S_p, g_p), t_k
-            )
-            targets = mc_potential(p, sizes_p, x_p, sizes_cloud, x_c)
-            inputs = (s0_p, x_p) if k == 0 else (s0_p, x_p, S_p, g_p)
+            d = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), K)
+            if k == 0:
+                sizes_p = d.s0
+            else:
+                sizes_p = flow_eval_many(partial, t_k, d.s0, d.x, d.S, d.gamma)
+            targets = mc_potential(p, sizes_p, d.x, sizes_cloud, x_c)
+            inputs = (d.s0, d.x) if k == 0 else (d.s0, d.x, d.S, d.gamma)
             sets[name] = (inputs, targets)
 
         spec = FeatureSpec(

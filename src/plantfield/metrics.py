@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -291,62 +291,37 @@ def convergence_experiment(
             s_m=params.s_m, ell=mu0_cfg.L, tau_r=1.0 / mu0_cfg.gamma_max
         )
     t_max = float(t_grid[-1])
+    if solver_template is None:
+        solver_template = SolverConfig(t_end=t_max)
+    cfg = replace(solver_template, t_end=t_max, snapshot_times=t_grid)
 
     reports = []
     for n in n_list:
         tic = time.perf_counter()
-        samples = sample_mu0(mu0_cfg.with_seed(seed), n)
-        state0 = samples_to_state(samples)
-        if solver_template is None:
-            cfg = SolverConfig(t_end=t_max, snapshot_times=t_grid)
-        else:
-            cfg = SolverConfig(
-                t_end=t_max,
-                method=solver_template.method,
-                dt_init=solver_template.dt_init,
-                rel_tol=solver_template.rel_tol,
-                abs_tol=solver_template.abs_tol,
-                snapshot_times=t_grid,
-                max_step=solver_template.max_step,
-            )
+        state0 = samples_to_state(sample_mu0(mu0_cfg.with_seed(seed), n))
         traj = integrate(params, state0, cfg)
-        sim_sizes = np.stack([st.sizes for st in traj.states])  # (T, n)
-
-        s0_arr = state0.sizes.copy()
-        x_arr = state0.positions()
-        S_arr = state0.caps()
-        g_arr = state0.rates()
+        sim_sizes = traj.sizes  # (T, n)
+        atoms = (state0.sizes, state0.positions, state0.caps, state0.rates)
 
         if self_comparison:
             mf_sizes = sim_sizes
         else:
-            sv = _stage_values(model, s0_arr, x_arr, S_arr, g_arr)
+            sv = _stage_values(model, *atoms)
             mf_sizes = np.stack(
-                [
-                    flow_eval_many(
-                        model, t, s0_arr, x_arr, S_arr, g_arr, stage_vals=sv
-                    )
-                    for t in t_grid
-                ]
+                [flow_eval_many(model, t, *atoms, stage_vals=sv) for t in t_grid]
             )
 
-        coeffs = bound_coefficients(
-            params, mu0_cfg, snapshot_measure(state0), n
-        )
+        # Both runs share the initial traits; only the sizes differ.
+        measure0 = snapshot_measure(state0)
+        coeffs = bound_coefficients(params, mu0_cfg, measure0, n)
         w1_size = np.array(
             [w1_sorted_1d(sim_sizes[k], mf_sizes[k]) for k in range(t_grid.size)]
         )
         w1_full = np.full(t_grid.size, float("nan"))
         if n <= matching_cap:
             for k in range(t_grid.size):
-                a = EmpiricalMeasure(
-                    sizes=sim_sizes[k], positions=x_arr, caps=S_arr,
-                    rates=g_arr, weights=np.full(n, 1.0 / n),
-                )
-                b = EmpiricalMeasure(
-                    sizes=mf_sizes[k], positions=x_arr, caps=S_arr,
-                    rates=g_arr, weights=np.full(n, 1.0 / n),
-                )
+                a = replace(measure0, sizes=sim_sizes[k])
+                b = replace(measure0, sizes=mf_sizes[k])
                 w1_full[k] = w1_matching(a, b, weights, cap=matching_cap)
         gap = np.abs(sim_sizes - mf_sizes).mean(axis=1)
         bound = np.array([coeffs.drive_term(t) for t in t_grid])

@@ -67,11 +67,12 @@ class ModelParams:
 
 @dataclass
 class PlantTraits:
-    """Fixed characteristics of one individual.
+    """Fixed characteristics of one individual, for the one-plant API.
 
     ``x`` is the planar position, ``S`` the asymptotic (isolated) size and
-    ``gamma`` the growth rate.  Admissibility relative to a ``ModelParams``
-    (``s_m < S < s_m * exp(R_M)``) is checked by
+    ``gamma`` the growth rate.  Populations keep these as columns (see
+    ``population.PopulationState``).  Admissibility relative to a
+    ``ModelParams`` (``s_m < S < s_m * exp(R_M)``) is checked by
     :func:`validate_initial_config`, not here, because it needs the global
     constants.
     """
@@ -189,17 +190,14 @@ def gompertz_closed_form(traits: PlantTraits, params: ModelParams, s0, t):
     return out if out.ndim else float(out)
 
 
-def gronwall_bound(env: GronwallEnvelope, t, direction: str = "upper"):
+def gronwall_bound(env: GronwallEnvelope, t):
     """Evaluate the linear comparison envelope at time ``t``.
 
         a/b + (y0 - a/b) * exp(-b t)
 
-    ``direction`` records whether the caller uses the value as an upper or
-    a lower bound; the formula is the same either way.  Broadcasts over
-    ``t``.
+    The same formula serves as an upper or a lower bound, depending on the
+    sign of the differential inequality.  Broadcasts over ``t``.
     """
-    if direction not in ("upper", "lower"):
-        raise ValueError("direction must be 'upper' or 'lower'")
     if env.b == 0.0:
         raise ValueError("decay constant b must be nonzero")
     t = np.asarray(t, dtype=float)
@@ -208,9 +206,17 @@ def gronwall_bound(env: GronwallEnvelope, t, direction: str = "upper"):
     return out if out.ndim else float(out)
 
 
+_ADMISSIBILITY_REASONS = (
+    "asymptotic size outside (s_m, s_m*exp(R_M))",
+    "growth rate not strictly positive",
+    "initial size outside (s_m, S)",
+)
+
+
 def validate_initial_config(
     params: ModelParams,
-    traits: list[PlantTraits],
+    caps,
+    rates,
     sizes0,
 ) -> AdmissibilityVerdict:
     """Check the admissibility hypotheses guaranteeing a global solution.
@@ -220,24 +226,28 @@ def validate_initial_config(
     coupled system has a unique global solution with
     ``s_m < s_i(t) < S_i`` and competition indices in ``[0, 1]`` for all
     time.  Returns a verdict naming the first violating individual, if
-    any.  Raises on a length mismatch or a population smaller than 2 (the
-    competition index divides by ``N - 1``).
+    any, and its first violated condition in the order above.  Raises on
+    a length mismatch or a population smaller than 2 (the competition
+    index divides by ``N - 1``).
     """
+    caps = np.asarray(caps, dtype=float)
+    rates = np.asarray(rates, dtype=float)
     sizes0 = np.asarray(sizes0, dtype=float)
-    if len(traits) != len(sizes0):
-        raise ValueError(
-            f"traits ({len(traits)}) and initial sizes ({len(sizes0)}) differ in length"
-        )
-    if len(traits) < 2:
+    if not caps.shape == rates.shape == sizes0.shape or caps.ndim != 1:
+        raise ValueError("caps, rates and initial sizes differ in length or shape")
+    if caps.shape[0] < 2:
         raise ValueError("population must contain at least 2 individuals")
-    hi = params.max_size
-    for i, (th, s0) in enumerate(zip(traits, sizes0)):
-        if not (params.s_m < th.S < hi):
-            return AdmissibilityVerdict(
-                False, i, "asymptotic size outside (s_m, s_m*exp(R_M))"
-            )
-        if not th.gamma > 0.0:
-            return AdmissibilityVerdict(False, i, "growth rate not strictly positive")
-        if not (params.s_m < s0 < th.S):
-            return AdmissibilityVerdict(False, i, "initial size outside (s_m, S)")
-    return AdmissibilityVerdict(True)
+    s_m = params.s_m
+    bad = ~np.stack(
+        [
+            (s_m < caps) & (caps < params.max_size),
+            rates > 0.0,
+            (s_m < sizes0) & (sizes0 < caps),
+        ]
+    )
+    offenders = np.flatnonzero(bad.any(axis=0))
+    if offenders.size == 0:
+        return AdmissibilityVerdict(True)
+    i = int(offenders[0])
+    reason = _ADMISSIBILITY_REASONS[int(np.argmax(bad[:, i]))]
+    return AdmissibilityVerdict(False, i, reason)

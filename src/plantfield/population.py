@@ -12,6 +12,7 @@ for single probe plants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,37 +62,51 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass
 class PopulationState:
-    """Sizes of all plants at one instant, plus their fixed traits."""
+    """Sizes (N,) of all plants at one instant, plus their fixed traits as
+    columns: positions (N, 2), asymptotic sizes ``caps`` and rates (N,)."""
 
-    traits: list
     sizes: np.ndarray
+    positions: np.ndarray
+    caps: np.ndarray
+    rates: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.sizes = np.asarray(self.sizes, dtype=float)
+        for name in ("sizes", "positions", "caps", "rates"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.sizes.ndim != 1:
             raise ValueError("sizes must be a 1-D array")
-        if len(self.traits) != self.sizes.shape[0]:
+        n = self.sizes.shape[0]
+        shapes = (self.positions.shape, self.caps.shape, self.rates.shape)
+        if shapes != ((n, 2), (n,), (n,)):
             raise ValueError(
-                f"traits ({len(self.traits)}) and sizes ({self.sizes.shape[0]}) "
-                "must have the same length"
+                f"positions, caps and rates {shapes} must have one row per size ({n})"
             )
-        if len(self.traits) < 2:
+        if n < 2:
             raise ValueError("a population needs at least two plants")
+        if not np.all(self.caps > 0.0):
+            raise ValueError("asymptotic sizes S must be strictly positive")
+        if np.any(self.rates < 0.0):
+            raise ValueError("growth rates gamma must be nonnegative")
         self.t = float(self.t)
 
     @property
     def n(self) -> int:
         return self.sizes.shape[0]
 
-    def positions(self) -> np.ndarray:
-        return np.stack([tr.x for tr in self.traits])
 
-    def caps(self) -> np.ndarray:
-        return np.array([tr.S for tr in self.traits])
-
-    def rates(self) -> np.ndarray:
-        return np.array([tr.gamma for tr in self.traits])
+def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
+    """Grid 0, snap_dt, 2 snap_dt, ... whose last point is t_end exactly."""
+    if snap_dt <= 0.0:
+        raise ValueError("solver.snapshot_dt must be strictly positive")
+    n_steps = int(np.floor(t_end / snap_dt + 1e-9))
+    times = np.arange(n_steps + 1) * snap_dt
+    if times[-1] < t_end - 1e-9 * max(1.0, t_end):
+        times = np.append(times, t_end)
+    else:
+        # Within roundoff of the end: snap to it exactly.
+        times[-1] = t_end
+    return times
 
 
 @dataclass
@@ -131,12 +146,7 @@ class SolverConfig:
         """Snapshot grid: explicit list, or every 0.5 including both ends."""
         if self.snapshot_times is not None:
             return np.asarray(self.snapshot_times, dtype=float)
-        if self.t_end == 0.0:
-            return np.array([0.0])
-        grid = np.arange(0.0, self.t_end, 0.5)
-        if grid[-1] < self.t_end:
-            grid = np.append(grid, self.t_end)
-        return grid
+        return _snapshot_times(self.t_end, 0.5)
 
 
 @dataclass
@@ -154,10 +164,11 @@ class TrajectoryDiagnostics:
 
 @dataclass
 class Trajectory:
-    """A completed population run sampled on the snapshot grid."""
+    """A completed population run from ``initial``, sampled on the snapshot grid."""
 
     times: np.ndarray
-    states: list
+    initial: PopulationState
+    sizes: np.ndarray  # (n_snapshots, N)
     diagnostics: TrajectoryDiagnostics
     dense: DenseSolution = field(repr=False)
     params: ModelParams = field(repr=False)
@@ -171,7 +182,7 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return self.states[0].n
+        return self.initial.n
 
 
 @dataclass
@@ -269,7 +280,7 @@ def _competition_all(
 def competition_index_all(params: ModelParams, state: PopulationState) -> np.ndarray:
     """Mean competition load on every plant of ``state``; shape (N,)."""
     r = np.log(state.sizes / params.s_m)
-    kernel = _spatial_kernel(state.positions(), params.sigma_x)
+    kernel = _spatial_kernel(state.positions, params.sigma_x)
     return _competition_all(params, r, kernel)
 
 
@@ -287,9 +298,9 @@ def system_rhs(params: ModelParams, state: PopulationState) -> np.ndarray:
     if np.any(s <= 0.0):
         raise ValueError("sizes must be strictly positive")
     c = competition_index_all(params, state)
-    caps_log = np.log(state.caps() / params.s_m)
+    caps_log = np.log(state.caps / params.s_m)
     r = np.log(s / params.s_m)
-    return state.rates() * s * (caps_log * (1.0 - c) - r)
+    return state.rates * s * (caps_log * (1.0 - c) - r)
 
 
 def integrate(
@@ -305,15 +316,14 @@ def integrate(
     ``IntegrationDivergedError``.
     """
     verdict = validate_initial_config(
-        params, initial.traits, initial.sizes
+        params, initial.caps, initial.rates, initial.sizes
     )
     if not verdict:
         raise ValueError(f"inadmissible initial configuration: {verdict.reason}")
 
-    positions = initial.positions()
-    caps_log = np.log(initial.caps() / params.s_m)
-    rates = initial.rates()
-    kernel = _spatial_kernel(positions, params.sigma_x)
+    caps_log = np.log(initial.caps / params.s_m)
+    rates = initial.rates
+    kernel = _spatial_kernel(initial.positions, params.sigma_x)
     r0 = np.log(initial.sizes / params.s_m)
 
     def rhs(t, r):
@@ -354,10 +364,6 @@ def integrate(
     snap_times = cfg.resolved_snapshot_times()
     r_mat = dense.eval_many(snap_times)
     sizes_mat = params.s_m * np.exp(r_mat)
-    states = [
-        PopulationState(initial.traits, sizes_t, t=float(t))
-        for t, sizes_t in zip(snap_times, sizes_mat)
-    ]
     c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
     diagnostics = TrajectoryDiagnostics(
         min_sizes=sizes_mat.min(axis=1),
@@ -370,7 +376,8 @@ def integrate(
     )
     return Trajectory(
         times=snap_times,
-        states=states,
+        initial=initial,
+        sizes=sizes_mat,
         diagnostics=diagnostics,
         dense=dense,
         params=params,
@@ -403,7 +410,7 @@ def empirical_flow(
 
     n = background.n
     probe_kernel = _spatial_kernel(
-        probe_traits.x[None, :], params.sigma_x, background.states[0].positions()
+        probe_traits.x[None, :], params.sigma_x, background.initial.positions
     )
     cap_log = np.log(probe_traits.S / params.s_m)
     gamma = probe_traits.gamma
@@ -443,9 +450,9 @@ def snapshot_measure(state: PopulationState) -> EmpiricalMeasure:
     n = state.n
     return EmpiricalMeasure(
         sizes=state.sizes.copy(),
-        positions=state.positions(),
-        caps=state.caps(),
-        rates=state.rates(),
+        positions=state.positions.copy(),
+        caps=state.caps.copy(),
+        rates=state.rates.copy(),
         weights=np.full(n, 1.0 / n),
     )
 
@@ -458,20 +465,17 @@ def export_trajectory_csv(
     """Write one row per (snapshot, plant), time-major then id."""
     header = ["t", "plant_id", "s", "x1", "x2", "S", "gamma", "C_index"]
 
+    x1, x2 = traj.initial.positions.T.tolist()
+    caps = traj.initial.caps.tolist()
+    rates = traj.initial.rates.tolist()
+    ids = range(traj.n)
+
     def rows():
-        for k, state in enumerate(traj.states):
-            t = float(traj.times[k])
-            c_row = traj.diagnostics.c_indices[k]
-            for i, tr in enumerate(state.traits):
-                yield (
-                    t,
-                    i,
-                    float(state.sizes[i]),
-                    float(tr.x[0]),
-                    float(tr.x[1]),
-                    float(tr.S),
-                    float(tr.gamma),
-                    float(c_row[i]),
-                )
+        for t, sizes, c_row in zip(
+            traj.times.tolist(), traj.sizes, traj.diagnostics.c_indices
+        ):
+            yield from zip(
+                repeat(t), ids, sizes.tolist(), x1, x2, caps, rates, c_row.tolist()
+            )
 
     write_csv(path, header, rows(), comments=comments)

@@ -26,8 +26,8 @@ def _report(num, ok, detail):
 def test_criterion_01_sizes_and_indices_stay_in_band(exp_config, default_run):
     state0, traj, elapsed = default_run
     p = exp_config.params
-    caps = state0.caps()
-    sizes = np.stack([st.sizes for st in traj.states])  # (T, n)
+    caps = state0.caps
+    sizes = traj.sizes  # (T, n)
     strict = bool(
         np.all(sizes > p.s_m) and np.all(sizes < caps[None, :])
     )
@@ -49,7 +49,12 @@ def test_criterion_02_decoupled_pair_follows_closed_form(params):
         pf.PlantTraits(x=np.array([sep, 0.0]), S=0.85, gamma=1.2),
     ]
     s0 = np.array([0.12, 0.2])
-    state0 = pf.PopulationState(traits=traits, sizes=s0.copy())
+    state0 = pf.PopulationState(
+        sizes=s0.copy(),
+        positions=np.stack([th.x for th in traits]),
+        caps=np.array([th.S for th in traits]),
+        rates=np.array([th.gamma for th in traits]),
+    )
     cfg = pf.SolverConfig(t_end=10.0)
     traj = pf.integrate(params, state0, cfg)
     grid = np.linspace(0.0, 10.0, 101)
@@ -72,15 +77,15 @@ def test_criterion_03_envelopes_bracket_every_plant(exp_config, default_run):
     state0, traj, _ = default_run
     p = exp_config.params
     s0 = state0.sizes
-    caps = state0.caps()
-    rates = state0.rates()
+    caps = state0.caps
+    rates = state0.rates
     worst_lo, worst_up = 0.0, 0.0
     ok = True
     for k, t in enumerate(traj.times):
         decay = np.exp(-rates * t)
         lower = p.s_m * (s0 / p.s_m) ** decay
         upper = caps * (s0 / caps) ** decay
-        s = traj.states[k].sizes
+        s = traj.sizes[k]
         ok = ok and bool(np.all(s >= lower - 1e-9) and np.all(s <= upper + 1e-9))
         worst_lo = max(worst_lo, float(np.max(lower - s)))
         worst_up = max(worst_up, float(np.max(s - upper)))
@@ -99,9 +104,12 @@ def test_criterion_04_probe_reproduces_members(exp_config, default_run):
     for i in members:
         pt = pf.empirical_flow(
             exp_config.params, traj, float(state0.sizes[i]),
-            state0.traits[i], exp_config.solver,
+            pf.PlantTraits(
+                x=state0.positions[i], S=state0.caps[i], gamma=state0.rates[i]
+            ),
+            exp_config.solver,
         )
-        member = np.array([traj.states[k].sizes[i] for k in range(len(traj.times))])
+        member = traj.sizes[:, i]
         worst = max(worst, float(np.max(np.abs(pt.sizes - member) / member)))
     ok = worst < 1e-7
     _report(

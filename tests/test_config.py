@@ -5,6 +5,7 @@ import pytest
 
 import plantfield as pf
 from plantfield.config import DEFAULTS, canonical_config_text
+from plantfield.population import _snapshot_times
 
 
 def test_defaults_resolve_cleanly():
@@ -35,6 +36,20 @@ def test_defaults_build_reference_experiment(exp_config):
     assert grid.shape == (21,)
     assert grid[0] == 0.0 and grid[-1] == 10.0
     assert np.allclose(np.diff(grid), 0.5)
+
+
+def test_snapshot_grid_ends_exactly_at_t_end():
+    # 3 * 0.3 is 0.8999999999999999 in floating point; the grid must still
+    # end on t_end itself.
+    ec = pf.build_experiment_config(
+        pf.resolve_config({"solver.t_end": 0.9, "solver.snapshot_dt": 0.3})
+    )
+    assert np.asarray(ec.solver.snapshot_times).tolist() == [0.0, 0.3, 0.6, 0.9]
+    # A spacing that does not divide t_end appends the end point.
+    assert _snapshot_times(1.0, 0.3).tolist() == [
+        0.0, 0.3, 0.6, 0.8999999999999999, 1.0
+    ]
+    assert np.array_equal(_snapshot_times(10.0, 0.5), np.arange(21) * 0.5)
 
 
 def test_file_parsing_tolerates_comments(tmp_path):

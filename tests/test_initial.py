@@ -14,6 +14,8 @@ CAP_SURFACE_AT_PEAK = 0.96616617919084683
 RATE_SURFACE_AT_PEAK = 1.8714314809252179
 HALF_NORMAL_MEAN = 0.79788456080286536  # sqrt(2/pi)
 
+_COLUMNS = ("s0", "x", "S", "gamma")
+
 
 def test_cap_surface_landmarks(mu0_point):
     sp = mu0_point.S_surface
@@ -106,8 +108,7 @@ def test_truncnorm_validation(rng):
 
 
 def test_position_moments(mu0_point):
-    samples = pf.sample_mu0(mu0_point.with_seed(101), 100_000)
-    pos = np.stack([s.traits.x for s in samples])
+    pos = pf.sample_mu0(mu0_point.with_seed(101), 100_000).x
     L = mu0_point.L
     assert np.abs(pos.mean(axis=0)).max() < 0.02 * L
     cov = np.cov(pos.T)
@@ -117,27 +118,23 @@ def test_position_moments(mu0_point):
 
 
 def test_supports_are_respected(mu0_point, params):
-    samples = pf.sample_mu0(mu0_point.with_seed(5), 5_000)
-    S = np.array([s.traits.S for s in samples])
-    g = np.array([s.traits.gamma for s in samples])
-    s0 = np.array([s.s0 for s in samples])
+    sample = pf.sample_mu0(mu0_point.with_seed(5), 5_000)
+    S, g, s0 = sample.S, sample.gamma, sample.s0
     assert np.all((S > mu0_point.S_lower) & (S < params.max_size))
     assert np.all((g > 0.0) & (g <= mu0_point.gamma_max))
     assert np.all(s0 == 0.1)
 
 
 def test_uniform_initial_size_law(mu0_uniform):
-    samples = pf.sample_mu0(mu0_uniform.with_seed(5), 5_000)
-    s0 = np.array([s.s0 for s in samples])
+    s0 = pf.sample_mu0(mu0_uniform.with_seed(5), 5_000).s0
     assert np.all((s0 >= 0.1) & (s0 <= 0.3))
     assert abs(s0.mean() - 0.2) < 0.005
     assert s0.std() == pytest.approx((0.3 - 0.1) / math.sqrt(12.0), rel=0.05)
 
 
 def test_caps_track_their_surface(mu0_point):
-    samples = pf.sample_mu0(mu0_point.with_seed(77), 40_000)
-    pos = np.stack([s.traits.x for s in samples])
-    S = np.array([s.traits.S for s in samples])
+    sample = pf.sample_mu0(mu0_point.with_seed(77), 40_000)
+    pos, S = sample.x, sample.S
     near_peak = np.linalg.norm(pos - np.array([-1.0, 0.0]), axis=1) < 0.5
     near_trough = np.linalg.norm(pos - np.array([1.0, 0.0]), axis=1) < 0.5
     assert near_peak.sum() > 200 and near_trough.sum() > 200
@@ -147,25 +144,21 @@ def test_caps_track_their_surface(mu0_point):
 def test_sampling_is_deterministic(mu0_point):
     a = pf.sample_mu0(mu0_point.with_seed(9), 64)
     b = pf.sample_mu0(mu0_point.with_seed(9), 64)
-    for sa, sb in zip(a, b):
-        assert sa.s0 == sb.s0
-        assert np.array_equal(sa.traits.x, sb.traits.x)
-        assert sa.traits.S == sb.traits.S
-        assert sa.traits.gamma == sb.traits.gamma
+    assert a.x.shape == (64, 2)
+    for col in _COLUMNS:
+        assert getattr(a, col).shape[0] == 64
+        assert np.array_equal(getattr(a, col), getattr(b, col))
     c = pf.sample_mu0(mu0_point.with_seed(10), 64)
-    assert any(
-        not np.array_equal(sa.traits.x, sc.traits.x) for sa, sc in zip(a, c)
-    )
+    assert not np.array_equal(a.x, c.x)
 
 
-def test_larger_draw_extends_smaller(mu0_point):
-    small = pf.sample_mu0(mu0_point.with_seed(4), 30)
-    large = pf.sample_mu0(mu0_point.with_seed(4), 50)
-    for sa, sb in zip(small, large):
-        assert sa.s0 == sb.s0
-        assert np.array_equal(sa.traits.x, sb.traits.x)
-        assert sa.traits.S == sb.traits.S
-        assert sa.traits.gamma == sb.traits.gamma
+def test_larger_draw_extends_smaller(mu0_point, mu0_uniform):
+    # The first k rows of a size-n draw are the size-k draw, bit for bit.
+    for cfg in (mu0_point.with_seed(4), mu0_uniform.with_seed(4)):
+        small = pf.sample_mu0(cfg, 30)
+        large = pf.sample_mu0(cfg, 50)
+        for col in _COLUMNS:
+            assert np.array_equal(getattr(large, col)[:30], getattr(small, col))
 
 
 def test_config_validation(params, mu0_point):
@@ -180,18 +173,22 @@ def test_config_validation(params, mu0_point):
 
 
 def test_samples_to_state_roundtrip(mu0_point):
-    samples = pf.sample_mu0(mu0_point.with_seed(3), 12)
-    state = pf.samples_to_state(samples)
-    assert state.n == 12
-    assert np.array_equal(state.sizes, [s.s0 for s in samples])
-    assert state.traits[3] is samples[3].traits
+    sample = pf.sample_mu0(mu0_point.with_seed(3), 12)
+    state = pf.samples_to_state(sample)
+    assert state.n == 12 and state.t == 0.0
+    assert np.array_equal(state.sizes, sample.s0)
+    assert np.array_equal(state.positions, sample.x)
+    assert np.array_equal(state.caps, sample.S)
+    assert np.array_equal(state.rates, sample.gamma)
 
 
 def test_samples_csv_layout(mu0_point, tmp_path):
-    samples = pf.sample_mu0(mu0_point.with_seed(3), 4)
+    sample = pf.sample_mu0(mu0_point.with_seed(3), 4)
     out = tmp_path / "samples.csv"
-    export_samples_csv(samples, out, comments=["seed=3"])
+    export_samples_csv(sample, out, comments=["seed=3"])
     lines = out.read_text().splitlines()
     assert lines[0] == "# seed=3"
     assert lines[1] == "id,s0,x1,x2,S,gamma"
     assert len(lines) == 6
+    row = (sample.s0[1], *sample.x[1], sample.S[1], sample.gamma[1])
+    assert lines[3] == ",".join(["1"] + [repr(float(v)) for v in row])

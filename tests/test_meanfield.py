@@ -172,8 +172,7 @@ def test_mc_potential_subsample_consistency(p, mu0_uniform):
     # The cloud average at 10^3 atoms must sit within Monte-Carlo error
     # of the 10^5-atom estimate of the same integral.
     big = pf.sample_mu0(mu0_uniform.with_seed(31), 100_000)
-    sizes = np.array([s.s0 for s in big])
-    pos = np.stack([s.traits.x for s in big])
+    sizes, pos = big.s0, big.x
     probe_s, probe_x = 0.15, np.array([0.3, -0.2])
 
     r_probe = math.log(probe_s / p.s_m)
@@ -273,6 +272,31 @@ def test_stage_weights_telescope():
     assert w[2] == pytest.approx(1.0 - math.exp(1.0 * (2.0 - 2.5)), rel=1e-12)
     # A completed stage carries e^{gamma(t_{k+1}-t)} - e^{gamma(t_k-t)}.
     assert w[0] == pytest.approx(math.exp(1.0 - 2.5) - math.exp(-2.5), rel=1e-12)
+
+
+def _piecewise_weights(dt, m, t, gamma):
+    """Stage weights by cases, as in the definition of the integral."""
+    w = np.zeros(m)
+    for k in range(m):
+        t_k, t_k1 = k * dt, (k + 1) * dt
+        if t_k < t < t_k1:
+            w[k] = 1.0 - np.exp(gamma * (t_k - t))
+        elif t >= t_k1:
+            w[k] = np.exp(gamma * (t_k1 - t)) - np.exp(gamma * (t_k - t))
+    return w
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.3])
+def test_stage_weights_match_piecewise_definition(dt, rng):
+    # Bit for bit, at every stage boundary t = k dt (where a stage turns
+    # from in progress to completed) up to the horizon T = m dt, at
+    # gamma = 0, and at random interior times.
+    m = 10
+    times = [k * dt for k in range(m + 1)] + list(rng.uniform(0, m * dt, 40))
+    for t in times:
+        for gamma in (0.0, 0.05, 0.9, 2.0):
+            want = _piecewise_weights(dt, m, t, gamma)
+            assert np.array_equal(_stage_weights(dt, m, t, gamma)[:, 0], want), t
 
 
 def test_stage_weights_zero_rate():

@@ -183,13 +183,17 @@ def test_bound_requires_two_plants(params, mu0_uniform, rng):
         pf.bound_coefficients(params, mu0_uniform, _measure(rng, 5), 1)
 
 
-def _cloud_measure(samples):
-    sizes = np.array([s.s0 for s in samples])
-    pos = np.stack([s.traits.x for s in samples])
-    caps = np.array([s.traits.S for s in samples])
-    rates = np.array([s.traits.gamma for s in samples])
-    n = sizes.size
-    return pf.EmpiricalMeasure(sizes, pos, caps, rates, np.full(n, 1.0 / n))
+def _cloud_measure(sample, n):
+    """The first n drawn plants as a uniformly weighted measure."""
+    return pf.EmpiricalMeasure(
+        sample.s0[:n], sample.x[:n], sample.S[:n], sample.gamma[:n],
+        np.full(n, 1.0 / n),
+    )
+
+
+def _plant(sample, i):
+    """Drawn plant i as a one-plant trait record."""
+    return pf.PlantTraits(x=sample.x[i], S=sample.S[i], gamma=sample.gamma[i])
 
 
 def test_drive_functional_against_direct_average(params, mu0_uniform):
@@ -198,8 +202,8 @@ def test_drive_functional_against_direct_average(params, mu0_uniform):
     # Monte-Carlo error of the 10^5-atom value of the same integral.
     cfg = mu0_uniform.with_seed(77)
     big = pf.sample_mu0(cfg, 100_000)
-    m_big = _cloud_measure(big)
-    m_small = _cloud_measure(big[:10_000])
+    m_big = _cloud_measure(big, 100_000)
+    m_small = _cloud_measure(big, 10_000)
 
     p = params
     s0_max = mu0_uniform.s0_support_max
@@ -233,11 +237,11 @@ def test_bound_radicand_clamp_counted(params, mu0_uniform, rng):
 
 
 def test_flow_gap_zero_at_start(params, mu0_uniform, tiny_model):
-    samples = pf.sample_mu0(mu0_uniform.with_seed(5), 12)
-    state0 = pf.samples_to_state(samples)
+    sample = pf.sample_mu0(mu0_uniform.with_seed(5), 12)
+    state0 = pf.samples_to_state(sample)
     cfg = pf.SolverConfig(t_end=1.0)
     traj = pf.integrate(params, state0, cfg)
-    probes = [(s.s0, s.traits) for s in samples[:4]]
+    probes = [(sample.s0[i], _plant(sample, i)) for i in range(4)]
     gap0 = pf.flow_gap(params, traj, tiny_model, probes, 0.0, solver_cfg=cfg)
     assert gap0 == pytest.approx(0.0, abs=1e-14)
     gap1 = pf.flow_gap(params, traj, tiny_model, probes, 1.0, solver_cfg=cfg)
@@ -271,13 +275,14 @@ def test_convergence_flow_gap_equals_member_probe_gap(
     (report,) = pf.convergence_experiment(
         mu0_uniform, params, tiny_model, [n], t_grid, seed=seed
     )
-    samples = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
+    sample = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
     cfg = pf.SolverConfig(t_end=float(t_grid[-1]), snapshot_times=t_grid)
-    traj = pf.integrate(params, pf.samples_to_state(samples), cfg)
+    traj = pf.integrate(params, pf.samples_to_state(sample), cfg)
     probe_gaps = np.empty((t_grid.size, n))
-    for i, smp in enumerate(samples):
-        pt = pf.empirical_flow(params, traj, smp.s0, smp.traits, cfg)
-        mf = [pf.flow_eval(tiny_model, t, smp.s0, smp.traits) for t in t_grid]
+    for i in range(n):
+        s0, traits = sample.s0[i], _plant(sample, i)
+        pt = pf.empirical_flow(params, traj, s0, traits, cfg)
+        mf = [pf.flow_eval(tiny_model, t, s0, traits) for t in t_grid]
         probe_gaps[:, i] = np.abs(pt.sizes - np.array(mf))
     assert np.all(report.flow_gap[1:] > 0.0)
     np.testing.assert_allclose(
@@ -345,14 +350,15 @@ def test_surrogate_tracks_large_population(params, mu0_uniform, trained_model):
     # growth at the final time should agree with the surrogate flow at
     # the same initial data to within a few percent.
     model, _ = trained_model
-    samples = pf.sample_mu0(mu0_uniform.with_seed(123), 2000)
-    state0 = pf.samples_to_state(samples)
+    sample = pf.sample_mu0(mu0_uniform.with_seed(123), 2000)
+    state0 = pf.samples_to_state(sample)
     cfg = pf.SolverConfig(t_end=10.0, rel_tol=1e-6, abs_tol=1e-9, max_step=0.5)
     traj = pf.integrate(params, state0, cfg)
     rel_gaps = []
-    for smp in samples[:40]:
-        pt = pf.empirical_flow(params, traj, smp.s0, smp.traits, cfg)
+    for i in range(40):
+        s0, traits = sample.s0[i], _plant(sample, i)
+        pt = pf.empirical_flow(params, traj, s0, traits, cfg)
         probe = pt.size_at(10.0)
-        surro = pf.flow_eval(model, 10.0, smp.s0, smp.traits)
+        surro = pf.flow_eval(model, 10.0, s0, traits)
         rel_gaps.append(abs(probe - surro) / probe)
     assert float(np.mean(rel_gaps)) < 0.05

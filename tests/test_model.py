@@ -147,51 +147,75 @@ def test_gronwall_bound_solves_linear_comparison():
     for t in (0.0, 0.3, 1.0, 4.0):
         expected = 4.0 + (1.0 - 4.0) * math.exp(-0.5 * t)
         assert pf.gronwall_bound(env, t) == pytest.approx(expected, rel=1e-14)
-    assert pf.gronwall_bound(env, 0.0, direction="lower") == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        pf.gronwall_bound(env, 1.0, direction="sideways")
     with pytest.raises(ValueError):
         pf.GronwallEnvelope(a=1.0, b=0.0, y0=1.0)
 
 
-def _traits(S=0.75, gamma=1.0, x=(0.0, 0.0)):
-    return pf.PlantTraits(x=np.asarray(x, dtype=float), S=S, gamma=gamma)
-
-
 def test_admissibility_accepts_valid_population(p):
-    verdict = pf.validate_initial_config(p, [_traits(), _traits(S=0.9)], [0.1, 0.2])
+    verdict = pf.validate_initial_config(p, [0.75, 0.9], [1.0, 1.0], [0.1, 0.2])
     assert verdict
     assert verdict.index is None
 
 
 def test_admissibility_flags_each_violation(p):
-    bad_cap = pf.validate_initial_config(
-        p, [_traits(), _traits(S=1.5)], [0.1, 0.1]
-    )
+    bad_cap = pf.validate_initial_config(p, [0.75, 1.5], [1.0, 1.0], [0.1, 0.1])
     assert not bad_cap and bad_cap.index == 1
     assert "asymptotic" in bad_cap.reason
 
-    bad_rate = pf.validate_initial_config(
-        p, [_traits(gamma=0.0), _traits()], [0.1, 0.1]
-    )
+    bad_rate = pf.validate_initial_config(p, [0.75, 0.75], [0.0, 1.0], [0.1, 0.1])
     assert not bad_rate and bad_rate.index == 0
     assert "growth rate" in bad_rate.reason
 
-    bad_size = pf.validate_initial_config(
-        p, [_traits(), _traits()], [0.1, 0.8]
-    )
+    bad_size = pf.validate_initial_config(p, [0.75, 0.75], [1.0, 1.0], [0.1, 0.8])
     assert not bad_size and bad_size.index == 1
     assert "initial size" in bad_size.reason
 
-    at_minimum = pf.validate_initial_config(p, [_traits(), _traits()], [0.05, 0.1])
+    at_minimum = pf.validate_initial_config(
+        p, [0.75, 0.75], [1.0, 1.0], [0.05, 0.1]
+    )
     assert not at_minimum and at_minimum.index == 0
+
+
+def _first_violation(p, caps, rates, sizes0):
+    """Per-plant reference: (index, reason keyword) of the first breach."""
+    for i, (S, g, s0) in enumerate(zip(caps, rates, sizes0)):
+        if not p.s_m < S < p.max_size:
+            return i, "asymptotic"
+        if not g > 0.0:
+            return i, "growth rate"
+        if not p.s_m < s0 < S:
+            return i, "initial size"
+    return None, None
+
+
+def test_admissibility_reports_first_offender_and_reason(p, rng):
+    # Plant 1 breaks the rate and the size condition, plant 2 the cap: the
+    # verdict names plant 1 and the rate, the earlier of its two breaches.
+    v = pf.validate_initial_config(
+        p, [0.75, 0.75, 1.5], [1.0, 0.0, 1.0], [0.1, 0.9, 0.1]
+    )
+    assert (v.ok, v.index) == (False, 1) and "growth rate" in v.reason
+    v = pf.validate_initial_config(p, [0.75, 1.5], [1.0, -1.0], [0.1, 2.0])
+    assert (v.ok, v.index) == (False, 1) and "asymptotic" in v.reason
+    v = pf.validate_initial_config(p, [0.75, 0.75], [1.0, math.nan], [0.1, 0.1])
+    assert (v.ok, v.index) == (False, 1) and "growth rate" in v.reason
+    # Random populations in which every condition fails now and then.
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        caps = rng.uniform(0.0, 1.2, n)
+        rates = rng.uniform(-0.3, 1.0, n)
+        sizes0 = rng.uniform(0.0, 1.0, n)
+        v = pf.validate_initial_config(p, caps, rates, sizes0)
+        index, keyword = _first_violation(p, caps, rates, sizes0)
+        assert v.ok == (index is None) and v.index == index
+        assert (v.reason is None) if index is None else (keyword in v.reason)
 
 
 def test_admissibility_raises_on_malformed_input(p):
     with pytest.raises(ValueError):
-        pf.validate_initial_config(p, [_traits()], [0.1, 0.2])
+        pf.validate_initial_config(p, [0.75], [1.0], [0.1, 0.2])
     with pytest.raises(ValueError):
-        pf.validate_initial_config(p, [_traits()], [0.1])
+        pf.validate_initial_config(p, [0.75], [1.0], [0.1])
 
 
 def test_params_validation():

@@ -1,6 +1,7 @@
 """Coupled-population dynamics: competition index, integration, probes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,21 @@ def p():
     return pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=1.32)
 
 
+def _state(traits, sizes):
+    """A population from one-plant trait records and their sizes."""
+    return pf.PopulationState(
+        sizes=sizes,
+        positions=np.stack([tr.x for tr in traits]),
+        caps=np.array([tr.S for tr in traits]),
+        rates=np.array([tr.gamma for tr in traits]),
+    )
+
+
+def _plant(state, i):
+    """Plant i of a population as a one-plant trait record."""
+    return pf.PlantTraits(x=state.positions[i], S=state.caps[i], gamma=state.rates[i])
+
+
 def _random_state(p, n, rng):
     traits = [
         pf.PlantTraits(
@@ -33,13 +49,13 @@ def _random_state(p, n, rng):
         for _ in range(n)
     ]
     sizes = rng.uniform(0.08, 0.45, n)
-    return pf.PopulationState(traits=traits, sizes=sizes)
+    return _state(traits, sizes)
 
 
 def test_competition_index_matches_double_loop(p, rng):
     state = _random_state(p, 5, rng)
     got = pf.competition_index_all(p, state)
-    pos = state.positions()
+    pos = state.positions
     for i in range(5):
         acc = 0.0
         for j in range(5):
@@ -136,8 +152,8 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
         traj = pf.integrate(exp_config.params, state0, cfg)
     monkeypatch.setattr(population, "_pair_row_sums", _direct_row_sums)
     direct = pf.integrate(exp_config.params, state0, cfg)
-    for got, want in zip(traj.states, direct.states):
-        assert got.sizes == pytest.approx(want.sizes, rel=1e-12, abs=0.0)
+    for got, want in zip(traj.sizes, direct.sizes):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert traj.diagnostics.c_indices == pytest.approx(
         direct.diagnostics.c_indices, rel=1e-12, abs=1e-15
     )
@@ -153,7 +169,7 @@ def test_competition_index_matches_potential_for_any_sigma_r(sigma_r, n, seed):
     p = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=sigma_r)
     state = _random_state(p, n, np.random.default_rng(seed))
     got = pf.competition_index_all(p, state)
-    pos = state.positions()
+    pos = state.positions
     for i in range(n):
         want = sum(
             pf.competition_potential(
@@ -170,7 +186,8 @@ def test_rhs_matches_definition(p, rng):
     state = _random_state(p, 6, rng)
     got = pf.system_rhs(p, state)
     c = pf.competition_index_all(p, state)
-    for i, tr in enumerate(state.traits):
+    for i in range(6):
+        tr = _plant(state, i)
         s = state.sizes[i]
         expected = tr.gamma * s * (
             math.log(tr.S / p.s_m) * (1.0 - c[i]) - math.log(s / p.s_m)
@@ -183,7 +200,7 @@ def test_integrate_rejects_inadmissible(p):
         pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.0),
         pf.PlantTraits(x=np.ones(2), S=2.0, gamma=1.0),  # cap too large
     ]
-    state = pf.PopulationState(traits=traits, sizes=np.array([0.1, 0.1]))
+    state = _state(traits, np.array([0.1, 0.1]))
     with pytest.raises(ValueError, match="inadmissible"):
         pf.integrate(p, state, pf.SolverConfig(t_end=1.0))
 
@@ -193,25 +210,26 @@ def test_distant_pair_grows_as_if_isolated(p):
         pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.05),
         pf.PlantTraits(x=np.array([5.0e5, 0.0]), S=0.9, gamma=0.4),
     ]
-    state = pf.PopulationState(traits=traits, sizes=np.array([0.1, 0.12]))
+    state = _state(traits, np.array([0.1, 0.12]))
     cfg = pf.SolverConfig(t_end=6.0)
     traj = pf.integrate(p, state, cfg)
     for k, t in enumerate(traj.times):
         for i, tr in enumerate(traits):
             ref = pf.gompertz_closed_form(tr, p, state.sizes[i], float(t))
-            assert traj.states[k].sizes[i] == pytest.approx(ref, rel=1e-5)
+            assert traj.sizes[k][i] == pytest.approx(ref, rel=1e-5)
 
 
 def test_envelopes_bracket_every_plant(p, rng):
     state = _random_state(p, 8, rng)
     traj = pf.integrate(p, state, pf.SolverConfig(t_end=8.0))
     for k, t in enumerate(traj.times):
-        for i, tr in enumerate(state.traits):
+        for i in range(8):
+            tr = _plant(state, i)
             s0 = state.sizes[i]
             decay = math.exp(-tr.gamma * float(t))
             lower = p.s_m * (s0 / p.s_m) ** decay
             upper = tr.S * (s0 / tr.S) ** decay
-            s = traj.states[k].sizes[i]
+            s = traj.sizes[k][i]
             assert lower - 1e-9 <= s <= upper + 1e-9
 
 
@@ -220,24 +238,18 @@ def test_added_competitor_slows_growth(p):
     t1 = pf.PlantTraits(x=np.array([0.3, 0.0]), S=0.8, gamma=0.9)
     big = pf.PlantTraits(x=np.zeros(2), S=1.0, gamma=1.5)
     cfg = pf.SolverConfig(t_end=6.0)
-    pair = pf.integrate(
-        p, pf.PopulationState(traits=[t0, t1], sizes=np.array([0.1, 0.1])), cfg
-    )
-    trio = pf.integrate(
-        p,
-        pf.PopulationState(traits=[t0, t1, big], sizes=np.array([0.1, 0.1, 0.1])),
-        cfg,
-    )
-    s_pair = np.array([st.sizes[0] for st in pair.states])
-    s_trio = np.array([st.sizes[0] for st in trio.states])
+    pair = pf.integrate(p, _state([t0, t1], np.array([0.1, 0.1])), cfg)
+    trio = pf.integrate(p, _state([t0, t1, big], np.array([0.1, 0.1, 0.1])), cfg)
+    s_pair = pair.sizes[:, 0]
+    s_trio = trio.sizes[:, 0]
     assert np.all(s_trio[1:] < s_pair[1:])
 
 
 def test_growth_nearly_stalls_by_horizon(default_run, exp_config):
     _, traj, _ = default_run
-    final = traj.states[-1]
+    final = replace(traj.initial, sizes=traj.sizes[-1], t=traj.times[-1])
     slopes = pf.system_rhs(exp_config.params, final)
-    scale = max(tr.gamma * tr.S for tr in final.traits)
+    scale = np.max(final.rates * final.caps)
     assert np.max(np.abs(slopes)) < 0.05 * scale
 
 
@@ -246,8 +258,8 @@ def test_probe_reproduces_population_member(p, rng):
     cfg = pf.SolverConfig(t_end=5.0)
     bg = pf.integrate(p, state, cfg)
     for i in (0, 3, 7):
-        probe = pf.empirical_flow(p, bg, state.sizes[i], state.traits[i], cfg)
-        member = np.array([st.sizes[i] for st in bg.states])
+        probe = pf.empirical_flow(p, bg, state.sizes[i], _plant(state, i), cfg)
+        member = bg.sizes[:, i]
         assert np.max(np.abs(probe.sizes - member) / member) < 1e-7
 
 
@@ -287,7 +299,7 @@ def test_probe_horizon_cannot_exceed_background(p, rng):
     bg = pf.integrate(p, state, pf.SolverConfig(t_end=2.0))
     with pytest.raises(ValueError, match="horizon"):
         pf.empirical_flow(
-            p, bg, 0.1, state.traits[0], pf.SolverConfig(t_end=3.0)
+            p, bg, 0.1, _plant(state, 0), pf.SolverConfig(t_end=3.0)
         )
 
 
@@ -296,7 +308,7 @@ def test_probe_rejects_bad_initial_data(p, rng):
     bg = pf.integrate(p, state, pf.SolverConfig(t_end=2.0))
     cfg = pf.SolverConfig(t_end=1.0)
     with pytest.raises(ValueError):
-        pf.empirical_flow(p, bg, 0.04, state.traits[0], cfg)
+        pf.empirical_flow(p, bg, 0.04, _plant(state, 0), cfg)
     giant = pf.PlantTraits(x=np.zeros(2), S=1.5, gamma=1.0)
     with pytest.raises(ValueError):
         pf.empirical_flow(p, bg, 0.1, giant, cfg)
@@ -331,8 +343,8 @@ def test_rk4_method_agrees_with_adaptive(p, rng):
         p, state, pf.SolverConfig(t_end=3.0, method="rk4-fixed", dt_init=0.005)
     )
     adaptive = pf.integrate(p, state, pf.SolverConfig(t_end=3.0))
-    final_fixed = fine.states[-1].sizes
-    final_adapt = adaptive.states[-1].sizes
+    final_fixed = fine.sizes[-1]
+    final_adapt = adaptive.sizes[-1]
     assert np.max(np.abs(final_fixed - final_adapt) / final_adapt) < 1e-6
 
 
@@ -356,6 +368,26 @@ def test_snapshot_measure_copies_state(p, rng):
     assert state.sizes[0] != 99.0
 
 
+def test_population_state_rejects_malformed_columns(p, rng):
+    good = _random_state(p, 3, rng)
+    cols = dict(
+        sizes=good.sizes, positions=good.positions, caps=good.caps, rates=good.rates
+    )
+    one_plant = {name: col[:1] for name, col in cols.items()}
+    cases = [
+        (dict(cols, sizes=good.sizes[:2]), "one row per size"),
+        (one_plant, "at least two"),
+        (dict(cols, positions=np.zeros((3, 3))), "one row per size"),
+        (dict(cols, caps=np.array([0.7, 0.0, 0.8])), "strictly positive"),
+        (dict(cols, rates=np.array([1.0, -0.1, 1.0])), "nonnegative"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            pf.PopulationState(**kwargs)
+    frozen = pf.PopulationState(**dict(cols, rates=np.zeros(3)))
+    assert frozen.n == 3 and frozen.t == 0.0
+
+
 def test_trajectory_csv_layout(p, rng, tmp_path):
     state = _random_state(p, 3, rng)
     traj = pf.integrate(p, state, pf.SolverConfig(t_end=1.0))
@@ -368,3 +400,11 @@ def test_trajectory_csv_layout(p, rng, tmp_path):
     first = lines[2].split(",")
     assert first[0] == "0.0" and first[1] == "0"
     assert float(first[2]) == pytest.approx(state.sizes[0], rel=1e-15)
+    # Row (snapshot k, plant i) in shortest round-trip form.
+    k, i = len(traj.times) - 1, 2
+    want = [
+        float(traj.times[k]), i, float(traj.sizes[k, i]),
+        *state.positions[i].tolist(), float(state.caps[i]),
+        float(state.rates[i]), float(traj.diagnostics.c_indices[k, i]),
+    ]
+    assert lines[2 + 3 * k + i] == ",".join(map(repr, want))

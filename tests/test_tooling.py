@@ -1,0 +1,36 @@
+"""The benchmark's tracer (``perfbench/spans.py``) wraps package functions
+by name in the modules that call them.  Installing and removing its
+wrappers once here makes a renamed or dropped hooked name fail the test
+suite, not only a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+from plantfield import cli, initial, meanfield, metrics, population
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_hooks_resolve_and_restore():
+    spans = _load_spans()
+    hooked = [
+        (cli, "main"),
+        (cli, "sample_mu0"),
+        (meanfield, "flow_eval_many"),
+        (metrics, "_stage_values"),
+        (population, "validate_initial_config"),
+        (initial, "write_csv"),
+    ]
+    before = [owner.__dict__[name] for owner, name in hooked]
+    with spans.patched(spans.Tracer()):
+        for (owner, name), original in zip(hooked, before):
+            assert owner.__dict__[name] is not original, name
+    for (owner, name), original in zip(hooked, before):
+        assert owner.__dict__[name] is original, name

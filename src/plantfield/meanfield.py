@@ -542,7 +542,7 @@ def train(
     return MeanFieldModel(
         stages=stages,
         dt=dt,
-        T=m_stages * dt,
+        T=float(T),
         mu0_cfg=mu0_cfg,
         n_cloud=N,
         seed=seed,

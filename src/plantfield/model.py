@@ -45,7 +45,8 @@ class ModelParams:
     sigma_x:
         Spatial decay scale of the competition potential.
     sigma_r:
-        Relative-size sensitivity scale of the competition potential.
+        Relative-size sensitivity scale of the competition potential;
+        at least ``R_M / 600`` (see ``population._pair_row_sums``).
     """
 
     s_m: float
@@ -58,6 +59,11 @@ class ModelParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        if self.R_M / self.sigma_r > 600.0:
+            raise ValueError(
+                f"sigma_r={self.sigma_r!r} is below R_M/600 (R_M={self.R_M!r}); "
+                "the competition kernel needs R_M/sigma_r <= 600"
+            )
 
     @property
     def max_size(self) -> float:
@@ -158,7 +164,9 @@ def log_potential(params: ModelParams, r, r_prime, dist):
 
     This is the reference definition of the potential; the integrator
     and the training targets sum it over whole populations with the
-    array kernel ``population._pair_row_sums``.
+    array kernel ``population._pair_row_sums``, which evaluates the tanh
+    factor through the exact identity 1 + tanh((r' - r)/sigma_r) =
+    2 e' / (e + e') with e = exp(2 r / sigma_r).
     """
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)

@@ -19,11 +19,12 @@ import numpy as np
 
 from .model import ModelParams, PlantTraits, validate_initial_config
 from .solver import DenseSolution, solve_ode
-from .textio import write_csv
+from .textio import format_value, write_csv
 
 __all__ = [
     "EmpiricalMeasure",
     "IntegrationDivergedError",
+    "KernelRangeError",
     "PopulationState",
     "ProbeTrajectory",
     "SolverConfig",
@@ -46,6 +47,10 @@ _BREACH_TOLERANCE = 1e-9
 # reused by every block, so a call allocates no N x N temporary.
 _BLOCK = 128
 
+# Widest log-size spread of one kernel call over sigma_r, so |exponent| <= 700
+# (ModelParams admits R_M/sigma_r <= 600; the margin covers RK overshoot).
+_EXP_WINDOW = 700.0
+
 
 class IntegrationDivergedError(RuntimeError):
     """A size invariant was violated beyond roundoff during integration."""
@@ -58,6 +63,10 @@ class IntegrationDivergedError(RuntimeError):
             f"size bound violated by {breach:.3e} at accepted step "
             f"{step_index}, plant {plant_index}"
         )
+
+
+class KernelRangeError(FloatingPointError):
+    """The log-sizes of one competition-kernel call spread too far."""
 
 
 @dataclass
@@ -237,30 +246,44 @@ def _pair_row_sums(
 ) -> np.ndarray:
     """Row sums of r'_j * kernel_ij * (1 + tanh((r'_j - r_i)/sigma_r)).
 
-    Targets r (T,) meet sources r' (S,) through the kernel (T, S).  With
-    no ``r_sources`` the targets are their own sources and the kernel
-    must be symmetric; tanh being odd, row block [i0, i1) then evaluates
-    only the columns j >= i0 and hands its negated transpose to the rows
-    below, which halves the work.  ``einsum`` does the sums in one thread
+    Targets r (T,) meet sources r' (S,) through the kernel (T, S); each
+    term is ``model.log_potential`` times 2 R_M.  With e = exp(2 (r - c)/
+    sigma_r), exactly 1 + tanh((r'_j - r_i)/sigma_r) = 2 e'_j/(e_i + e'_j),
+    so a row sum is sum_j W_ij v_j, W_ij = kernel_ij/(e_i + e'_j) and
+    v = 2 e' r'.  The shift c (midpoint of the log-sizes) cancels; a spread
+    over ``_EXP_WINDOW * sigma_r`` would overflow and raises instead.  With
+    no ``r_sources`` the targets are their own sources, kernel and W are
+    symmetric, and row block [i0, i1) forms only the columns j >= i0 and
+    adds its transpose to the rows below.  ``einsum`` sums in one thread
     and a fixed order, where BLAS may spread them over threads.
     """
     sym = r_sources is None
     src = r if sym else r_sources
+    lo, hi = r.min(initial=np.inf), r.max(initial=-np.inf)
+    if not sym:
+        lo, hi = src.min(initial=lo), src.max(initial=hi)
+    if hi - lo > _EXP_WINDOW * sigma_r:
+        raise KernelRangeError(
+            f"log-size spread {hi - lo:.6g} exceeds {_EXP_WINDOW:g} * sigma_r "
+            f"(sigma_r={sigma_r!r}); the competition kernel would overflow"
+        )
+    scale = 2.0 / sigma_r
+    mid = 0.5 * (lo + hi)
+    e = np.exp((r - mid) * scale)
+    e_src = e if sym else np.exp((src - mid) * scale)
+    v = 2.0 * e_src * src
     n_t, n_s = kernel.shape
-    out = np.einsum("ij,j->i", kernel, src)
-    inv_sigma = 1.0 / sigma_r
+    out = np.zeros(n_t)
     buf = np.empty(min(_BLOCK, n_t) * n_s)
     for i0 in range(0, n_t, _BLOCK):
         i1 = min(i0 + _BLOCK, n_t)
         c0 = i0 if sym else 0
         w = buf[: (i1 - i0) * (n_s - c0)].reshape(i1 - i0, n_s - c0)
-        np.subtract(src[None, c0:], r[i0:i1, None], out=w)
-        w *= inv_sigma
-        np.tanh(w, out=w)
-        w *= kernel[i0:i1, c0:]
-        out[i0:i1] += np.einsum("ij,j->i", w, src[c0:])
+        np.add(e[i0:i1, None], e_src[None, c0:], out=w)
+        np.divide(kernel[i0:i1, c0:], w, out=w)
+        out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
         if sym and i1 < n_t:
-            out[i1:] -= np.einsum("ij,i->j", w[:, i1 - i0 :], r[i0:i1])
+            out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])
     return out
 
 
@@ -462,12 +485,14 @@ def export_trajectory_csv(
     path,
     comments: Sequence[str] = (),
 ) -> None:
-    """Write one row per (snapshot, plant), time-major then id."""
+    """Write one row per (snapshot, plant), time-major then id; a plant's
+    trait cells (x1, x2, S, gamma) are formatted once."""
     header = ["t", "plant_id", "s", "x1", "x2", "S", "gamma", "C_index"]
 
     x1, x2 = traj.initial.positions.T.tolist()
     caps = traj.initial.caps.tolist()
     rates = traj.initial.rates.tolist()
+    traits = [",".join(map(format_value, c)) for c in zip(x1, x2, caps, rates)]
     ids = range(traj.n)
 
     def rows():
@@ -475,7 +500,7 @@ def export_trajectory_csv(
             traj.times.tolist(), traj.sizes, traj.diagnostics.c_indices
         ):
             yield from zip(
-                repeat(t), ids, sizes.tolist(), x1, x2, caps, rates, c_row.tolist()
+                repeat(format_value(t)), ids, sizes.tolist(), traits, c_row.tolist()
             )
 
     write_csv(path, header, rows(), comments=comments)

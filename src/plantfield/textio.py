@@ -21,8 +21,9 @@ def format_value(v) -> str:
     if isinstance(v, (int,)):
         return str(v)
     if isinstance(v, float):
-        return repr(v)
-    # numpy scalars land here; convert through item() when available
+        # float() drops a subclass such as np.float64, whose repr differs.
+        return repr(float(v))
+    # other numpy scalars land here; convert through item() when available
     item = getattr(v, "item", None)
     if item is not None:
         return format_value(item())

@@ -220,6 +220,75 @@ def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys):
     assert "t=0.0 (step 0)" in err
 
 
+def test_exit_code_sigma_r_below_kernel_window(trained_dir, tmp_path, capsys):
+    # R_M / sigma_r = 3 / 0.004 = 750 exceeds the admissible 600, from a
+    # config file and from a model document alike.
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("model.sigma_r = 0.004\n")
+    rc = run("simulate", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert "sigma_r=0.004" in capsys.readouterr().err
+    doc = json.loads((trained_dir / "model.json").read_text())
+    doc["params"]["sigma_r"] = 0.004
+    bad = tmp_path / "narrow.json"
+    bad.write_text(json.dumps(doc))
+    for cmd, *rest in (("converge", "--n-list", "4"), ("potential-dump", "--grid", "0,1,0,1,2")):
+        rc = run(cmd, "--model", str(bad), *rest, "--out", str(tmp_path / cmd))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sigma_r=0.004" in err and "R_M=3.0" in err
+
+
+def _run_twice(tmp_path, *argv):
+    """Run a command into two directories, check that every output file is
+    byte-identical between them, and return the first directory."""
+    outs = [tmp_path / "first", tmp_path / "again"]
+    for out in outs:
+        assert run(*argv, "--out", str(out)) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    return outs[0]
+
+
+def _checked_trajectory_rows(out):
+    rows = _read_rows(out / "trajectory.csv")
+    for r in rows:
+        assert 0.05 < float(r["s"]) < float(r["S"])
+        assert 0.0 <= float(r["C_index"]) <= 1.0
+    return rows
+
+
+def test_simulate_two_plants(tmp_path):
+    rows = _checked_trajectory_rows(_run_twice(tmp_path, "simulate", "--n", "2"))
+    assert len(rows) == 2 * 21
+    assert {r["plant_id"] for r in rows} == {"0", "1"}
+
+
+def test_simulate_zero_horizon(tmp_path):
+    cfg = tmp_path / "t0.cfg"
+    cfg.write_text("solver.t_end = 0\n")
+    out = _run_twice(tmp_path, "simulate", "--config", str(cfg), "--n", "5")
+    rows = _checked_trajectory_rows(out)
+    assert [r["t"] for r in rows] == ["0.0"] * 5
+    assert {r["s"] for r in rows} == {"0.1"}  # the point initial law
+    doc = json.loads((out / "diagnostics.json").read_text())
+    assert doc["n_accepted_steps"] == 0 and len(doc["snapshots"]) == 1
+
+
+def test_potential_dump_one_point_grid(trained_dir, tmp_path):
+    out = _run_twice(
+        tmp_path, "potential-dump", "--model", str(trained_dir / "model.json"),
+        "--grid", "0.5,0.5,-0.25,-0.25,1",
+    )
+    rows = _read_rows(out / "potential_surface.csv")
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row["x1"], row["x2"], row["extrapolated"]) == ("0.5", "-0.25", "0")
+    assert 0.05 < float(row["s_inf"]) < float(row["S_bar"])
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as exc:
         run()

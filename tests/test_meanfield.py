@@ -143,6 +143,8 @@ def test_mc_potential_batch_and_average(p, rng):
             ]
         )
         assert got[k] == pytest.approx(manual, rel=1e-13)
+    none = pf.mc_potential(p, np.array([]), np.zeros((0, 2)), cloud_s, cloud_x)
+    assert none.shape == (0,)
 
 
 def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):
@@ -479,6 +481,16 @@ def test_training_validates_horizon(params, mu0_uniform):
         pf.train(mu0_uniform, params, dt=0.7, T=2.0, N=50, K=50, d3=1, d5=1, seed=0)
     with pytest.raises(ValueError):
         pf.train(mu0_uniform, params, dt=1.0, T=0.0, N=50, K=50, d3=1, d5=1, seed=0)
+
+
+def test_training_stores_requested_horizon(params, mu0_uniform, tmp_path):
+    # 3 * 0.3 is 0.8999999999999999 in floating point; the model keeps the
+    # horizon it was asked for, so grids built from model.T end on it.
+    model = pf.train(mu0_uniform, params, dt=0.3, T=0.9, N=30, K=30, d3=1, d5=1, seed=0)
+    assert model.n_stages == 3
+    assert model.T == 0.9
+    pf.save_model(model, tmp_path / "m.json")
+    assert pf.load_model(tmp_path / "m.json").T == 0.9
 
 
 def test_training_with_degree_zero(params, mu0_uniform):

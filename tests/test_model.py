@@ -227,6 +227,16 @@ def test_params_validation():
     assert p.max_size == pytest.approx(0.05 * math.exp(3.0), rel=1e-15)
 
 
+def test_params_reject_sigma_r_below_r_m_over_600():
+    # The competition kernel evaluates exp(2 r / sigma_r) over r in (0, R_M).
+    with pytest.raises(ValueError, match=r"sigma_r=0\.004 .*R_M=3\.0"):
+        pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=0.004)
+    with pytest.raises(ValueError, match="R_M/sigma_r <= 600"):
+        pf.ModelParams(s_m=0.05, R_M=60.0, sigma_x=0.5, sigma_r=0.0999)
+    pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=3.0 / 600)
+    pf.ModelParams(s_m=0.05, R_M=60.0, sigma_x=0.5, sigma_r=0.1)
+
+
 def test_traits_validation():
     with pytest.raises(ValueError):
         pf.PlantTraits(x=np.zeros(3), S=0.75, gamma=1.0)

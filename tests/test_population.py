@@ -17,6 +17,7 @@ from plantfield.population import (
     _spatial_kernel,
     export_trajectory_csv,
 )
+from plantfield.textio import format_value
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,15 @@ def _fsum_row_sums(r, kernel, sigma_r, r_sources):
     ])
 
 
-@pytest.mark.parametrize("sigma_r", [0.02, 0.1, 0.3, 1.32])
+# The admissible range of sigma_r for R_M = 3, from R_M/600 (the smallest
+# ModelParams accepts) to well above the default 1.32.
+_SIGMA_R_RANGE = [3.0 / 600, 0.02, 0.1, 0.3, 1.32, 10.0]
+
+
+@pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
 def test_pair_row_sums_match_double_loop(sigma_r, rng):
-    # Small sigma_r saturates tanh((r_j - r_i)/sigma_r); the row sums must
+    # Small sigma_r saturates tanh((r_j - r_i)/sigma_r) and drives the
+    # kernel's exp(2 (r - c)/sigma_r) to about e^+-300; the row sums must
     # stay exact there too.  The sizes cover one block, one block minus
     # and plus a row, and six 128-row blocks with a ragged last one, so
     # every path of the half-matrix (antisymmetric) evaluation runs.
@@ -102,7 +109,7 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
         assert np.array_equal(_pair_row_sums(r, kernel, sigma_r), got)
 
 
-@pytest.mark.parametrize("sigma_r", [0.02, 0.1, 0.3, 1.32])
+@pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
 def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
     # Targets against a different set of sources (T != S, T spans a
     # ragged second block), as the probes and the training targets use.
@@ -115,6 +122,23 @@ def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
     want = _fsum_row_sums(r, kernel, sigma_r, r_src)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert np.array_equal(_pair_row_sums(r, kernel, sigma_r, r_src), got)
+
+
+def test_pair_row_sums_raise_outside_exp_window(rng):
+    # A log-size spread over 700 sigma_r would overflow exp; the kernel
+    # names the problem instead of returning inf or NaN.
+    r = np.array([0.0, 1.5, 3.0])
+    kernel = _spatial_kernel(rng.normal(size=(3, 2)), 0.5)
+    with pytest.raises(pf.KernelRangeError, match=r"spread 3 exceeds 700 \* sigma_r \(sigma_r=0\.004\)"):
+        _pair_row_sums(r, kernel, 0.004)
+    # The cross case spans targets and sources together; either side alone
+    # would fit the window.
+    cross = _spatial_kernel(rng.normal(size=(2, 2)), 0.5, rng.normal(size=(1, 2)))
+    with pytest.raises(pf.KernelRangeError):
+        _pair_row_sums(r[:2], cross, 0.004, r[2:])
+    # At the edge of the window the same data gives finite sums.
+    assert np.all(np.isfinite(_pair_row_sums(r, kernel, 3.0 / 700)))
+    assert np.all(np.isfinite(_pair_row_sums(r[:2], cross, 3.0 / 700, r[2:])))
 
 
 def test_spatial_kernel_matches_definition(rng):
@@ -408,3 +432,23 @@ def test_trajectory_csv_layout(p, rng, tmp_path):
         float(state.rates[i]), float(traj.diagnostics.c_indices[k, i]),
     ]
     assert lines[2 + 3 * k + i] == ",".join(map(repr, want))
+
+
+def test_trajectory_csv_matches_per_cell_formatting(p, rng, tmp_path):
+    # The trait cells are formatted once per plant and reused; the file must
+    # equal formatting every cell of every row with format_value.
+    state = _random_state(p, 4, rng)
+    traj = pf.integrate(p, state, pf.SolverConfig(t_end=1.5))
+    out = tmp_path / "traj.csv"
+    export_trajectory_csv(traj, out, comments=["c"])
+    lines = ["# c", "t,plant_id,s,x1,x2,S,gamma,C_index"]
+    for k, t in enumerate(traj.times):
+        for i in range(4):
+            cells = (
+                t, i, traj.sizes[k, i], *state.positions[i], state.caps[i],
+                state.rates[i], traj.diagnostics.c_indices[k, i],
+            )
+            lines.append(",".join(format_value(v) for v in cells))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    # NumPy float scalars are floats too; they format like the Python float.
+    assert format_value(traj.sizes[1, 0]) == repr(float(traj.sizes[1, 0]))

@@ -5,156 +5,24 @@ saturating growth damped by pairwise shading competition, fits a
 stagewise polynomial surrogate for the population-level competition
 load, and measures how fast finite populations approach the surrogate
 flow as the population grows.
+
+Every name in a module's ``__all__`` is re-exported here, and
+``__all__`` is their concatenation.
 """
 
-from .config import (
-    ConfigError,
-    DEFAULTS,
-    ExperimentConfig,
-    build_experiment_config,
-    canonical_config_text,
-    config_sha256,
-    load_config_file,
-    resolve_config,
-)
-from .initial import (
-    Mu0Config,
-    Sample,
-    SurfaceParams,
-    sample_mu0,
-    sample_truncated_normal,
-    samples_to_state,
-    surface_eval,
-)
-from .meanfield import (
-    FeatureSpec,
-    MeanFieldModel,
-    PotentialStage,
-    feature_map,
-    fit_stage,
-    flow_eval,
-    flow_eval_many,
-    load_model,
-    mc_potential,
-    monomial_exponents,
-    n_monomials,
-    polynomial_features,
-    reconstructed_potential_integral,
-    save_model,
-    stage_potential_eval,
-    train,
-)
-from .metrics import (
-    BoundCoefficients,
-    DistanceReport,
-    ZMetricWeights,
-    bound_coefficients,
-    convergence_experiment,
-    flow_gap,
-    w1_matching,
-    w1_sorted_1d,
-    z_distance,
-)
-from .model import (
-    AdmissibilityVerdict,
-    GronwallEnvelope,
-    ModelParams,
-    PlantTraits,
-    competition_potential,
-    gompertz_closed_form,
-    gronwall_bound,
-    log_potential,
-    validate_initial_config,
-)
-from .population import (
-    EmpiricalMeasure,
-    IntegrationDivergedError,
-    KernelRangeError,
-    PopulationState,
-    ProbeTrajectory,
-    SolverConfig,
-    Trajectory,
-    competition_index,
-    competition_index_all,
-    empirical_flow,
-    integrate,
-    snapshot_measure,
-    system_rhs,
-)
-from .solver import (
-    DenseSolution,
-    NonFiniteStateError,
-    StepSizeUnderflowError,
-    solve_ode,
-)
+from . import config, initial, meanfield, metrics, model, population, solver
+from .config import *  # noqa: F401,F403
+from .initial import *  # noqa: F401,F403
+from .meanfield import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .population import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityVerdict",
-    "BoundCoefficients",
-    "ConfigError",
-    "DEFAULTS",
-    "DenseSolution",
-    "DistanceReport",
-    "EmpiricalMeasure",
-    "ExperimentConfig",
-    "FeatureSpec",
-    "GronwallEnvelope",
-    "IntegrationDivergedError",
-    "KernelRangeError",
-    "MeanFieldModel",
-    "ModelParams",
-    "Mu0Config",
-    "NonFiniteStateError",
-    "PlantTraits",
-    "PopulationState",
-    "PotentialStage",
-    "ProbeTrajectory",
-    "Sample",
-    "SolverConfig",
-    "StepSizeUnderflowError",
-    "SurfaceParams",
-    "Trajectory",
-    "ZMetricWeights",
-    "bound_coefficients",
-    "build_experiment_config",
-    "canonical_config_text",
-    "competition_index",
-    "competition_index_all",
-    "competition_potential",
-    "config_sha256",
-    "convergence_experiment",
-    "empirical_flow",
-    "feature_map",
-    "fit_stage",
-    "flow_eval",
-    "flow_eval_many",
-    "flow_gap",
-    "gompertz_closed_form",
-    "gronwall_bound",
-    "integrate",
-    "load_config_file",
-    "load_model",
-    "log_potential",
-    "mc_potential",
-    "monomial_exponents",
-    "n_monomials",
-    "polynomial_features",
-    "reconstructed_potential_integral",
-    "resolve_config",
-    "sample_mu0",
-    "sample_truncated_normal",
-    "samples_to_state",
-    "save_model",
-    "snapshot_measure",
-    "solve_ode",
-    "stage_potential_eval",
-    "surface_eval",
-    "system_rhs",
-    "train",
-    "validate_initial_config",
-    "w1_matching",
-    "w1_sorted_1d",
-    "z_distance",
+    name
+    for module in (config, initial, meanfield, metrics, model, population, solver)
+    for name in module.__all__
 ]

@@ -14,7 +14,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -44,7 +43,7 @@ from .population import (
     integrate,
 )
 from .solver import NonFiniteStateError, StepSizeUnderflowError
-from .textio import write_csv
+from .textio import write_csv, write_json
 
 __all__ = ["main"]
 
@@ -65,10 +64,6 @@ def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _canonical_json_text(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -105,8 +100,7 @@ def cmd_simulate(args) -> int:
             for k in range(len(traj.times))
         ],
     }
-    with open(out / "diagnostics.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(_canonical_json_text(doc))
+    write_json(out / "diagnostics.json", doc)
     return 0
 
 
@@ -161,7 +155,7 @@ def _load_model_checked(path):
         return model_from_dict(mdict), mdict
     except FileNotFoundError as exc:
         raise ConfigError(f"model file not found: {path}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"invalid model file {path}: {exc}") from exc
 
 

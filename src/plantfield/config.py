@@ -105,9 +105,6 @@ DEFAULTS: dict = {
 
 def _parse_value(text: str):
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(text)
     except ValueError:
@@ -148,10 +145,7 @@ def resolve_config(overrides: dict | None = None) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown configuration key {key!r}")
         default = DEFAULTS[key]
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} expects a boolean, got {value!r}")
-        elif isinstance(default, int):
+        if isinstance(default, int):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key} expects an integer, got {value!r}")
         elif isinstance(default, float):
@@ -170,9 +164,7 @@ def canonical_config_text(flat: dict) -> str:
     lines = []
     for key in sorted(flat):
         v = flat[key]
-        if isinstance(v, bool):
-            rendered = "true" if v else "false"
-        elif isinstance(v, float):
+        if isinstance(v, float):
             rendered = repr(v)
         else:
             rendered = str(v)

@@ -26,7 +26,6 @@ __all__ = [
     "SurfaceParams",
     "export_samples_csv",
     "sample_mu0",
-    "sample_truncated_normal",
     "samples_to_state",
     "surface_eval",
 ]
@@ -186,28 +185,6 @@ def _truncnorm_ppf(u, mean, sd, lo, hi):
     b = ndtr((hi - mean) / sd)
     x = mean + sd * ndtri(a + u * (b - a))
     return np.clip(x, lo, hi)
-
-
-def sample_truncated_normal(
-    mean: float,
-    sd: float,
-    lo: float,
-    hi: float,
-    rng: np.random.Generator,
-    size: Optional[int] = None,
-):
-    """Draw from N(mean, sd^2) conditioned to [lo, hi] via inverse CDF.
-
-    Each returned value consumes exactly one uniform from ``rng``, so
-    draw counts per sample are fixed and streams stay reproducible.
-    """
-    if lo >= hi:
-        raise ValueError("truncation interval must satisfy lo < hi")
-    if sd <= 0.0:
-        raise ValueError("sd must be strictly positive")
-    u = rng.random() if size is None else rng.random(size)
-    x = _truncnorm_ppf(u, mean, sd, lo, hi)
-    return float(x) if size is None else x
 
 
 def _redraw(seed, stream_id, i, mean, sd, lo, hi, accept):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -29,7 +29,7 @@ import numpy as np
 from .initial import Mu0Config, SurfaceParams, sample_mu0
 from .model import ModelParams, PlantTraits
 from .population import _pair_row_sums, _spatial_kernel
-from .textio import write_csv
+from .textio import write_csv, write_json
 
 __all__ = [
     "FeatureSpec",
@@ -218,6 +218,8 @@ def mc_potential(
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
+    if x.shape != (s.shape[0], 2) or cloud_positions.shape != (cloud_sizes.size, 2):
+        raise ValueError("positions must have shape (n, 2) matching sizes")
     if np.any(s <= 0.0) or np.any(cloud_sizes <= 0.0):
         raise ValueError("sizes must be strictly positive")
     p = params
@@ -272,14 +274,6 @@ def _r2(targets: np.ndarray, predictions: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _stage_features(spec: FeatureSpec, inputs) -> np.ndarray:
-    if spec.arity == 3:
-        s, x = inputs
-        return feature_map(spec, s, x)
-    s, x, S, gamma = inputs
-    return feature_map(spec, s, x, S, gamma)
-
-
 def fit_stage(
     spec: FeatureSpec,
     training,
@@ -299,14 +293,14 @@ def fit_stage(
     y = np.asarray(train_targets, dtype=float)
     if y.size == 0:
         raise ValueError("training set must be nonempty")
-    F = _stage_features(spec, train_inputs)
+    F = feature_map(spec, *train_inputs)
     beta, *_ = np.linalg.lstsq(F, y, rcond=None)
     r2_train = _r2(y, np.clip(F @ beta, 0.0, 1.0))
     r2_test = float("nan")
     if testing is not None:
         test_inputs, test_targets = testing
         yt = np.asarray(test_targets, dtype=float)
-        Ft = _stage_features(spec, test_inputs)
+        Ft = feature_map(spec, *test_inputs)
         r2_test = _r2(yt, np.clip(Ft @ beta, 0.0, 1.0))
     return PotentialStage(
         beta=beta,
@@ -322,10 +316,9 @@ def stage_potential_eval(stage: PotentialStage, s, x, S=None, gamma=None):
 
     Arity-3 stages ignore ``S`` and ``gamma``.
     """
-    feats = _stage_features(
-        stage.spec, (s, x) if stage.spec.arity == 3 else (s, x, S, gamma)
-    )
-    raw = feats @ stage.beta
+    if stage.spec.arity == 3:
+        S = gamma = None
+    raw = feature_map(stage.spec, s, x, S, gamma) @ stage.beta
     clipped = np.clip(raw, 0.0, 1.0)
     return float(clipped) if np.ndim(clipped) == 0 else clipped
 
@@ -552,67 +545,33 @@ def train(
 
 # --------------------------------------------------------------------------
 # Serialization: versioned JSON, canonical layout, bit-exact round trips.
+# Each record is written as its dataclass fields by name, with three
+# exceptions: the shared ModelParams appear once, as "params"; the initial
+# law sits under "mu0"; and a stage's FeatureSpec fields sit beside its own.
 
 
-def _surface_to_dict(sp: SurfaceParams) -> dict:
-    return {
-        "offset": sp.offset,
-        "peak_value": sp.peak_value,
-        "trough_value": sp.trough_value,
-        "peak_center": [float(v) for v in sp.peak_center],
-        "trough_center": [float(v) for v in sp.trough_center],
-        "curvature_peak": [[float(v) for v in row] for row in sp.curvature_peak],
-        "curvature_trough": [
-            [float(v) for v in row] for row in sp.curvature_trough
-        ],
-    }
+def _fields_dict(obj, skip=("params",)) -> dict:
+    """The fields of a dataclass by name; nested ones as dicts, arrays as lists."""
+    out = {}
+    for f in fields(obj):
+        if f.name in skip:
+            continue
+        v = getattr(obj, f.name)
+        if is_dataclass(v):
+            v = _fields_dict(v)
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        out[f.name] = v
+    return out
 
 
-def _surface_from_dict(d: dict) -> SurfaceParams:
-    return SurfaceParams(
-        offset=d["offset"],
-        peak_value=d["peak_value"],
-        trough_value=d["trough_value"],
-        peak_center=np.array(d["peak_center"]),
-        trough_center=np.array(d["trough_center"]),
-        curvature_peak=np.array(d["curvature_peak"]),
-        curvature_trough=np.array(d["curvature_trough"]),
-    )
+def _from_fields(cls, d: dict, **given):
+    """``cls`` built from exactly its field names in ``d``, apart from ``given``.
 
-
-def _mu0_to_dict(cfg: Mu0Config) -> dict:
-    return {
-        "seed": cfg.seed,
-        "L": cfg.L,
-        "S_surface": _surface_to_dict(cfg.S_surface),
-        "gamma_surface": _surface_to_dict(cfg.gamma_surface),
-        "delta_S": cfg.delta_S,
-        "delta_gamma": cfg.delta_gamma,
-        "S_lower": cfg.S_lower,
-        "gamma_max": cfg.gamma_max,
-        "s0_law": cfg.s0_law,
-        "s0": cfg.s0,
-        "s0_min": cfg.s0_min,
-        "s0_max": cfg.s0_max,
-    }
-
-
-def _mu0_from_dict(d: dict, params: ModelParams) -> Mu0Config:
-    return Mu0Config(
-        params=params,
-        seed=d["seed"],
-        L=d["L"],
-        S_surface=_surface_from_dict(d["S_surface"]),
-        gamma_surface=_surface_from_dict(d["gamma_surface"]),
-        delta_S=d["delta_S"],
-        delta_gamma=d["delta_gamma"],
-        S_lower=d["S_lower"],
-        gamma_max=d["gamma_max"],
-        s0_law=d["s0_law"],
-        s0=d["s0"],
-        s0_min=d["s0_min"],
-        s0_max=d["s0_max"],
-    )
+    A missing key raises ``KeyError``; keys that are not fields are ignored.
+    """
+    read = {f.name: d[f.name] for f in fields(cls) if f.name not in given}
+    return cls(**given, **read)
 
 
 def model_to_dict(model: MeanFieldModel, config_sha256: str = "") -> dict:
@@ -620,30 +579,10 @@ def model_to_dict(model: MeanFieldModel, config_sha256: str = "") -> dict:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config_sha256": config_sha256,
-        "seed": model.seed,
-        "dt": model.dt,
-        "T": model.T,
-        "n_cloud": model.n_cloud,
-        "params": {
-            "s_m": model.params.s_m,
-            "R_M": model.params.R_M,
-            "sigma_x": model.params.sigma_x,
-            "sigma_r": model.params.sigma_r,
-        },
-        "mu0": _mu0_to_dict(model.mu0_cfg),
+        **_fields_dict(model, skip=("mu0_cfg", "stages")),
+        "mu0": _fields_dict(model.mu0_cfg),
         "stages": [
-            {
-                "stage_index": st.stage_index,
-                "arity": st.spec.arity,
-                "degree": st.spec.degree,
-                "center": [float(v) for v in st.spec.center],
-                "length_x": st.spec.length_x,
-                "length_y": st.spec.length_y,
-                "dt": st.spec.dt,
-                "beta": [float(b) for b in st.beta],
-                "r2_train": st.r2_train,
-                "r2_test": st.r2_test,
-            }
+            {**_fields_dict(st, skip=("spec",)), **_fields_dict(st.spec)}
             for st in model.stages
         ],
     }
@@ -654,62 +593,36 @@ def model_from_dict(d: dict) -> MeanFieldModel:
         raise ValueError("not a recognized model document")
     if d.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {d.get('version')!r}")
-    params = ModelParams(
-        s_m=d["params"]["s_m"],
-        R_M=d["params"]["R_M"],
-        sigma_x=d["params"]["sigma_x"],
-        sigma_r=d["params"]["sigma_r"],
+    params = _from_fields(ModelParams, d["params"])
+    mu0 = d["mu0"]
+    mu0_cfg = _from_fields(
+        Mu0Config, mu0, params=params,
+        S_surface=_from_fields(SurfaceParams, mu0["S_surface"]),
+        gamma_surface=_from_fields(SurfaceParams, mu0["gamma_surface"]),
     )
-    mu0 = _mu0_from_dict(d["mu0"], params)
-    stages = []
-    for sd in d["stages"]:
-        spec = FeatureSpec(
-            arity=sd["arity"],
-            degree=sd["degree"],
-            center=np.array(sd["center"]),
-            length_x=sd["length_x"],
-            length_y=sd["length_y"],
-            dt=sd["dt"],
-            params=params,
+    stages = [
+        _from_fields(
+            PotentialStage, sd, spec=_from_fields(FeatureSpec, sd, params=params)
         )
-        stages.append(
-            PotentialStage(
-                beta=np.array(sd["beta"]),
-                spec=spec,
-                r2_train=sd["r2_train"],
-                r2_test=sd["r2_test"],
-                stage_index=sd["stage_index"],
-            )
-        )
-    return MeanFieldModel(
-        stages=stages,
-        dt=d["dt"],
-        T=d["T"],
-        mu0_cfg=mu0,
-        n_cloud=d["n_cloud"],
-        seed=d["seed"],
-        params=params,
+        for sd in d["stages"]
+    ]
+    return _from_fields(
+        MeanFieldModel, d, params=params, mu0_cfg=mu0_cfg, stages=stages
     )
-
-
-def _canonical_json(d: dict) -> str:
-    return json.dumps(d, indent=1, sort_keys=True) + "\n"
 
 
 def save_model(model: MeanFieldModel, path, config_sha256: str = "") -> None:
     """Write the model as canonical JSON (floats in round-trip form)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_canonical_json(model_to_dict(model, config_sha256)))
-
-
-def load_model(path) -> MeanFieldModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    write_json(path, model_to_dict(model, config_sha256))
 
 
 def load_model_dict(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_model(path) -> MeanFieldModel:
+    return model_from_dict(load_model_dict(path))
 
 
 def export_r2_csv(model: MeanFieldModel, path, comments=()) -> None:

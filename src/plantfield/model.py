@@ -2,8 +2,8 @@
 
 Defines the global model constants, the pairwise competition potential in
 size- and log-space, the exact solution of the isolated (no-competition)
-growth law, a linear-envelope helper, and the admissibility check that the
-simulator requires before integrating a population.
+growth law, and the admissibility check that the simulator requires before
+integrating a population.
 
 Sizes live in ``(s_m, s_m * exp(R_M))``; the log-size ``r = log(s / s_m)``
 maps that interval onto ``(0, R_M)``.  Both parameterizations are exposed
@@ -14,6 +14,7 @@ linear sizes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,10 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "PlantTraits",
-    "GronwallEnvelope",
     "AdmissibilityVerdict",
     "competition_potential",
     "log_potential",
     "gompertz_closed_form",
-    "gronwall_bound",
     "validate_initial_config",
 ]
 
@@ -59,6 +58,13 @@ class ModelParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        # The spatial kernel divides by sigma_x**2: a square that underflows
+        # or overflows turns its diagonal into 0/0 or raises OverflowError.
+        if not sys.float_info.min <= self.sigma_x * self.sigma_x <= sys.float_info.max:
+            raise ValueError(
+                f"sigma_x={self.sigma_x!r} is out of range; its square must be "
+                "a finite normal float (about 1.5e-154 <= sigma_x <= 1.3e154)"
+            )
         if self.R_M / self.sigma_r > 600.0:
             raise ValueError(
                 f"sigma_r={self.sigma_r!r} is below R_M/600 (R_M={self.R_M!r}); "
@@ -97,24 +103,6 @@ class PlantTraits:
             raise ValueError("asymptotic size S must be strictly positive")
         if self.gamma < 0.0:
             raise ValueError("growth rate gamma must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GronwallEnvelope:
-    """Coefficients of the scalar linear envelope ``y' = a - b y``.
-
-    The comparison solution through ``y0`` is
-    ``a/b + (y0 - a/b) * exp(-b t)``; depending on the sign of the
-    differential inequality it bounds a quantity from above or below.
-    """
-
-    a: float
-    b: float
-    y0: float
-
-    def __post_init__(self) -> None:
-        if self.b == 0.0:
-            raise ValueError("decay constant b must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -195,22 +183,6 @@ def gompertz_closed_form(traits: PlantTraits, params: ModelParams, s0, t):
     r_cap = math.log(traits.S / params.s_m)
     r = r_cap + (r0 - r_cap) * np.exp(-traits.gamma * t)
     out = params.s_m * np.exp(r)
-    return out if out.ndim else float(out)
-
-
-def gronwall_bound(env: GronwallEnvelope, t):
-    """Evaluate the linear comparison envelope at time ``t``.
-
-        a/b + (y0 - a/b) * exp(-b t)
-
-    The same formula serves as an upper or a lower bound, depending on the
-    sign of the differential inequality.  Broadcasts over ``t``.
-    """
-    if env.b == 0.0:
-        raise ValueError("decay constant b must be nonzero")
-    t = np.asarray(t, dtype=float)
-    fixed = env.a / env.b
-    out = fixed + (env.y0 - fixed) * np.exp(-env.b * t)
     return out if out.ndim else float(out)
 
 

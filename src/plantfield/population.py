@@ -30,13 +30,11 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "TrajectoryDiagnostics",
-    "competition_index",
     "competition_index_all",
     "empirical_flow",
     "export_trajectory_csv",
     "integrate",
     "snapshot_measure",
-    "system_rhs",
 ]
 
 # Breaches of the open size interval smaller than this are treated as
@@ -291,13 +289,16 @@ def _competition_all(
     params: ModelParams,
     r: np.ndarray,
     kernel: np.ndarray,
+    r_sources: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Mean neighbour potential for every plant, from log-sizes."""
-    n = r.shape[0]
-    row = _pair_row_sums(r, kernel, params.sigma_r)
-    # The j = i term of each row is r_i (unit kernel, tanh 0); remove it
-    # so the average runs over the other N-1 plants only.
-    return (row - r) / (2.0 * params.R_M * (n - 1))
+    """Mean neighbour potential on every target, from log-sizes.
+
+    Sources default to the targets.  Each row drops the self term r_i
+    (unit kernel, tanh 0) and averages over N - 1 of the N sources, so
+    a probe that duplicates a source feels exactly what that source feels.
+    """
+    row = _pair_row_sums(r, kernel, params.sigma_r, r_sources)
+    return (row - r) / (2.0 * params.R_M * (kernel.shape[1] - 1))
 
 
 def competition_index_all(params: ModelParams, state: PopulationState) -> np.ndarray:
@@ -305,25 +306,6 @@ def competition_index_all(params: ModelParams, state: PopulationState) -> np.nda
     r = np.log(state.sizes / params.s_m)
     kernel = _spatial_kernel(state.positions, params.sigma_x)
     return _competition_all(params, r, kernel)
-
-
-def competition_index(params: ModelParams, state: PopulationState, i: int) -> float:
-    """Mean competition load on plant ``i``: average potential from all others."""
-    n = state.n
-    if not 0 <= i < n:
-        raise IndexError(f"plant index {i} out of range for N={n}")
-    return float(competition_index_all(params, state)[i])
-
-
-def system_rhs(params: ModelParams, state: PopulationState) -> np.ndarray:
-    """Size growth rates ds_i/dt of the coupled system at ``state``."""
-    s = state.sizes
-    if np.any(s <= 0.0):
-        raise ValueError("sizes must be strictly positive")
-    c = competition_index_all(params, state)
-    caps_log = np.log(state.caps / params.s_m)
-    r = np.log(s / params.s_m)
-    return state.rates * s * (caps_log * (1.0 - c) - r)
 
 
 def integrate(
@@ -431,17 +413,14 @@ def empirical_flow(
     if not params.s_m < probe_traits.S < params.max_size:
         raise ValueError("probe asymptotic size out of the admissible range")
 
-    n = background.n
     probe_kernel = _spatial_kernel(
         probe_traits.x[None, :], params.sigma_x, background.initial.positions
     )
     cap_log = np.log(probe_traits.S / params.s_m)
     gamma = probe_traits.gamma
-    two_rm = 2.0 * params.R_M
 
     def rhs(t, y):
-        row = _pair_row_sums(y, probe_kernel, params.sigma_r, background.dense(t))
-        c_hat = (row - y) / (two_rm * (n - 1))
+        c_hat = _competition_all(params, y, probe_kernel, background.dense(t))
         return gamma * (cap_log * (1.0 - c_hat) - y)
 
     r0 = np.array([np.log(probe_s0 / params.s_m)])

@@ -9,9 +9,10 @@ order, and line endings are always ``\\n``.
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import Iterable, Sequence
 
-__all__ = ["format_value", "sha256_hex", "write_csv"]
+__all__ = ["format_value", "sha256_hex", "write_csv", "write_json"]
 
 
 def format_value(v) -> str:
@@ -43,6 +44,12 @@ def write_csv(
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as canonical JSON: sorted keys, one-space indent."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def sha256_hex(data: bytes) -> str:

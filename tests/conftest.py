@@ -2,6 +2,7 @@
 (the 50-plant reference simulation and the full-size surrogate training)
 are built once per session and reused by unit and acceptance tests."""
 
+import math
 import time
 from dataclasses import replace
 
@@ -10,6 +11,18 @@ import pytest
 
 import plantfield as pf
 from plantfield.config import build_experiment_config, resolve_config
+
+
+def one_plus_tanh(x: float) -> float:
+    """1 + tanh(x) as 2 / (1 + e^{-2x}), with no cancellation at large negative x.
+
+    For x < 0 it is written 2 e^{2x} / (1 + e^{2x}), so that no exponent is
+    positive: e^{-2x} overflows once x < -355 (sigma_r = R_M/600 reaches -600).
+    """
+    if x >= 0.0:
+        return 2.0 / (1.0 + math.exp(-2.0 * x))
+    e = math.exp(2.0 * x)
+    return 2.0 * e / (1.0 + e)
 
 
 @pytest.fixture(scope="session")

@@ -239,6 +239,56 @@ def test_exit_code_sigma_r_below_kernel_window(trained_dir, tmp_path, capsys):
         assert "sigma_r=0.004" in err and "R_M=3.0" in err
 
 
+@pytest.mark.parametrize("sigma_x", [1e-170, 1e200])
+def test_exit_code_sigma_x_without_normal_square(sigma_x, trained_dir, tmp_path, capsys):
+    # sigma_x**2 underflows to 0 at 1e-170 (kernel diagonal 0/0) and
+    # overflows at 1e200; both are configuration errors, not exit 3.
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text(f"model.sigma_x = {sigma_x!r}\n")
+    rc = run("simulate", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert f"sigma_x={sigma_x!r}" in capsys.readouterr().err
+    doc = json.loads((trained_dir / "model.json").read_text())
+    doc["params"]["sigma_x"] = sigma_x
+    bad = tmp_path / "spread.json"
+    bad.write_text(json.dumps(doc))
+    rc = run("potential-dump", "--model", str(bad), "--grid", "0,1,0,1,2", "--out", str(tmp_path / "d"))
+    assert rc == 2
+    assert f"sigma_x={sigma_x!r}" in capsys.readouterr().err
+
+
+def _dump_edited_model(trained_dir, tmp_path, edit):
+    """Exit code of potential-dump on the trained model.json after ``edit(doc)``."""
+    doc = json.loads((trained_dir / "model.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return run("potential-dump", "--model", str(path), "--grid", "0,1,0,1,2", "--out", str(tmp_path / "d"))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["mu0"].pop("delta_S"),
+        lambda d: d["mu0"]["gamma_surface"].pop("curvature_trough"),
+        lambda d: d["stages"][-1].pop("r2_test"),
+    ],
+    ids=["mu0", "surface", "stage"],
+)
+def test_exit_code_model_missing_key(edit, trained_dir, tmp_path, capsys):
+    assert _dump_edited_model(trained_dir, tmp_path, edit) == 2
+    assert "invalid model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d["mu0"].update(note=1), lambda d: d["params"].update(note=1)],
+    ids=["mu0", "params"],
+)
+def test_model_extra_key_is_ignored(edit, trained_dir, tmp_path):
+    assert _dump_edited_model(trained_dir, tmp_path, edit) == 0
+
+
 def _run_twice(tmp_path, *argv):
     """Run a command into two directories, check that every output file is
     byte-identical between them, and return the first directory."""

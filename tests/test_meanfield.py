@@ -9,8 +9,8 @@ import pytest
 import scipy.integrate
 
 import plantfield as pf
+from conftest import one_plus_tanh
 from plantfield.meanfield import (
-    _canonical_json,
     _stage_values,
     _stage_weights,
     export_r2_csv,
@@ -147,6 +147,18 @@ def test_mc_potential_batch_and_average(p, rng):
     assert none.shape == (0,)
 
 
+def test_mc_potential_rejects_mismatched_positions(p):
+    cloud_s, cloud_x = np.array([0.2, 0.3]), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="positions"):
+        pf.mc_potential(p, np.full(4, 0.1), np.zeros(2), cloud_s, cloud_x)
+    with pytest.raises(ValueError, match="positions"):
+        pf.mc_potential(p, 0.1, np.zeros((3, 2)), cloud_s, cloud_x)
+    with pytest.raises(ValueError, match="positions"):
+        pf.mc_potential(p, 0.1, np.zeros(2), cloud_s, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="positions"):
+        pf.mc_potential(p, 0.1, np.zeros(2), cloud_s, np.zeros(2))
+
+
 def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):
     # sigma_r = 0.02 saturates the tanh term; 150 probes span a ragged
     # second row block of the kernel.
@@ -162,10 +174,10 @@ def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):
         want = math.fsum(
             r_j
             / (2.0 * q.R_M * (1.0 + float(np.sum((probe_x[k] - x_j) ** 2)) / 0.25))
-            * (1.0 + math.tanh((r_j - r_k) / q.sigma_r))
+            * one_plus_tanh((r_j - r_k) / q.sigma_r)
             for r_j, x_j in zip(r_cloud, cloud_x)
         ) / 90
-        assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0)
     again = pf.mc_potential(q, probe_s, probe_x, cloud_s, cloud_x)
     assert np.array_equal(again, got)
 
@@ -509,12 +521,38 @@ def test_model_roundtrip_is_bit_exact(tiny_model):
     d = model_to_dict(tiny_model, config_sha256="cafe")
     clone = model_from_dict(d)
     d2 = model_to_dict(clone, config_sha256="cafe")
-    assert _canonical_json(d) == _canonical_json(d2)
+    assert json.dumps(d, sort_keys=True) == json.dumps(d2, sort_keys=True)
     for sa, sb in zip(tiny_model.stages, clone.stages):
         assert np.array_equal(sa.beta, sb.beta)
         assert sa.spec.center.tolist() == sb.spec.center.tolist()
     assert clone.mu0_cfg.s0_law == tiny_model.mu0_cfg.s0_law
     assert clone.seed == tiny_model.seed
+
+
+def test_model_document_keys_are_pinned(tiny_model):
+    # The document is written from the dataclass fields; a new field must
+    # not change the file format without a MODEL_VERSION bump.
+    d = model_to_dict(tiny_model)
+    assert set(d) == {
+        "format", "version", "config_sha256", "seed", "dt", "T", "n_cloud",
+        "params", "mu0", "stages",
+    }
+    assert d["version"] == 1
+    assert set(d["params"]) == {"s_m", "R_M", "sigma_x", "sigma_r"}
+    assert set(d["mu0"]) == {
+        "seed", "L", "S_surface", "gamma_surface", "delta_S", "delta_gamma",
+        "S_lower", "gamma_max", "s0_law", "s0", "s0_min", "s0_max",
+    }
+    surface = {
+        "offset", "peak_value", "trough_value", "peak_center", "trough_center",
+        "curvature_peak", "curvature_trough",
+    }
+    assert set(d["mu0"]["S_surface"]) == set(d["mu0"]["gamma_surface"]) == surface
+    for sd in d["stages"]:
+        assert set(sd) == {
+            "stage_index", "arity", "degree", "center", "length_x", "length_y",
+            "dt", "beta", "r2_train", "r2_test",
+        }
 
 
 def test_model_file_roundtrip(tiny_model, tmp_path):

@@ -141,16 +141,6 @@ def test_growth_stays_between_start_and_cap(s0, S, gamma, t):
     assert lo - 1e-12 <= s <= hi + 1e-12
 
 
-def test_gronwall_bound_solves_linear_comparison():
-    env = pf.GronwallEnvelope(a=2.0, b=0.5, y0=1.0)
-    # y' = a - b y through y0 has the exact solution a/b + (y0-a/b)e^{-bt}
-    for t in (0.0, 0.3, 1.0, 4.0):
-        expected = 4.0 + (1.0 - 4.0) * math.exp(-0.5 * t)
-        assert pf.gronwall_bound(env, t) == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(ValueError):
-        pf.GronwallEnvelope(a=1.0, b=0.0, y0=1.0)
-
-
 def test_admissibility_accepts_valid_population(p):
     verdict = pf.validate_initial_config(p, [0.75, 0.9], [1.0, 1.0], [0.1, 0.2])
     assert verdict
@@ -235,6 +225,16 @@ def test_params_reject_sigma_r_below_r_m_over_600():
         pf.ModelParams(s_m=0.05, R_M=60.0, sigma_x=0.5, sigma_r=0.0999)
     pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=3.0 / 600)
     pf.ModelParams(s_m=0.05, R_M=60.0, sigma_x=0.5, sigma_r=0.1)
+
+
+def test_params_reject_sigma_x_with_unrepresentable_square():
+    # The spatial kernel divides by sigma_x**2: at 1e-170 the square is 0
+    # (diagonal 0/0), at 1e200 the float power overflows.
+    for sigma_x in (1e-170, 1e-160, 1e160, 1e200, math.inf):
+        with pytest.raises(ValueError, match="sigma_x="):
+            pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=sigma_x, sigma_r=1.32)
+    for sigma_x in (1.5e-154, 1e-6, 1e6, 1.3e154):
+        pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=sigma_x, sigma_r=1.32)
 
 
 def test_traits_validation():

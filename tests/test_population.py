@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plantfield as pf
+from conftest import one_plus_tanh
 from plantfield import population
 from plantfield.population import (
     _BLOCK,
@@ -67,13 +68,6 @@ def test_competition_index_matches_double_loop(p, rng):
                 p, state.sizes[i], state.sizes[j], d
             )
         assert got[i] == pytest.approx(acc / 4.0, abs=1e-14)
-    assert pf.competition_index(p, state, 2) == pytest.approx(got[2], abs=1e-16)
-
-
-def test_competition_index_bounds_checked(p, rng):
-    state = _random_state(p, 4, rng)
-    with pytest.raises(IndexError):
-        pf.competition_index(p, state, 4)
 
 
 def _fsum_row_sums(r, kernel, sigma_r, r_sources):
@@ -81,7 +75,7 @@ def _fsum_row_sums(r, kernel, sigma_r, r_sources):
     src = r_sources.tolist()
     return np.array([
         math.fsum(
-            r_j * k_ij * (1.0 + math.tanh((r_j - r_i) / sigma_r))
+            r_j * k_ij * one_plus_tanh((r_j - r_i) / sigma_r)
             for r_j, k_ij in zip(src, k_row)
         )
         for r_i, k_row in zip(r.tolist(), kernel.tolist())
@@ -105,7 +99,7 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
         kernel = _spatial_kernel(rng.normal(size=(n, 2)), 0.5)
         got = _pair_row_sums(r, kernel, sigma_r)
         want = _fsum_row_sums(r, kernel, sigma_r, r)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert np.array_equal(_pair_row_sums(r, kernel, sigma_r), got)
 
 
@@ -120,7 +114,7 @@ def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
     assert kernel.shape == (t_n, s_n)
     got = _pair_row_sums(r, kernel, sigma_r, r_src)
     want = _fsum_row_sums(r, kernel, sigma_r, r_src)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert np.array_equal(_pair_row_sums(r, kernel, sigma_r, r_src), got)
 
 
@@ -206,17 +200,30 @@ def test_competition_index_matches_potential_for_any_sigma_r(sigma_r, n, seed):
         assert got[i] == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
-def test_rhs_matches_definition(p, rng):
-    state = _random_state(p, 6, rng)
-    got = pf.system_rhs(p, state)
-    c = pf.competition_index_all(p, state)
+def test_tiny_sigma_x_decouples_every_plant(rng):
+    # At sigma_x = 1e-6 the kernel is the identity up to about 1e-8, so
+    # every plant grows as if it were alone.
+    q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=1e-6, sigma_r=1.32)
+    state = _random_state(q, 6, rng)
+    traj = pf.integrate(q, state, pf.SolverConfig(t_end=6.0))
     for i in range(6):
-        tr = _plant(state, i)
-        s = state.sizes[i]
-        expected = tr.gamma * s * (
-            math.log(tr.S / p.s_m) * (1.0 - c[i]) - math.log(s / p.s_m)
-        )
-        assert got[i] == pytest.approx(expected, rel=1e-13)
+        ref = pf.gompertz_closed_form(_plant(state, i), q, state.sizes[i], traj.times)
+        assert traj.sizes[:, i] == pytest.approx(ref, rel=1e-5)
+
+
+def test_huge_sigma_x_makes_competition_distance_free(rng):
+    # At sigma_x = 1e6 the kernel is 1 up to about 1e-12.
+    q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=1e6, sigma_r=1.32)
+    state = _random_state(q, 6, rng)
+    got = pf.competition_index_all(q, state)
+    r = np.log(state.sizes / q.s_m).tolist()
+    for i in range(6):
+        want = math.fsum(
+            r[j] / (2.0 * q.R_M) * one_plus_tanh((r[j] - r[i]) / q.sigma_r)
+            for j in range(6)
+            if j != i
+        ) / 5
+        assert got[i] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_integrate_rejects_inadmissible(p):
@@ -271,8 +278,12 @@ def test_added_competitor_slows_growth(p):
 
 def test_growth_nearly_stalls_by_horizon(default_run, exp_config):
     _, traj, _ = default_run
+    p = exp_config.params
     final = replace(traj.initial, sizes=traj.sizes[-1], t=traj.times[-1])
-    slopes = pf.system_rhs(exp_config.params, final)
+    c = pf.competition_index_all(p, final)
+    slopes = final.rates * final.sizes * (
+        np.log(final.caps / p.s_m) * (1.0 - c) - np.log(final.sizes / p.s_m)
+    )
     scale = np.max(final.rates * final.caps)
     assert np.max(np.abs(slopes)) < 0.05 * scale
 

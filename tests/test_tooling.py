@@ -6,7 +6,17 @@ suite, not only a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from plantfield import cli, initial, meanfield, metrics, population
+import plantfield
+from plantfield import (
+    cli,
+    config,
+    initial,
+    meanfield,
+    metrics,
+    model,
+    population,
+    solver,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +44,15 @@ def test_benchmark_tracer_hooks_resolve_and_restore():
             assert owner.__dict__[name] is not original, name
     for (owner, name), original in zip(hooked, before):
         assert owner.__dict__[name] is original, name
+
+
+def test_package_root_reexports_each_module_once():
+    # With star imports, a name exported by two modules would silently
+    # take the later module's object.
+    modules = (config, initial, meanfield, metrics, model, population, solver)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(plantfield.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(plantfield, name) is getattr(module, name), name

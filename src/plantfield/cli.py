@@ -326,7 +326,6 @@ def main(argv=None) -> int:
         FloatingPointError,
         OverflowError,
         np.linalg.LinAlgError,
-        ValueError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

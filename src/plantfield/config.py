@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial import Mu0Config, SurfaceParams
+from .meanfield import _stage_count
 from .metrics import ZMetricWeights
 from .model import ModelParams
 from .population import SolverConfig, _snapshot_times
@@ -81,7 +82,6 @@ DEFAULTS: dict = {
     "mu0.gamma_surface.h2_12": 0.0,
     "mu0.gamma_surface.h2_22": 1.0,
     # Integrator.
-    "solver.method": "rk45-adaptive",
     "solver.dt_init": 0.01,
     "solver.rel_tol": 1e-8,
     "solver.abs_tol": 1e-10,
@@ -187,6 +187,9 @@ class TrainConfig:
     s0_min: float
     s0_max: float
 
+    def __post_init__(self):
+        _stage_count(self.dt, self.T, self.N, self.K, self.d3, self.d5)
+
 
 @dataclass
 class ExperimentConfig:
@@ -245,7 +248,6 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
         )
         solver = SolverConfig(
             t_end=flat["solver.t_end"],
-            method=flat["solver.method"],
             dt_init=flat["solver.dt_init"],
             rel_tol=flat["solver.rel_tol"],
             abs_tol=flat["solver.abs_tol"],

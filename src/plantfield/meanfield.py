@@ -295,6 +295,8 @@ def fit_stage(
         raise ValueError("training set must be nonempty")
     F = feature_map(spec, *train_inputs)
     beta, *_ = np.linalg.lstsq(F, y, rcond=None)
+    if not np.all(np.isfinite(beta)):
+        raise np.linalg.LinAlgError(f"stage {stage_index}: fitted beta is not finite")
     r2_train = _r2(y, np.clip(F @ beta, 0.0, 1.0))
     r2_test = float("nan")
     if testing is not None:
@@ -446,6 +448,20 @@ def _child_seed(seed: int, tag: int, k: int) -> int:
     return (int(words[0]) << 32) | int(words[1])
 
 
+def _stage_count(dt: float, T: float, N: int, K: int, d3: int, d5: int) -> int:
+    """The number of stages T / dt, once the training settings are checked."""
+    if dt <= 0.0 or T <= 0.0:
+        raise ValueError("dt and T must be strictly positive")
+    m_stages = round(T / dt)
+    if m_stages < 1 or abs(m_stages * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError("the horizon T must be an integral number of stages")
+    if d3 < 0 or d5 < 0:
+        raise ValueError("degrees must be nonnegative")
+    if N < 1 or K < 1:
+        raise ValueError("sample sizes must be at least 1")
+    return m_stages
+
+
 def train(
     mu0_cfg: Mu0Config,
     params: ModelParams,
@@ -467,16 +483,7 @@ def train(
     d5).  Cloud, training, and testing draws come from disjoint
     sub-streams of ``seed``, so the entire procedure is reproducible.
     """
-    if dt <= 0.0 or T <= 0.0:
-        raise ValueError("dt and T must be strictly positive")
-    m_stages = round(T / dt)
-    if m_stages < 1 or abs(m_stages * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("the horizon T must be an integral number of stages")
-    if d3 < 0 or d5 < 0:
-        raise ValueError("degrees must be nonnegative")
-    if N < 1 or K < 1:
-        raise ValueError("sample sizes must be at least 1")
-
+    m_stages = _stage_count(dt, T, N, K, d3, d5)
     p = params
     cloud = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, _SET_CLOUD, 0)), N)
     s0_c, x_c, S_c, g_c = cloud.s0, cloud.x, cloud.S, cloud.gamma

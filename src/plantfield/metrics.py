@@ -129,7 +129,7 @@ def flow_gap(
     if not probes:
         raise ValueError("need at least one probe")
     if solver_cfg is None:
-        solver_cfg = SolverConfig(t_end=t, snapshot_times=None)
+        solver_cfg = SolverConfig(t_end=t)
     gaps = []
     for s0, traits in probes:
         pt = empirical_flow(params, background, s0, traits, solver_cfg)

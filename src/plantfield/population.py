@@ -118,10 +118,12 @@ def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
 
 @dataclass
 class SolverConfig:
-    """Integration controls for a population run."""
+    """Integration controls for a population run.
+
+    ``snapshot_times`` defaults to every 0.5 including both ends.
+    """
 
     t_end: float
-    method: str = "rk45-adaptive"
     dt_init: float = 0.01
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
@@ -129,8 +131,6 @@ class SolverConfig:
     max_step: float = 0.05
 
     def __post_init__(self):
-        if self.method not in ("rk45-adaptive", "rk4-fixed"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be strictly positive")
         if self.dt_init <= 0.0:
@@ -139,21 +139,16 @@ class SolverConfig:
             raise ValueError("max_step must be strictly positive")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
-        if self.snapshot_times is not None:
-            st = np.asarray(self.snapshot_times, dtype=float)
-            if st.ndim != 1 or st.size == 0:
-                raise ValueError("snapshot_times must be a nonempty 1-D sequence")
-            if np.any(np.diff(st) <= 0.0):
-                raise ValueError("snapshot_times must be strictly increasing")
-            if st[0] < 0.0 or st[-1] > self.t_end:
-                raise ValueError("snapshot_times must lie within [0, t_end]")
-            self.snapshot_times = st
-
-    def resolved_snapshot_times(self) -> np.ndarray:
-        """Snapshot grid: explicit list, or every 0.5 including both ends."""
-        if self.snapshot_times is not None:
-            return np.asarray(self.snapshot_times, dtype=float)
-        return _snapshot_times(self.t_end, 0.5)
+        if self.snapshot_times is None:
+            self.snapshot_times = _snapshot_times(self.t_end, 0.5)
+        st = np.asarray(self.snapshot_times, dtype=float)
+        if st.ndim != 1 or st.size == 0:
+            raise ValueError("snapshot_times must be a nonempty 1-D sequence")
+        if np.any(np.diff(st) <= 0.0):
+            raise ValueError("snapshot_times must be strictly increasing")
+        if st[0] < 0.0 or st[-1] > self.t_end:
+            raise ValueError("snapshot_times must lie within [0, t_end]")
+        self.snapshot_times = st
 
 
 @dataclass
@@ -308,6 +303,23 @@ def competition_index_all(params: ModelParams, state: PopulationState) -> np.nda
     return _competition_all(params, r, kernel)
 
 
+def _grow(cfg: SolverConfig, r0, caps_log, rates, competition, monitor=None):
+    """Solve the log-size growth r' = rates (caps_log (1 - C) - r) from r0.
+
+    ``competition(t, r)`` is the mean load C on each grown plant.  Returns
+    the dense solution over [0, cfg.t_end] and its rows on the snapshot grid.
+    """
+
+    def rhs(t, r):
+        return rates * (caps_log * (1.0 - competition(t, r)) - r)
+
+    dense = solve_ode(
+        rhs, 0.0, cfg.t_end, r0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+        dt_init=cfg.dt_init, max_step=cfg.max_step, monitor=monitor,
+    )
+    return dense, dense.eval_many(cfg.snapshot_times)
+
+
 def integrate(
     params: ModelParams,
     initial: PopulationState,
@@ -327,22 +339,16 @@ def integrate(
         raise ValueError(f"inadmissible initial configuration: {verdict.reason}")
 
     caps_log = np.log(initial.caps / params.s_m)
-    rates = initial.rates
     kernel = _spatial_kernel(initial.positions, params.sigma_x)
     r0 = np.log(initial.sizes / params.s_m)
 
-    def rhs(t, r):
-        c = _competition_all(params, r, kernel)
-        return rates * (caps_log * (1.0 - c) - r)
-
-    upper = caps_log
     tiny_up = np.nextafter(caps_log, -np.inf)
     clamp_count = 0
 
     def monitor(t, r, step_index):
         nonlocal clamp_count
         low = -r
-        high = r - upper
+        high = r - caps_log
         worst_i = int(np.argmax(np.maximum(low, high)))
         worst = max(low[worst_i], high[worst_i])
         if worst > _BREACH_TOLERANCE:
@@ -353,21 +359,10 @@ def integrate(
             return fixed
         return r
 
-    dense = solve_ode(
-        rhs,
-        0.0,
-        cfg.t_end,
-        r0,
-        method=cfg.method,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        dt_init=cfg.dt_init,
-        max_step=cfg.max_step,
-        monitor=monitor,
+    dense, r_mat = _grow(
+        cfg, r0, caps_log, initial.rates,
+        lambda t, r: _competition_all(params, r, kernel), monitor,
     )
-
-    snap_times = cfg.resolved_snapshot_times()
-    r_mat = dense.eval_many(snap_times)
     sizes_mat = params.s_m * np.exp(r_mat)
     c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
     diagnostics = TrajectoryDiagnostics(
@@ -380,7 +375,7 @@ def integrate(
         n_clamped=clamp_count,
     )
     return Trajectory(
-        times=snap_times,
+        times=cfg.snapshot_times,
         initial=initial,
         sizes=sizes_mat,
         diagnostics=diagnostics,
@@ -416,30 +411,16 @@ def empirical_flow(
     probe_kernel = _spatial_kernel(
         probe_traits.x[None, :], params.sigma_x, background.initial.positions
     )
-    cap_log = np.log(probe_traits.S / params.s_m)
-    gamma = probe_traits.gamma
-
-    def rhs(t, y):
-        c_hat = _competition_all(params, y, probe_kernel, background.dense(t))
-        return gamma * (cap_log * (1.0 - c_hat) - y)
-
-    r0 = np.array([np.log(probe_s0 / params.s_m)])
-    dense = solve_ode(
-        rhs,
-        0.0,
-        cfg.t_end,
-        r0,
-        method=cfg.method,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        dt_init=cfg.dt_init,
-        max_step=cfg.max_step,
+    dense, r_mat = _grow(
+        cfg,
+        np.array([np.log(probe_s0 / params.s_m)]),
+        np.log(probe_traits.S / params.s_m),
+        probe_traits.gamma,
+        lambda t, r: _competition_all(params, r, probe_kernel, background.dense(t)),
     )
-    snap_times = cfg.resolved_snapshot_times()
-    sizes = params.s_m * np.exp(dense.eval_many(snap_times)[:, 0])
     return ProbeTrajectory(
-        times=snap_times,
-        sizes=sizes,
+        times=cfg.snapshot_times,
+        sizes=params.s_m * np.exp(r_mat[:, 0]),
         traits=probe_traits,
         s0=float(probe_s0),
         dense=dense,

@@ -1,11 +1,12 @@
 """Explicit Runge-Kutta integration with Hermite dense output.
 
-Provides the classical fixed-step RK4 and the adaptive Dormand-Prince 5(4)
-embedded pair.  Every accepted step is recorded as a cubic Hermite segment
-(endpoint values and slopes), so the solution can be evaluated anywhere in
-the integration range with fourth-order interpolation accuracy.  The
-segments are what downstream code interpolates when a frozen trajectory
-serves as the background of another integration.
+Integrates with the adaptive Dormand-Prince 5(4) embedded pair under
+elementary (PI-free) step control.  Every accepted step is recorded as a
+cubic Hermite segment (endpoint values and slopes), so the solution can
+be evaluated anywhere in the integration range with fourth-order
+interpolation accuracy.  The segments are what downstream code
+interpolates when a frozen trajectory serves as the background of
+another integration.
 
 The right-hand side is called as ``f(t, y)`` with ``y`` a 1-D float array.
 An optional per-step ``monitor`` callback can repair (or reject, by
@@ -124,7 +125,6 @@ def solve_ode(
     t_end: float,
     y0,
     *,
-    method: str = "rk45-adaptive",
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     dt_init: float = 0.01,
@@ -133,10 +133,8 @@ def solve_ode(
 ) -> DenseSolution:
     """Integrate ``y' = f(t, y)`` from ``t0`` to ``t_end``.
 
-    ``method`` is ``"rk45-adaptive"`` (Dormand-Prince pair with PI-free
-    elementary step control) or ``"rk4-fixed"`` (classical RK4 with step
-    ``dt_init``).  ``monitor(t, y, step_index) -> y`` runs on every
-    accepted state and may return a repaired copy or raise to abort.
+    ``monitor(t, y, step_index) -> y`` runs on every accepted state and
+    may return a repaired copy or raise to abort.
 
     Returns the dense solution over ``[t0, t_end]``.
     """
@@ -145,16 +143,6 @@ def solve_ode(
         raise ValueError("t_end must be >= t0")
     if rel_tol <= 0.0 or abs_tol <= 0.0:
         raise ValueError("tolerances must be strictly positive")
-    if method == "rk4-fixed":
-        return _solve_rk4(f, t0, t_end, y0, dt_init, monitor)
-    if method == "rk45-adaptive":
-        return _solve_rk45(
-            f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
     ts = [t0]
     ys = [y0.copy()]
     k1 = np.asarray(f(t0, y0), dtype=float)
@@ -164,7 +152,7 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
 
     t = t0
     y = y0.copy()
-    h = min(dt_init, max_step, t_end - t0)
+    h = dt_init
     k = np.empty((7,) + y0.shape)
     k[0] = k1
     step_index = 0
@@ -194,8 +182,6 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
                 if y_fixed is not y_new and not np.array_equal(y_fixed, y_new):
                     y_new = np.asarray(y_fixed, dtype=float)
                     f_new = np.array(f(t, y_new), dtype=float)
-                else:
-                    y_new = np.asarray(y_fixed, dtype=float)
             y = y_new
             ts.append(t)
             ys.append(y.copy())
@@ -208,35 +194,3 @@ def _solve_rk45(f, t0, t_end, y0, rel_tol, abs_tol, dt_init, max_step, monitor):
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
     return DenseSolution(np.array(ts), np.stack(ys), np.stack(fs))
 
-
-def _solve_rk4(f, t0, t_end, y0, dt, monitor):
-    if dt <= 0.0:
-        raise ValueError("dt_init must be strictly positive for rk4-fixed")
-    ts = [t0]
-    ys = [y0.copy()]
-    k1 = np.asarray(f(t0, y0), dtype=float)
-    fs = [k1.copy()]
-    t = t0
-    y = y0.copy()
-    step_index = 0
-    while t < t_end - 1e-12 * max(abs(t_end), 1.0):
-        h = min(dt, t_end - t)
-        k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_new)):
-            raise NonFiniteStateError(t, step_index)
-        t = t + h
-        if abs(t_end - t) <= 1e-12 * max(abs(t_end), 1.0):
-            t = t_end
-        if monitor is not None:
-            y_new = np.asarray(monitor(t, y_new, step_index), dtype=float)
-        f_new = np.asarray(f(t, y_new), dtype=float)
-        y = y_new
-        ts.append(t)
-        ys.append(y.copy())
-        fs.append(f_new.copy())
-        k1 = f_new
-        step_index += 1
-    return DenseSolution(np.array(ts), np.stack(ys), np.stack(fs))

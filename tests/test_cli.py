@@ -165,8 +165,9 @@ def test_potential_dump_is_deterministic(trained_dir, tmp_path):
 
 def test_exit_code_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("sim.banana = 1\n")
-    assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "o1")) == 2
+    for line in ("sim.banana = 1\n", "solver.method = rk4-fixed\n"):
+        bad.write_text(line)
+        assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "o1")) == 2
     assert run(
         "simulate", "--config", str(tmp_path / "missing.cfg"),
         "--out", str(tmp_path / "o2"),
@@ -196,6 +197,40 @@ def test_exit_code_bad_model_and_grid(trained_dir, tmp_path):
         "potential-dump", "--model", model, "--grid", "2,-2,-1,1,4",
         "--out", str(tmp_path / "c5"),
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["train.T = 2.5\ntrain.dt = 1.0", "train.dt = 0.0", "train.d3 = -1", "train.N = 0"],
+    ids=["T-not-whole-stages", "dt-zero", "d3-negative", "N-zero"],
+)
+def test_exit_code_invalid_train_settings(lines, tmp_path, capsys):
+    # Checked when the config is built, by the rules ``meanfield.train`` uses.
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(lines + "\n")
+    for cmd in ("simulate", "train-meanfield"):
+        assert run(cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_stage_fit(small_train_cfg, tmp_path, monkeypatch, capsys):
+    def nan_targets(params, s, x, cloud_sizes, cloud_positions):
+        return np.full(np.shape(s), np.nan)
+
+    monkeypatch.setattr("plantfield.meanfield.mc_potential", nan_targets)
+    out = str(tmp_path / "o")
+    assert run("train-meanfield", "--config", str(small_train_cfg), "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: stage 0: fitted beta is not finite" in err
+
+
+def test_plain_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    def broken(params, state0, cfg):
+        raise ValueError("a defect, not a failed solve")
+
+    monkeypatch.setattr("plantfield.cli.integrate", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        run("simulate", "--n", "4", "--out", str(tmp_path / "o"))
 
 
 def test_exit_code_solver_failure(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import plantfield as pf
 from conftest import one_plus_tanh
@@ -372,15 +373,29 @@ def test_sizes_at_interpolates_between_snapshots(p, rng):
     assert np.allclose(traj.sizes_at(0.0), state.sizes, rtol=1e-14)
 
 
-def test_rk4_method_agrees_with_adaptive(p, rng):
-    state = _random_state(p, 4, rng)
-    fine = pf.integrate(
-        p, state, pf.SolverConfig(t_end=3.0, method="rk4-fixed", dt_init=0.005)
+@pytest.mark.parametrize("n", [6, 40])
+def test_integrate_agrees_with_dop853_oracle(p, rng, n):
+    # An independent integrator on the reference definition: the
+    # potential summed pair by pair from ``log_potential``, self term zeroed.
+    state = _random_state(p, n, rng)
+    traj = pf.integrate(p, state, pf.SolverConfig(t_end=10.0))
+    caps_log = np.log(state.caps / p.s_m)
+    gaps = state.positions[:, None, :] - state.positions[None, :, :]
+    dist = np.sqrt((gaps**2).sum(axis=2))
+
+    def rhs(t, r):
+        pot = pf.log_potential(p, r[:, None], r[None, :], dist)
+        np.fill_diagonal(pot, 0.0)
+        c = pot.sum(axis=1) / (n - 1)
+        return state.rates * (caps_log * (1.0 - c) - r)
+
+    ref = solve_ivp(
+        rhs, (0.0, 10.0), np.log(state.sizes / p.s_m), method="DOP853",
+        t_eval=traj.times, rtol=1e-12, atol=1e-14,
     )
-    adaptive = pf.integrate(p, state, pf.SolverConfig(t_end=3.0))
-    final_fixed = fine.sizes[-1]
-    final_adapt = adaptive.sizes[-1]
-    assert np.max(np.abs(final_fixed - final_adapt) / final_adapt) < 1e-6
+    assert ref.success
+    want = p.s_m * np.exp(ref.y.T)
+    assert np.max(np.abs(traj.sizes - want) / want) < 1e-6
 
 
 def test_diagnostics_shapes_and_counts(p, rng):

@@ -31,14 +31,6 @@ def _exact(t):
     return (_Y0 - part0) * np.exp(-a * t) + part
 
 
-def test_fixed_step_is_fourth_order():
-    errs = []
-    for dt in (0.1, 0.05):
-        sol = solve_ode(_f, 0.0, 2.0, _Y0, method="rk4-fixed", dt_init=dt)
-        errs.append(np.abs(sol(2.0) - _exact(2.0)).max())
-    assert errs[0] / errs[1] >= 16.0
-
-
 def test_adaptive_meets_tolerance():
     sol = solve_ode(_f, 0.0, 2.0, _Y0, rel_tol=1e-8, abs_tol=1e-10)
     err = np.abs(sol(2.0) - _exact(2.0)).max()
@@ -97,9 +89,8 @@ def test_eval_many_any_order_and_range_checked():
 
 
 def test_final_node_is_exactly_t_end():
-    for method, kw in (("rk45-adaptive", {}), ("rk4-fixed", {"dt_init": 0.03})):
-        sol = solve_ode(_f, 0.0, 2.0, _Y0, method=method, **kw)
-        assert sol.t_end == 2.0
+    sol = solve_ode(_f, 0.0, 2.0, _Y0)
+    assert sol.t_end == 2.0
 
 
 def test_zero_length_interval():
@@ -113,19 +104,18 @@ def test_step_size_underflow_raises():
         solve_ode(_f, 0.0, 2.0, _Y0, max_step=1e-300)
 
 
-@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
-def test_non_finite_rhs_raises_its_own_error(method):
+def test_non_finite_rhs_raises_its_own_error():
     def f(t, y):
         return np.where(t > 0.3, np.nan, -y)
 
     with pytest.raises(NonFiniteStateError) as exc:
-        solve_ode(f, 0.0, 1.0, _Y0, method=method, dt_init=0.1)
+        solve_ode(f, 0.0, 1.0, _Y0, dt_init=0.1)
     assert 0.0 < exc.value.t <= 0.3
     assert exc.value.step_index >= 1
     assert "non-finite" in str(exc.value)
 
     with pytest.raises(NonFiniteStateError) as exc:
-        solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, _Y0, method=method)
+        solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, _Y0)
     assert exc.value.t == 0.0 and exc.value.step_index == 0
 
 
@@ -164,18 +154,6 @@ def test_input_validation():
         solve_ode(_f, 1.0, 0.0, _Y0)
     with pytest.raises(ValueError):
         solve_ode(_f, 0.0, 1.0, _Y0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        solve_ode(_f, 0.0, 1.0, _Y0, method="euler")
-    with pytest.raises(ValueError):
-        solve_ode(_f, 0.0, 1.0, _Y0, method="rk4-fixed", dt_init=0.0)
-
-
-def test_rk4_partial_final_step():
-    sol = solve_ode(_f, 0.0, 1.0, _Y0, method="rk4-fixed", dt_init=0.3)
-    assert sol.t_end == 1.0
-    # Coarse steps: only a sanity bound here (the halving test above
-    # measures the order); the point is the exact final node placement.
-    assert np.abs(sol(1.0) - _exact(1.0)).max() < 5e-3
 
 
 def test_dense_solution_single_segment_formula():

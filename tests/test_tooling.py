@@ -56,3 +56,20 @@ def test_package_root_reexports_each_module_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(plantfield, name) is getattr(module, name), name
+
+
+def test_benchmark_step_accounting_matches_the_solver():
+    # The tracer infers rejected steps from the RHS call pattern
+    # 1 + 6 (accepted + rejected) + repairs; a large first step makes the
+    # controller reject some, so both terms are exercised.
+    spans = _load_spans()
+    ec = config.build_experiment_config(config.resolve_config({"seed": 1}))
+    state = initial.samples_to_state(initial.sample_mu0(ec.mu0, 8))
+    cfg = population.SolverConfig(t_end=10.0, dt_init=2.0, max_step=10.0)
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        traj = population.integrate(ec.params, state, cfg)
+    counts = tracer.counts
+    assert counts["step_count_mismatch"] == 0
+    assert counts["accepted"] == traj.diagnostics.n_accepted_steps
+    assert counts["rejected"] > 0

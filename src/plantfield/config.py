@@ -9,6 +9,7 @@ experiment: 50 plants, the standard parameter table, horizon 10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ DEFAULTS: dict = {
     "solver.abs_tol": 1e-10,
     "solver.t_end": 10.0,
     "solver.snapshot_dt": 0.5,
-    "solver.max_step": 0.05,
+    "solver.max_step": math.inf,
     # Surrogate training (initial sizes uniform for training runs).
     "train.dt": 1.0,
     "train.T": 10.0,

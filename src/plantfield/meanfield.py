@@ -61,6 +61,10 @@ _SET_CLOUD = 0
 _SET_TRAIN = 1
 _SET_TEST = 2
 
+# Most stages one training may fit: each stage is a Monte-Carlo pass over
+# the cloud, so T / dt beyond this would never finish.
+_MAX_STAGES = 10_000
+
 
 def n_monomials(k: int, d: int) -> int:
     """Number of k-variable monomials of total degree at most d."""
@@ -452,7 +456,12 @@ def _stage_count(dt: float, T: float, N: int, K: int, d3: int, d5: int) -> int:
     """The number of stages T / dt, once the training settings are checked."""
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("dt and T must be strictly positive")
-    m_stages = round(T / dt)
+    ratio = T / dt
+    if not ratio < _MAX_STAGES + 0.5:  # also false for inf and NaN
+        raise ValueError(
+            f"T / dt = {ratio!r} stages; at most {_MAX_STAGES} are allowed"
+        )
+    m_stages = round(ratio)
     if m_stages < 1 or abs(m_stages * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("the horizon T must be an integral number of stages")
     if d3 < 0 or d5 < 0:

@@ -4,15 +4,15 @@ The sizes of a finite population evolve under Gompertz growth damped by
 the pairwise competition load: each plant's effective asymptotic size
 shrinks by the factor (1 - mean neighbour potential).  Integration is
 carried out on log-sizes r_i = log(s_i / s_m), which keeps sizes
-positive by construction, and the integrator's Hermite dense output is
-retained so a frozen run can later serve as the background environment
-for single probe plants.
+positive by construction, and the integrator's dense output (the
+Dormand-Prince continuous extension) is retained so a frozen run can
+later serve as the background environment for single probe plants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +37,9 @@ __all__ = [
     "snapshot_measure",
 ]
 
-# Breaches of the open size interval smaller than this are treated as
-# roundoff and projected back; anything larger aborts the run.
+# Breaches of the open size interval smaller than this, or than the error
+# control's tolerance at the cap, are numerical error and projected back;
+# anything larger aborts the run.
 _BREACH_TOLERANCE = 1e-9
 
 # Row-block size of the pairwise reductions: one (block, N) buffer is
@@ -120,7 +121,9 @@ def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
 class SolverConfig:
     """Integration controls for a population run.
 
-    ``snapshot_times`` defaults to every 0.5 including both ends.
+    ``snapshot_times`` defaults to every 0.5 including both ends.  The
+    error controller sets every step unless ``max_step`` (unbounded by
+    default) is smaller.
     """
 
     t_end: float
@@ -128,7 +131,7 @@ class SolverConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     snapshot_times: Optional[Sequence[float]] = None
-    max_step: float = 0.05
+    max_step: float = math.inf
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
@@ -266,8 +269,13 @@ def _pair_row_sums(
     e_src = e if sym else np.exp((src - mid) * scale)
     v = 2.0 * e_src * src
     n_t, n_s = kernel.shape
+    if n_t <= _BLOCK:
+        # One block holds every target: the first pass of the loop below,
+        # without its buffers and accumulation.
+        w = np.add.outer(e, e_src)
+        return np.einsum("ij,j->i", np.divide(kernel, w, out=w), v)
     out = np.zeros(n_t)
-    buf = np.empty(min(_BLOCK, n_t) * n_s)
+    buf = np.empty(_BLOCK * n_s)
     for i0 in range(0, n_t, _BLOCK):
         i1 = min(i0 + _BLOCK, n_t)
         c0 = i0 if sym else 0
@@ -327,10 +335,12 @@ def integrate(
 ) -> Trajectory:
     """Run the coupled system from ``initial``, sampling the snapshot grid.
 
-    Integration uses log-sizes; every accepted step is checked against
-    the open interval (0, log(S_i/s_m)).  Breaches within roundoff are
-    projected back and counted; larger ones raise
-    ``IntegrationDivergedError``.
+    Integration uses log-sizes; every accepted step and every snapshot
+    row is checked against the open interval (0, log(S_i/s_m)).  Breaches
+    within roundoff or within the error control's tolerance at the cap
+    (abs_tol + rel_tol log(S_i/s_m); near its cap a plant's gap can fall
+    below what the controller resolves) are projected back and counted;
+    larger ones raise ``IntegrationDivergedError``.
     """
     verdict = validate_initial_config(
         params, initial.caps, initial.rates, initial.sizes
@@ -343,26 +353,32 @@ def integrate(
     r0 = np.log(initial.sizes / params.s_m)
 
     tiny_up = np.nextafter(caps_log, -np.inf)
+    breach_tol = np.maximum(_BREACH_TOLERANCE, cfg.abs_tol + cfg.rel_tol * caps_log)
     clamp_count = 0
 
     def monitor(t, r, step_index):
         nonlocal clamp_count
-        low = -r
-        high = r - caps_log
-        worst_i = int(np.argmax(np.maximum(low, high)))
-        worst = max(low[worst_i], high[worst_i])
-        if worst > _BREACH_TOLERANCE:
-            raise IntegrationDivergedError(step_index, worst_i, float(worst))
-        if worst > 0.0:
-            fixed = np.minimum(np.maximum(r, 5e-324), tiny_up)
-            clamp_count += int(np.sum(fixed != r))
-            return fixed
-        return r
+        breach = np.maximum(-r, r - caps_log)
+        if breach.max() <= 0.0:
+            return r
+        worst_i = int(np.argmax(breach - breach_tol))
+        if breach[worst_i] > breach_tol[worst_i]:
+            raise IntegrationDivergedError(step_index, worst_i, float(breach[worst_i]))
+        fixed = np.minimum(np.maximum(r, 5e-324), tiny_up)
+        clamp_count += int(np.sum(fixed != r))
+        return fixed
 
     dense, r_mat = _grow(
         cfg, r0, caps_log, initial.rates,
         lambda t, r: _competition_all(params, r, kernel), monitor,
     )
+    # Snapshots between nodes come from the interpolant, which the monitor
+    # never saw: the same rule holds them, under the index of the step
+    # whose segment they lie in.
+    steps = np.maximum(np.searchsorted(dense.ts, cfg.snapshot_times) - 1, 0)
+    r_mat = np.stack([
+        monitor(t, r_t, int(k)) for t, r_t, k in zip(cfg.snapshot_times, r_mat, steps)
+    ])
     sizes_mat = params.s_m * np.exp(r_mat)
     c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
     diagnostics = TrajectoryDiagnostics(
@@ -371,7 +387,7 @@ def integrate(
         min_c_index=c_mat.min(axis=1),
         max_c_index=c_mat.max(axis=1),
         c_indices=c_mat,
-        n_accepted_steps=len(dense.ts) - 1,
+        n_accepted_steps=dense.stats.n_accepted,
         n_clamped=clamp_count,
     )
     return Trajectory(
@@ -446,21 +462,26 @@ def export_trajectory_csv(
     comments: Sequence[str] = (),
 ) -> None:
     """Write one row per (snapshot, plant), time-major then id; a plant's
-    trait cells (x1, x2, S, gamma) are formatted once."""
+    trait cells (x1, x2, S, gamma) are formatted once, and each snapshot's
+    rows are rendered (``repr`` of Python floats, as ``format_value``
+    writes them) and written as one block."""
     header = ["t", "plant_id", "s", "x1", "x2", "S", "gamma", "C_index"]
 
     x1, x2 = traj.initial.positions.T.tolist()
     caps = traj.initial.caps.tolist()
     rates = traj.initial.rates.tolist()
     traits = [",".join(map(format_value, c)) for c in zip(x1, x2, caps, rates)]
-    ids = range(traj.n)
 
-    def rows():
+    def blocks():
         for t, sizes, c_row in zip(
-            traj.times.tolist(), traj.sizes, traj.diagnostics.c_indices
+            traj.times.tolist(),
+            traj.sizes.tolist(),
+            traj.diagnostics.c_indices.tolist(),
         ):
-            yield from zip(
-                repeat(format_value(t)), ids, sizes.tolist(), traits, c_row.tolist()
-            )
+            t = format_value(t)
+            yield "".join([
+                f"{t},{i},{s!r},{tr},{c!r}\n"
+                for i, s, tr, c in zip(range(len(traits)), sizes, traits, c_row)
+            ])
 
-    write_csv(path, header, rows(), comments=comments)
+    write_csv(path, header, blocks(), comments=comments)

@@ -37,13 +37,20 @@ def write_csv(
     rows: Iterable[Sequence],
     comments: Sequence[str] = (),
 ) -> None:
-    """Write a CSV file with optional leading ``#`` comment lines."""
+    """Write a CSV file with optional leading ``#`` comment lines.
+
+    Each row is a sequence of cells, or a ``str`` of already rendered
+    lines (newlines included) that is written as it is.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def write_json(path, doc) -> None:

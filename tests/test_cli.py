@@ -201,8 +201,18 @@ def test_exit_code_bad_model_and_grid(trained_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "lines",
-    ["train.T = 2.5\ntrain.dt = 1.0", "train.dt = 0.0", "train.d3 = -1", "train.N = 0"],
-    ids=["T-not-whole-stages", "dt-zero", "d3-negative", "N-zero"],
+    [
+        "train.T = 2.5\ntrain.dt = 1.0",
+        "train.dt = 0.0",
+        "train.d3 = -1",
+        "train.N = 0",
+        "train.dt = 1e-320",
+        "train.dt = 1e-300",
+    ],
+    ids=[
+        "T-not-whole-stages", "dt-zero", "d3-negative", "N-zero",
+        "dt-stage-count-overflows", "dt-stage-count-above-ceiling",
+    ],
 )
 def test_exit_code_invalid_train_settings(lines, tmp_path, capsys):
     # Checked when the config is built, by the rules ``meanfield.train`` uses.

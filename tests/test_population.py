@@ -106,17 +106,21 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
 def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
-    # Targets against a different set of sources (T != S, T spans a
-    # ragged second block), as the probes and the training targets use.
-    t_n, s_n = _BLOCK + 22, 90
-    r = rng.uniform(0.01, 2.99, t_n)
-    r_src = rng.uniform(0.01, 2.99, s_n)
-    kernel = _spatial_kernel(rng.normal(size=(t_n, 2)), 0.5, rng.normal(size=(s_n, 2)))
-    assert kernel.shape == (t_n, s_n)
-    got = _pair_row_sums(r, kernel, sigma_r, r_src)
-    want = _fsum_row_sums(r, kernel, sigma_r, r_src)
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert np.array_equal(_pair_row_sums(r, kernel, sigma_r, r_src), got)
+    # Targets against a different set of sources (T != S; T within one
+    # block, or spanning a ragged second block), as the probes and the
+    # training targets use.
+    s_n = 90
+    for t_n in (40, _BLOCK + 22):
+        r = rng.uniform(0.01, 2.99, t_n)
+        r_src = rng.uniform(0.01, 2.99, s_n)
+        kernel = _spatial_kernel(
+            rng.normal(size=(t_n, 2)), 0.5, rng.normal(size=(s_n, 2))
+        )
+        assert kernel.shape == (t_n, s_n)
+        got = _pair_row_sums(r, kernel, sigma_r, r_src)
+        want = _fsum_row_sums(r, kernel, sigma_r, r_src)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.array_equal(_pair_row_sums(r, kernel, sigma_r, r_src), got)
 
 
 def test_pair_row_sums_raise_outside_exp_window(rng):
@@ -396,6 +400,54 @@ def test_integrate_agrees_with_dop853_oracle(p, rng, n):
     assert ref.success
     want = p.s_m * np.exp(ref.y.T)
     assert np.max(np.abs(traj.sizes - want) / want) < 1e-6
+
+
+def _seeded_run(n, **overrides):
+    """integrate on the seed-3 draw of the default config with ``overrides``."""
+    ec = pf.build_experiment_config(pf.resolve_config({"seed": 3, **overrides}))
+    state = pf.samples_to_state(pf.sample_mu0(ec.mu0, n))
+    return ec, state
+
+
+@pytest.mark.parametrize(
+    "sigma_r, bound", [(1.32, 3.6e-7), (0.1, 1.4e-6)], ids=["1.32", "0.1"]
+)
+def test_dense_output_matches_tight_reference_between_nodes(sigma_r, bound):
+    # Largest log-size error on a 2001-point grid (snapshots included)
+    # against a rel_tol = 1e-13, max_step = 0.01 run.  The bounds are what
+    # cubic Hermite output with max_step = 0.05 reached; the continuous
+    # extension with no cap measures 9.8e-9 and 3.2e-7.
+    ec, state = _seeded_run(50, **{"model.sigma_r": sigma_r})
+    ref_cfg = replace(ec.solver, rel_tol=1e-13, max_step=0.01)
+    ref = pf.integrate(ec.params, state, ref_cfg)
+    traj = pf.integrate(ec.params, state, ec.solver)
+    grid = np.union1d(np.linspace(0.0, 10.0, 2001), traj.times)
+    err = np.abs(traj.dense.eval_many(grid) - ref.dense.eval_many(grid)).max()
+    assert err < bound
+
+
+def test_error_control_sets_the_steps_by_default(default_run):
+    # With a binding max_step every run took t_end / max_step + 1 = 201
+    # steps; the controller alone takes 56 here.
+    _, traj, _ = default_run
+    stats = traj.dense.stats
+    assert traj.diagnostics.n_accepted_steps == stats.n_accepted < 80
+    assert stats.n_capped == 0
+
+
+def test_snapshots_between_nodes_stay_below_the_caps():
+    # At sigma_x = 1e-6 a plant feels no neighbour and creeps up to its cap;
+    # late in a long run its gap falls below what the error control
+    # resolves.  The interpolant then crosses the cap between nodes (by
+    # 1.7e-8 here); snapshots must still satisfy s < S.
+    ec, state = _seeded_run(50, **{"model.sigma_x": 1e-6, "solver.t_end": 40.0})
+    traj = pf.integrate(ec.params, state, ec.solver)
+    caps_log = np.log(state.caps / ec.params.s_m)
+    fine = traj.dense.eval_many(np.linspace(0.0, 40.0, 4001))
+    assert (fine - caps_log).max() > 0.0  # the interpolant does cross
+    assert np.all(traj.sizes < state.caps)
+    assert np.all(traj.sizes > ec.params.s_m)
+    assert traj.diagnostics.n_clamped > 0
 
 
 def test_diagnostics_shapes_and_counts(p, rng):

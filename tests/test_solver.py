@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from plantfield.solver import (
+    _DP_A,
+    _DP_C,
+    _DP_D,
     DenseSolution,
     NonFiniteStateError,
+    SolverStats,
     StepSizeUnderflowError,
     solve_ode,
 )
@@ -51,6 +55,25 @@ def test_dense_output_interpolates_whole_range():
         np.abs(sol(t) - _exact(t)).max() for t in np.linspace(0.0, 2.0, 401)
     )
     assert worst < 1e-6
+
+
+def test_dense_output_between_nodes_is_fourth_order():
+    # Loose tolerances accept every step, so max_step sets them all.  The
+    # continuous extension's local error is O(h^5): halving the step cuts
+    # the error at step midpoints by about 32 (cubic Hermite: 16, which
+    # measures 14-16 here), and it stays of the order of the node error
+    # (Hermite: about 75 times larger).
+    def errors(h):
+        sol = solve_ode(_f, 0.0, 2.0, _Y0, rel_tol=1e3, abs_tol=1e3, dt_init=h, max_step=h)
+        mid = 0.5 * (sol.ts[1:] + sol.ts[:-1])
+        e_mid = np.abs(sol.eval_many(mid) - np.array([_exact(t) for t in mid])).max()
+        e_node = np.abs(sol.ys - np.array([_exact(t) for t in sol.ts])).max()
+        return e_mid, e_node
+
+    for h in (0.2, 0.1):
+        (mid, node), (mid_half, _) = errors(h), errors(h / 2)
+        assert mid / mid_half >= 16.0
+        assert mid < 4.0 * node
 
 
 def test_dense_output_exact_at_nodes():
@@ -132,21 +155,69 @@ def test_monitor_sees_every_accepted_step():
 
 
 def test_monitor_repair_is_committed():
-    # Clamp the first component at 1.05; the recorded states must obey it
-    # and the stored slope must be re-evaluated at the repaired state.
+    # Clamp the first component at 1.05; the recorded states must obey it,
+    # the stored slope must be re-evaluated at the repaired state, and the
+    # step into the repaired node must build its dense coefficients from
+    # the repaired state and slope.
+    cap = 1.05
+    repairs = []
+
     def monitor(t, y, step_index):
-        if y[0] > 1.05:
+        if y[0] > cap:
+            repairs.append(step_index)
             y = y.copy()
-            y[0] = 1.05
+            y[0] = cap
         return y
 
     def grower(t, y):
         return np.array([y[0]])  # exponential growth
 
     sol = solve_ode(grower, 0.0, 1.0, np.array([1.0]), monitor=monitor)
-    assert sol.ys[:, 0].max() <= 1.05 + 1e-15
-    k = int(np.argmax(sol.ys[:, 0] >= 1.05))
-    assert sol.fs[k, 0] == pytest.approx(1.05)
+    assert sol.ys[:, 0].max() <= cap
+    k = int(np.argmax(sol.ys[:, 0] >= cap))
+    assert repairs[0] == k - 1
+    assert sol.ys[k, 0] == cap and sol(float(sol.ts[k]))[0] == cap
+    assert sol.fs[k, 0] == cap
+
+    # The step's stages from its start, with the repaired slope as the last.
+    t, y, h = sol.ts[k - 1], sol.ys[k - 1], sol.ts[k] - sol.ts[k - 1]
+    stages = np.empty((7, 1))
+    stages[0] = sol.fs[k - 1]
+    for i in range(1, 6):
+        stages[i] = grower(t + _DP_C[i] * h, y + h * (_DP_A[i, :i] @ stages[:i]))
+    stages[6] = sol.fs[k]
+    assert sol.r5[k - 1] == pytest.approx(h * (_DP_D @ stages), rel=1e-12)
+    segment = np.linspace(t, sol.ts[k], 1001)
+    assert sol.eval_many(segment)[:, 0].max() <= cap
+
+    st = sol.stats
+    assert st.n_rhs == 1 + 6 * (st.n_accepted + st.n_rejected) + len(repairs)
+
+
+def test_run_statistics_count_what_the_solver_did():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return _f(t, y)
+
+    # A first step far too large forces rejections.
+    sol = solve_ode(f, 0.0, 2.0, _Y0, dt_init=1.0)
+    st = sol.stats
+    steps = np.diff(sol.ts)
+    assert st.n_rhs == len(calls) == 1 + 6 * (st.n_accepted + st.n_rejected)
+    assert st.n_accepted == len(sol.ts) - 1 == len(sol.r5)
+    assert st.n_rejected > 0
+    assert st.h_min == pytest.approx(steps.min(), rel=1e-12)
+    assert st.h_max == pytest.approx(steps.max(), rel=1e-12)
+    assert st.n_capped == 0
+
+    # The controller asks for about 0.2 here, so a cap of 0.1 binds.
+    capped = solve_ode(_f, 0.0, 2.0, _Y0, rel_tol=1e-5, max_step=0.1)
+    steps = np.diff(capped.ts)
+    assert capped.stats.h_max == 0.1
+    assert capped.stats.n_capped == np.sum(np.isclose(steps, 0.1, rtol=1e-12)) > 0
+    assert solve_ode(_f, 1.0, 1.0, _Y0).stats == SolverStats(1, 0, 0, 0.0, 0.0, 0)
 
 
 def test_input_validation():
@@ -157,15 +228,20 @@ def test_input_validation():
 
 
 def test_dense_solution_single_segment_formula():
-    # One cubic segment reproducing t^3 exactly: values and slopes of
-    # y = t^3 at t = 0, 1 define the Hermite cubic t^3 itself.
-    dense = DenseSolution(
-        ts=np.array([0.0, 1.0]),
-        ys=np.array([[0.0], [1.0]]),
-        fs=np.array([[0.0], [3.0]]),
+    # Values and slopes of y = t^3 at t = 0, 1 with r5 = 0 give the cubic
+    # Hermite segment, t^3 itself; y = t^4 needs the quartic term r5 = 1.
+    ts = np.array([0.0, 1.0])
+    cubic = DenseSolution(
+        ts=ts, ys=np.array([[0.0], [1.0]]), fs=np.array([[0.0], [3.0]]),
+        r5=np.zeros((1, 1)),
+    )
+    quartic = DenseSolution(
+        ts=ts, ys=np.array([[0.0], [1.0]]), fs=np.array([[0.0], [4.0]]),
+        r5=np.ones((1, 1)),
     )
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert dense(t)[0] == pytest.approx(t**3, abs=1e-15)
+        assert cubic(t)[0] == pytest.approx(t**3, abs=1e-15)
+        assert quartic(t)[0] == pytest.approx(t**4, abs=1e-15)
 
 
 def test_rk45_integrates_quartic_forcing_exactly():

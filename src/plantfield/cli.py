@@ -43,7 +43,7 @@ from .population import (
     integrate,
 )
 from .solver import NonFiniteStateError, StepSizeUnderflowError
-from .textio import write_csv, write_json
+from .textio import format_row, write_csv, write_json
 
 __all__ = ["main"]
 
@@ -241,7 +241,9 @@ def cmd_potential_dump(args) -> int:
         s_inf.tolist(),
         extrapolated.astype(int).tolist(),
     )
-    write_csv(out / "potential_surface.csv", columns, rows, comments=[header])
+    write_csv(
+        out / "potential_surface.csv", columns, map(format_row, rows), comments=[header]
+    )
     return 0
 
 

@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri
 
 from .model import ModelParams
 from .population import PopulationState
-from .textio import write_csv
+from .textio import format_row, write_csv
 
 __all__ = [
     "Mu0Config",
@@ -268,4 +268,4 @@ def export_samples_csv(sample: Sample, path, comments=()) -> None:
         sample.S.tolist(),
         sample.gamma.tolist(),
     )
-    write_csv(path, header, rows, comments=comments)
+    write_csv(path, header, map(format_row, rows), comments=comments)

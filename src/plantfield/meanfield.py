@@ -29,7 +29,7 @@ import numpy as np
 from .initial import Mu0Config, SurfaceParams, sample_mu0
 from .model import ModelParams, PlantTraits
 from .population import _pair_row_sums, _spatial_kernel
-from .textio import write_csv, write_json
+from .textio import format_row, write_csv, write_json
 
 __all__ = [
     "FeatureSpec",
@@ -647,4 +647,5 @@ def export_r2_csv(model: MeanFieldModel, path, comments=()) -> None:
         (float(st.stage_index * model.dt), st.r2_train, st.r2_test)
         for st in model.stages
     ]
-    write_csv(path, ["t", "r2_train", "r2_test"], rows, comments=comments)
+    header = ["t", "r2_train", "r2_test"]
+    write_csv(path, header, map(format_row, rows), comments=comments)

@@ -27,7 +27,7 @@ from .population import (
     integrate,
     snapshot_measure,
 )
-from .textio import write_csv
+from .textio import format_row, write_csv
 
 __all__ = [
     "BoundCoefficients",
@@ -356,4 +356,4 @@ def export_distances_csv(reports, path, comments=()) -> None:
                     float(rep.bound_value[k]),
                 )
 
-    write_csv(path, header, rows(), comments=comments)
+    write_csv(path, header, map(format_row, rows()), comments=comments)

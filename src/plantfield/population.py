@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import ModelParams, PlantTraits, validate_initial_config
 from .solver import DenseSolution, solve_ode
-from .textio import format_value, write_csv
+from .textio import format_floats, format_row, format_value, write_csv
 
 __all__ = [
     "EmpiricalMeasure",
@@ -37,9 +38,8 @@ __all__ = [
     "snapshot_measure",
 ]
 
-# Breaches of the open size interval smaller than this, or than the error
-# control's tolerance at the cap, are numerical error and projected back;
-# anything larger aborts the run.
+# Breaches of the open size interval at an accepted step smaller than this
+# are roundoff and projected back; anything larger aborts the run.
 _BREACH_TOLERANCE = 1e-9
 
 # Row-block size of the pairwise reductions: one (block, N) buffer is
@@ -179,7 +179,10 @@ class Trajectory:
     params: ModelParams = field(repr=False)
 
     def sizes_at(self, t: float) -> np.ndarray:
-        return self.params.s_m * np.exp(self.dense(t))
+        """Sizes at ``t`` from the dense output, projected into (0, S) as the
+        snapshot rows are, so ``sizes_at(times[k])`` equals ``sizes[k]``."""
+        caps_log = np.log(self.initial.caps / self.params.s_m)
+        return self.params.s_m * np.exp(_project(self.dense(t), caps_log))
 
     @property
     def t_end(self) -> float:
@@ -220,6 +223,25 @@ class EmpiricalMeasure:
         return self.sizes.shape[0]
 
 
+def _project(r: np.ndarray, caps_log: np.ndarray) -> np.ndarray:
+    """Log-sizes r moved into the open interval (0, caps_log)."""
+    return np.minimum(np.maximum(r, 5e-324), np.nextafter(caps_log, -np.inf))
+
+
+def _hold_in_band(r, caps_log, tol, step_index):
+    """``r`` if it lies in (0, caps_log); its projection if no plant leaves
+    the band by more than ``tol`` (scalar or per plant); otherwise raise
+    ``IntegrationDivergedError`` for the worst plant."""
+    breach = np.maximum(-r, r - caps_log)
+    if breach.max() <= 0.0:
+        return r
+    excess = breach - tol
+    worst_i = int(np.argmax(excess))
+    if excess[worst_i] > 0.0:
+        raise IntegrationDivergedError(step_index, worst_i, float(breach[worst_i]))
+    return _project(r, caps_log)
+
+
 def _spatial_kernel(
     positions: np.ndarray,
     sigma_x: float,
@@ -255,9 +277,13 @@ def _pair_row_sums(
     """
     sym = r_sources is None
     src = r if sym else r_sources
-    lo, hi = r.min(initial=np.inf), r.max(initial=-np.inf)
+    lo = np.minimum.reduce(r, initial=np.inf)
+    hi = np.maximum.reduce(r, initial=-np.inf)
     if not sym:
-        lo, hi = src.min(initial=lo), src.max(initial=hi)
+        lo = np.minimum.reduce(src, initial=lo)
+        hi = np.maximum.reduce(src, initial=hi)
+    # Python floats: scalar arithmetic on NumPy scalars costs more per call.
+    lo, hi = float(lo), float(hi)
     if hi - lo > _EXP_WINDOW * sigma_r:
         raise KernelRangeError(
             f"log-size spread {hi - lo:.6g} exceeds {_EXP_WINDOW:g} * sigma_r "
@@ -269,18 +295,14 @@ def _pair_row_sums(
     e_src = e if sym else np.exp((src - mid) * scale)
     v = 2.0 * e_src * src
     n_t, n_s = kernel.shape
-    if n_t <= _BLOCK:
-        # One block holds every target: the first pass of the loop below,
-        # without its buffers and accumulation.
-        w = np.add.outer(e, e_src)
-        return np.einsum("ij,j->i", np.divide(kernel, w, out=w), v)
     out = np.zeros(n_t)
-    buf = np.empty(_BLOCK * n_s)
+    buf = np.empty(min(_BLOCK, n_t) * n_s)
+    e_col = e[:, None]
     for i0 in range(0, n_t, _BLOCK):
         i1 = min(i0 + _BLOCK, n_t)
         c0 = i0 if sym else 0
         w = buf[: (i1 - i0) * (n_s - c0)].reshape(i1 - i0, n_s - c0)
-        np.add(e[i0:i1, None], e_src[None, c0:], out=w)
+        np.add(e_col[i0:i1], e_src[c0:], out=w)
         np.divide(kernel[i0:i1, c0:], w, out=w)
         out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
         if sym and i1 < n_t:
@@ -335,12 +357,13 @@ def integrate(
 ) -> Trajectory:
     """Run the coupled system from ``initial``, sampling the snapshot grid.
 
-    Integration uses log-sizes; every accepted step and every snapshot
-    row is checked against the open interval (0, log(S_i/s_m)).  Breaches
-    within roundoff or within the error control's tolerance at the cap
-    (abs_tol + rel_tol log(S_i/s_m); near its cap a plant's gap can fall
-    below what the controller resolves) are projected back and counted;
-    larger ones raise ``IntegrationDivergedError``.
+    Integration uses log-sizes; every accepted step is checked against
+    the open interval (0, log(S_i/s_m)).  Breaches within roundoff are
+    projected back and counted; larger ones raise
+    ``IntegrationDivergedError``.  Snapshot rows between nodes come from
+    the interpolant, whose error near a cap is the error control's own,
+    abs_tol + rel_tol log(S_i/s_m): they are held to the same rule with
+    that tolerance.
     """
     verdict = validate_initial_config(
         params, initial.caps, initial.rates, initial.sizes
@@ -351,34 +374,25 @@ def integrate(
     caps_log = np.log(initial.caps / params.s_m)
     kernel = _spatial_kernel(initial.positions, params.sigma_x)
     r0 = np.log(initial.sizes / params.s_m)
-
-    tiny_up = np.nextafter(caps_log, -np.inf)
-    breach_tol = np.maximum(_BREACH_TOLERANCE, cfg.abs_tol + cfg.rel_tol * caps_log)
     clamp_count = 0
 
-    def monitor(t, r, step_index):
+    def hold(r, tol, step_index):
         nonlocal clamp_count
-        breach = np.maximum(-r, r - caps_log)
-        if breach.max() <= 0.0:
-            return r
-        worst_i = int(np.argmax(breach - breach_tol))
-        if breach[worst_i] > breach_tol[worst_i]:
-            raise IntegrationDivergedError(step_index, worst_i, float(breach[worst_i]))
-        fixed = np.minimum(np.maximum(r, 5e-324), tiny_up)
-        clamp_count += int(np.sum(fixed != r))
+        fixed = _hold_in_band(r, caps_log, tol, step_index)
+        if fixed is not r:
+            clamp_count += int(np.sum(fixed != r))
         return fixed
 
     dense, r_mat = _grow(
         cfg, r0, caps_log, initial.rates,
-        lambda t, r: _competition_all(params, r, kernel), monitor,
+        lambda t, r: _competition_all(params, r, kernel),
+        lambda t, r, step_index: hold(r, _BREACH_TOLERANCE, step_index),
     )
-    # Snapshots between nodes come from the interpolant, which the monitor
-    # never saw: the same rule holds them, under the index of the step
-    # whose segment they lie in.
+    # Each snapshot row is checked under the index of the step whose
+    # segment holds it.
+    interp_tol = np.maximum(_BREACH_TOLERANCE, cfg.abs_tol + cfg.rel_tol * caps_log)
     steps = np.maximum(np.searchsorted(dense.ts, cfg.snapshot_times) - 1, 0)
-    r_mat = np.stack([
-        monitor(t, r_t, int(k)) for t, r_t, k in zip(cfg.snapshot_times, r_mat, steps)
-    ])
+    r_mat = np.stack([hold(r_t, interp_tol, int(k)) for r_t, k in zip(r_mat, steps)])
     sizes_mat = params.s_m * np.exp(r_mat)
     c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
     diagnostics = TrajectoryDiagnostics(
@@ -462,26 +476,24 @@ def export_trajectory_csv(
     comments: Sequence[str] = (),
 ) -> None:
     """Write one row per (snapshot, plant), time-major then id; a plant's
-    trait cells (x1, x2, S, gamma) are formatted once, and each snapshot's
-    rows are rendered (``repr`` of Python floats, as ``format_value``
-    writes them) and written as one block."""
+    id and trait cells (x1, x2, S, gamma) are formatted once."""
     header = ["t", "plant_id", "s", "x1", "x2", "S", "gamma", "C_index"]
 
     x1, x2 = traj.initial.positions.T.tolist()
     caps = traj.initial.caps.tolist()
     rates = traj.initial.rates.tolist()
-    traits = [",".join(map(format_value, c)) for c in zip(x1, x2, caps, rates)]
+    ids = [format_value(i) for i in range(traj.n)]
+    traits = [format_row(c) for c in zip(x1, x2, caps, rates)]
 
-    def blocks():
+    def lines():
         for t, sizes, c_row in zip(
             traj.times.tolist(),
             traj.sizes.tolist(),
             traj.diagnostics.c_indices.tolist(),
         ):
-            t = format_value(t)
-            yield "".join([
-                f"{t},{i},{s!r},{tr},{c!r}\n"
-                for i, s, tr, c in zip(range(len(traits)), sizes, traits, c_row)
-            ])
+            yield from map(",".join, zip(
+                repeat(format_value(t)), ids, format_floats(sizes), traits,
+                format_floats(c_row),
+            ))
 
-    write_csv(path, header, blocks(), comments=comments)
+    write_csv(path, header, lines(), comments=comments)

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["format_value", "sha256_hex", "write_csv", "write_json"]
+__all__ = [
+    "format_floats",
+    "format_row",
+    "format_value",
+    "sha256_hex",
+    "write_csv",
+    "write_json",
+]
 
 
 def format_value(v) -> str:
@@ -31,26 +38,31 @@ def format_value(v) -> str:
     return str(v)
 
 
+def format_floats(values: Iterable[float]) -> Iterator[str]:
+    """``format_value`` over Python floats (such as ``ndarray.tolist()``),
+    without its per-cell type dispatch."""
+    return map(repr, values)
+
+
+def format_row(cells: Sequence) -> str:
+    """One CSV line, without its newline: each cell as ``format_value``."""
+    return ",".join(map(format_value, cells))
+
+
 def write_csv(
     path,
     header: Sequence[str],
-    rows: Iterable[Sequence],
+    lines: Iterable[str],
     comments: Sequence[str] = (),
 ) -> None:
-    """Write a CSV file with optional leading ``#`` comment lines.
-
-    Each row is a sequence of cells, or a ``str`` of already rendered
-    lines (newlines included) that is written as it is.
-    """
+    """Write a CSV file: optional leading ``#`` comment lines, the header,
+    then one rendered row (see ``format_row``) per item of ``lines``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if isinstance(row, str):
-                fh.write(row)
-            else:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_json(path, doc) -> None:

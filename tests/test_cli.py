@@ -253,6 +253,18 @@ def test_exit_code_solver_failure(tmp_path):
     assert rc == 3
 
 
+def test_exit_code_diverged_integration(tmp_path, monkeypatch, capsys):
+    # A load of -1 sets every plant's target to twice its log-cap, so an
+    # accepted step crosses the cap by far more than roundoff.
+    monkeypatch.setattr(
+        "plantfield.population._competition_all",
+        lambda params, r, kernel, r_sources=None: -np.ones_like(r),
+    )
+    rc = run("simulate", "--n", "4", "--out", str(tmp_path / "o"))
+    assert rc == 3
+    assert "numerical failure: size bound violated" in capsys.readouterr().err
+
+
 def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys):
     def nan_integrate(params, state0, cfg):
         pf.solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, state0.sizes)

@@ -443,11 +443,81 @@ def test_snapshots_between_nodes_stay_below_the_caps():
     ec, state = _seeded_run(50, **{"model.sigma_x": 1e-6, "solver.t_end": 40.0})
     traj = pf.integrate(ec.params, state, ec.solver)
     caps_log = np.log(state.caps / ec.params.s_m)
-    fine = traj.dense.eval_many(np.linspace(0.0, 40.0, 4001))
+    grid = np.linspace(0.0, 40.0, 4001)
+    fine = traj.dense.eval_many(grid)
     assert (fine - caps_log).max() > 0.0  # the interpolant does cross
     assert np.all(traj.sizes < state.caps)
     assert np.all(traj.sizes > ec.params.s_m)
     assert traj.diagnostics.n_clamped > 0
+    # sizes_at applies the snapshot rows' projection.
+    assert all(np.all(traj.sizes_at(t) < state.caps) for t in grid)
+    for t, row in zip(traj.times, traj.sizes):
+        assert np.array_equal(traj.sizes_at(t), row)
+
+
+def _push_plant_0(monkeypatch, cap_log, gap, step=None, row=None):
+    """Patch integrate so plant 0 sits ``gap`` above its log-cap at accepted
+    step ``step`` (as the monitor sees it) or in snapshot row ``row``."""
+    solve, grow = population.solve_ode, population._grow
+
+    def pushed(y):
+        y = y.copy()
+        y[0] = cap_log + gap
+        return y
+
+    def solve_pushed(rhs, t0, t_end, y0, *, monitor, **kw):
+        def push(t, y, k):
+            return monitor(t, pushed(y) if k == step else y, k)
+
+        return solve(rhs, t0, t_end, y0, monitor=push, **kw)
+
+    def grow_pushed(*args):
+        dense, r_mat = grow(*args)
+        if row is not None:
+            r_mat = r_mat.copy()
+            r_mat[row] = pushed(r_mat[row])
+        return dense, r_mat
+
+    monkeypatch.setattr(population, "solve_ode", solve_pushed)
+    monkeypatch.setattr(population, "_grow", grow_pushed)
+
+
+@pytest.mark.parametrize("gap, diverges", [(5e-10, False), (5e-9, True)])
+def test_accepted_step_breach_beyond_roundoff_aborts(p, rng, monkeypatch, gap, diverges):
+    # An accepted state is a node, so only roundoff may cross the cap:
+    # 5e-9 aborts the run although the interpolant may cross by ~2.5e-8.
+    state = _random_state(p, 4, rng)
+    _push_plant_0(monkeypatch, math.log(state.caps[0] / p.s_m), gap, step=3)
+    if diverges:
+        with pytest.raises(pf.IntegrationDivergedError) as info:
+            pf.integrate(p, state, pf.SolverConfig(t_end=3.0))
+        assert (info.value.step_index, info.value.plant_index) == (3, 0)
+        assert info.value.breach == pytest.approx(gap, rel=1e-6)
+    else:
+        traj = pf.integrate(p, state, pf.SolverConfig(t_end=3.0))
+        assert traj.diagnostics.n_clamped == 1
+        assert np.all(traj.sizes < state.caps)
+
+
+@pytest.mark.parametrize("share, diverges", [(0.5, False), (2.0, True)])
+def test_snapshot_breach_beyond_error_tolerance_aborts(p, rng, monkeypatch, share, diverges):
+    # A snapshot row between nodes may cross the cap by the error
+    # control's tolerance there, abs_tol + rel_tol log(S/s_m), no more.
+    state = _random_state(p, 4, rng)
+    cfg = pf.SolverConfig(t_end=3.0)
+    cap_log = math.log(state.caps[0] / p.s_m)
+    tol = cfg.abs_tol + cfg.rel_tol * cap_log
+    _push_plant_0(monkeypatch, cap_log, share * tol, row=3)
+    if diverges:
+        with pytest.raises(pf.IntegrationDivergedError) as info:
+            pf.integrate(p, state, cfg)
+        assert info.value.plant_index == 0
+        assert info.value.breach == pytest.approx(share * tol, rel=1e-6)
+    else:
+        traj = pf.integrate(p, state, cfg)
+        assert traj.diagnostics.n_clamped == 1
+        assert traj.sizes[3, 0] < state.caps[0]
+        assert traj.sizes[3, 0] == pytest.approx(state.caps[0], rel=1e-15)
 
 
 def test_diagnostics_shapes_and_counts(p, rng):

@@ -9,7 +9,6 @@ experiment: 50 plants, the standard parameter table, horizon 10.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,6 @@ DEFAULTS: dict = {
     "solver.abs_tol": 1e-10,
     "solver.t_end": 10.0,
     "solver.snapshot_dt": 0.5,
-    "solver.max_step": math.inf,
     # Surrogate training (initial sizes uniform for training runs).
     "train.dt": 1.0,
     "train.T": 10.0,
@@ -255,7 +253,6 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
             snapshot_times=_snapshot_times(
                 flat["solver.t_end"], flat["solver.snapshot_dt"]
             ),
-            max_step=flat["solver.max_step"],
         )
         train = TrainConfig(
             dt=flat["train.dt"],

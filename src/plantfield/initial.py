@@ -252,7 +252,6 @@ def samples_to_state(sample: Sample) -> PopulationState:
         positions=sample.x,
         caps=sample.S,
         rates=sample.gamma,
-        t=0.0,
     )
 
 

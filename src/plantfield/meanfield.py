@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .initial import Mu0Config, SurfaceParams, sample_mu0
-from .model import ModelParams, PlantTraits
+from .model import ModelParams
 from .population import _pair_row_sums, _spatial_kernel
 from .textio import format_row, write_csv, write_json
 
@@ -38,7 +38,6 @@ __all__ = [
     "export_r2_csv",
     "feature_map",
     "fit_stage",
-    "flow_eval",
     "flow_eval_many",
     "load_model",
     "mc_potential",
@@ -403,22 +402,16 @@ def _flow_exponents(model: MeanFieldModel, t, s0, x, S, gamma, stage_vals=None):
 
 
 def reconstructed_potential_integral(
-    model: MeanFieldModel, t: float, s, theta: PlantTraits
-) -> float:
+    model: MeanFieldModel, t: float, s0, x, S, gamma
+) -> np.ndarray:
     """Exponentially weighted sum of the stage potentials up to time t.
 
     Equals gamma * integral_0^t e^{gamma (tau - t)} C_stage(tau) dtau
     evaluated in closed form, where C_stage is the piecewise-constant
-    potential at the probe's initial data.  Zero at t = 0 and for
-    gamma = 0 (the weight density vanishes identically).
+    potential at each atom's initial data; shape (n,).  Zero at t = 0
+    and for gamma = 0 (the weight density vanishes identically).
     """
-    _, chat = _flow_exponents(model, t, [s], [theta.x], [theta.S], [theta.gamma])
-    return float(chat[0])
-
-
-def flow_eval(model: MeanFieldModel, t: float, s0, theta: PlantTraits) -> float:
-    """The surrogate flow: grow initial size s0 with traits theta to time t."""
-    return float(flow_eval_many(model, t, [s0], [theta.x], [theta.S], [theta.gamma])[0])
+    return _flow_exponents(model, t, s0, x, S, gamma)[1]
 
 
 def flow_eval_many(

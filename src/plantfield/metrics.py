@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .initial import Mu0Config, sample_mu0, samples_to_state
-from .meanfield import MeanFieldModel, _stage_values, flow_eval, flow_eval_many
+from .meanfield import MeanFieldModel, _stage_values, flow_eval_many
 from .model import ModelParams
 from .population import (
     EmpiricalMeasure,
@@ -115,26 +115,22 @@ def flow_gap(
     params: ModelParams,
     background: Trajectory,
     model: MeanFieldModel,
-    probes,
     t: float,
+    s0,
+    x,
+    S,
+    gamma,
     solver_cfg: SolverConfig | None = None,
 ) -> float:
-    """Mean absolute gap between probe growth and the surrogate flow.
+    """Mean absolute gap at time t between probe growth and the surrogate flow.
 
-    ``probes`` is a sequence of (s0, traits) pairs; each probe is grown
-    against the frozen background and compared with the model flow at
-    time t.
+    The K probes (s0, x, S, gamma) are grown together against the frozen
+    background to t, with the tolerances of ``solver_cfg``, and compared
+    with the model flow at the same initial data.
     """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("need at least one probe")
-    if solver_cfg is None:
-        solver_cfg = SolverConfig(t_end=t)
-    gaps = []
-    for s0, traits in probes:
-        pt = empirical_flow(params, background, s0, traits, solver_cfg)
-        gaps.append(abs(pt.size_at(t) - flow_eval(model, t, s0, traits)))
-    return float(np.mean(gaps))
+    cfg = replace(solver_cfg or SolverConfig(t_end=t), t_end=t, snapshot_times=[t])
+    probes = empirical_flow(params, background, s0, x, S, gamma, cfg)[-1]
+    return float(np.mean(np.abs(probes - flow_eval_many(model, t, s0, x, S, gamma))))
 
 
 @dataclass
@@ -272,7 +268,7 @@ def convergence_experiment(
     reproduces the member's trajectory (acceptance criterion 04 checks
     this to 1e-7 relative); the probe gap of ``flow_gap`` over all
     members therefore equals this paired gap up to solver tolerance,
-    without one probe solve per member.
+    without a probe solve.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

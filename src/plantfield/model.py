@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "PlantTraits",
     "AdmissibilityVerdict",
     "competition_potential",
     "log_potential",
@@ -75,34 +74,6 @@ class ModelParams:
     def max_size(self) -> float:
         """Hard upper size bound ``s_m * exp(R_M)``."""
         return self.s_m * math.exp(self.R_M)
-
-
-@dataclass
-class PlantTraits:
-    """Fixed characteristics of one individual, for the one-plant API.
-
-    ``x`` is the planar position, ``S`` the asymptotic (isolated) size and
-    ``gamma`` the growth rate.  Populations keep these as columns (see
-    ``population.PopulationState``).  Admissibility relative to a
-    ``ModelParams`` (``s_m < S < s_m * exp(R_M)``) is checked by
-    :func:`validate_initial_config`, not here, because it needs the global
-    constants.
-    """
-
-    x: np.ndarray
-    S: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.shape != (2,):
-            raise ValueError(f"position must have shape (2,), got {self.x.shape}")
-        self.S = float(self.S)
-        self.gamma = float(self.gamma)
-        if not self.S > 0.0:
-            raise ValueError("asymptotic size S must be strictly positive")
-        if self.gamma < 0.0:
-            raise ValueError("growth rate gamma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -164,7 +135,7 @@ def log_potential(params: ModelParams, r, r_prime, dist):
     return out if out.ndim else float(out)
 
 
-def gompertz_closed_form(traits: PlantTraits, params: ModelParams, s0, t):
+def gompertz_closed_form(params: ModelParams, s0, S, gamma, t):
     """Exact solution of the isolated growth law
     ``ds/dt = gamma * s * (log(S/s_m) - log(s/s_m))`` with ``s(0) = s0``.
 
@@ -174,14 +145,14 @@ def gompertz_closed_form(traits: PlantTraits, params: ModelParams, s0, t):
         s(t) = S * (s0 / S) ** exp(-gamma * t)
 
     which is evaluated here in log space for stability.  Broadcasts over
-    ``t``.
+    all of ``s0``, ``S``, ``gamma`` and ``t``.
     """
-    t = np.asarray(t, dtype=float)
-    if float(s0) <= 0.0:
+    s0, S, gamma, t = (np.asarray(v, dtype=float) for v in (s0, S, gamma, t))
+    if np.any(s0 <= 0.0):
         raise ValueError("initial size must be strictly positive")
-    r0 = math.log(s0 / params.s_m)
-    r_cap = math.log(traits.S / params.s_m)
-    r = r_cap + (r0 - r_cap) * np.exp(-traits.gamma * t)
+    r0 = np.log(s0 / params.s_m)
+    r_cap = np.log(S / params.s_m)
+    r = r_cap + (r0 - r_cap) * np.exp(-gamma * t)
     out = params.s_m * np.exp(r)
     return out if out.ndim else float(out)
 

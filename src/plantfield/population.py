@@ -6,7 +6,7 @@ shrinks by the factor (1 - mean neighbour potential).  Integration is
 carried out on log-sizes r_i = log(s_i / s_m), which keeps sizes
 positive by construction, and the integrator's dense output (the
 Dormand-Prince continuous extension) is retained so a frozen run can
-later serve as the background environment for single probe plants.
+later serve as the background environment for a batch of probe plants.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ModelParams, PlantTraits, validate_initial_config
+from .model import ModelParams, validate_initial_config
 from .solver import DenseSolution, solve_ode
 from .textio import format_floats, format_row, format_value, write_csv
 
@@ -27,7 +27,6 @@ __all__ = [
     "IntegrationDivergedError",
     "KernelRangeError",
     "PopulationState",
-    "ProbeTrajectory",
     "SolverConfig",
     "Trajectory",
     "TrajectoryDiagnostics",
@@ -77,7 +76,6 @@ class PopulationState:
     positions: np.ndarray
     caps: np.ndarray
     rates: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         for name in ("sizes", "positions", "caps", "rates"):
@@ -96,7 +94,6 @@ class PopulationState:
             raise ValueError("asymptotic sizes S must be strictly positive")
         if np.any(self.rates < 0.0):
             raise ValueError("growth rates gamma must be nonnegative")
-        self.t = float(self.t)
 
     @property
     def n(self) -> int:
@@ -105,9 +102,16 @@ class PopulationState:
 
 def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
     """Grid 0, snap_dt, 2 snap_dt, ... whose last point is t_end exactly."""
+    if not math.isfinite(t_end):
+        raise ValueError(f"solver.t_end must be finite, got {t_end!r}")
     if snap_dt <= 0.0:
         raise ValueError("solver.snapshot_dt must be strictly positive")
-    n_steps = int(np.floor(t_end / snap_dt + 1e-9))
+    ratio = t_end / snap_dt
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"solver.t_end / solver.snapshot_dt = {ratio!r} is not finite"
+        )
+    n_steps = int(np.floor(ratio + 1e-9))
     times = np.arange(n_steps + 1) * snap_dt
     if times[-1] < t_end - 1e-9 * max(1.0, t_end):
         times = np.append(times, t_end)
@@ -122,8 +126,7 @@ class SolverConfig:
     """Integration controls for a population run.
 
     ``snapshot_times`` defaults to every 0.5 including both ends.  The
-    error controller sets every step unless ``max_step`` (unbounded by
-    default) is smaller.
+    error controller sets every step after the first, ``dt_init``.
     """
 
     t_end: float
@@ -131,15 +134,16 @@ class SolverConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     snapshot_times: Optional[Sequence[float]] = None
-    max_step: float = math.inf
 
     def __post_init__(self):
+        for name in ("t_end", "dt_init", "rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"solver.{name} must be finite, got {value!r}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be strictly positive")
         if self.dt_init <= 0.0:
             raise ValueError("dt_init must be strictly positive")
-        if self.max_step <= 0.0:
-            raise ValueError("max_step must be strictly positive")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
         if self.snapshot_times is None:
@@ -194,21 +198,6 @@ class Trajectory:
 
 
 @dataclass
-class ProbeTrajectory:
-    """A single plant integrated against a frozen population background."""
-
-    times: np.ndarray
-    sizes: np.ndarray
-    traits: PlantTraits
-    s0: float
-    dense: DenseSolution = field(repr=False)
-    params: ModelParams = field(repr=False)
-
-    def size_at(self, t: float) -> float:
-        return float(self.params.s_m * np.exp(self.dense(t)[0]))
-
-
-@dataclass
 class EmpiricalMeasure:
     """Uniformly weighted atoms (s_i, x_i, S_i, gamma_i) of one snapshot."""
 
@@ -216,7 +205,6 @@ class EmpiricalMeasure:
     positions: np.ndarray
     caps: np.ndarray
     rates: np.ndarray
-    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -345,7 +333,7 @@ def _grow(cfg: SolverConfig, r0, caps_log, rates, competition, monitor=None):
 
     dense = solve_ode(
         rhs, 0.0, cfg.t_end, r0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        dt_init=cfg.dt_init, max_step=cfg.max_step, monitor=monitor,
+        dt_init=cfg.dt_init, monitor=monitor,
     )
     return dense, dense.eval_many(cfg.snapshot_times)
 
@@ -414,59 +402,74 @@ def integrate(
     )
 
 
+_PROBE_REASONS = (
+    "initial size not above s_m",
+    "asymptotic size outside (s_m, s_m*exp(R_M))",
+    "growth rate not nonnegative",
+)
+
+
 def empirical_flow(
     params: ModelParams,
     background: Trajectory,
-    probe_s0: float,
-    probe_traits: PlantTraits,
+    s0,
+    x,
+    S,
+    gamma,
     cfg: SolverConfig,
-) -> ProbeTrajectory:
-    """Grow a single probe plant inside a frozen population run.
+) -> np.ndarray:
+    """Grow K probe plants inside a frozen population run, as one solve.
 
-    The probe feels the mean potential of the recorded population
-    (interpolated from the dense background), with the self term
-    C(s, s, 0) removed so that a probe that duplicates a recorded
-    plant reproduces that plant's trajectory exactly.
+    Probe k starts at size ``s0[k]`` with position ``x[k]`` (K, 2), cap
+    ``S[k]`` and rate ``gamma[k]``.  Each probe feels the mean potential
+    of the recorded population (interpolated from the dense background),
+    with the self term C(s, s, 0) removed so that a probe that
+    duplicates a recorded plant reproduces that plant's trajectory.
+    Probes do not feel one another.  Returns the probe sizes on
+    ``cfg.snapshot_times``, shape (n_snapshots, K).
     """
     if cfg.t_end > background.t_end + 1e-12:
         raise ValueError(
             f"probe horizon {cfg.t_end} exceeds background range "
             f"[{background.dense.t0}, {background.t_end}]"
         )
-    if probe_s0 <= params.s_m:
-        raise ValueError("probe initial size must exceed the minimal size")
-    if not params.s_m < probe_traits.S < params.max_size:
-        raise ValueError("probe asymptotic size out of the admissible range")
-
-    probe_kernel = _spatial_kernel(
-        probe_traits.x[None, :], params.sigma_x, background.initial.positions
+    s0, x, S, gamma = (np.asarray(v, dtype=float) for v in (s0, x, S, gamma))
+    shapes = (s0.shape, x.shape, S.shape, gamma.shape)
+    k = s0.shape[:1]
+    if s0.ndim != 1 or shapes[1:] != (k + (2,), k, k):
+        raise ValueError(
+            f"probe columns s0, x, S, gamma have shapes {shapes}; they must "
+            "be (K,), (K, 2), (K,) and (K,)"
+        )
+    if not s0.size:
+        raise ValueError("need at least one probe")
+    bad = ~np.stack(
+        [s0 > params.s_m, (params.s_m < S) & (S < params.max_size), gamma >= 0.0]
     )
-    dense, r_mat = _grow(
+    offenders = np.flatnonzero(bad.any(axis=0))
+    if offenders.size:
+        i = int(offenders[0])
+        reason = _PROBE_REASONS[int(np.argmax(bad[:, i]))]
+        raise ValueError(f"inadmissible probe {i}: {reason}")
+
+    probe_kernel = _spatial_kernel(x, params.sigma_x, background.initial.positions)
+    _, r_mat = _grow(
         cfg,
-        np.array([np.log(probe_s0 / params.s_m)]),
-        np.log(probe_traits.S / params.s_m),
-        probe_traits.gamma,
+        np.log(s0 / params.s_m),
+        np.log(S / params.s_m),
+        gamma,
         lambda t, r: _competition_all(params, r, probe_kernel, background.dense(t)),
     )
-    return ProbeTrajectory(
-        times=cfg.snapshot_times,
-        sizes=params.s_m * np.exp(r_mat[:, 0]),
-        traits=probe_traits,
-        s0=float(probe_s0),
-        dense=dense,
-        params=params,
-    )
+    return params.s_m * np.exp(r_mat)
 
 
 def snapshot_measure(state: PopulationState) -> EmpiricalMeasure:
     """The uniformly weighted atom list of one population snapshot."""
-    n = state.n
     return EmpiricalMeasure(
         sizes=state.sizes.copy(),
         positions=state.positions.copy(),
         caps=state.caps.copy(),
         rates=state.rates.copy(),
-        weights=np.full(n, 1.0 / n),
     )
 
 

@@ -98,8 +98,7 @@ class SolverStats:
 
     ``n_rhs`` counts right-hand-side calls (1 + 6 per tried step + 1 per
     repaired state); ``h_min``/``h_max`` span the accepted step sizes (0
-    when no step was taken); ``n_capped`` counts the accepted steps whose
-    size ``max_step`` set.
+    when no step was taken).
     """
 
     n_rhs: int
@@ -107,7 +106,6 @@ class SolverStats:
     n_rejected: int
     h_min: float
     h_max: float
-    n_capped: int
 
 
 class DenseSolution:
@@ -184,7 +182,6 @@ def solve_ode(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     dt_init: float = 0.01,
-    max_step: float = math.inf,
     monitor=None,
 ) -> DenseSolution:
     """Integrate ``y' = f(t, y)`` from ``t0`` to ``t_end``.
@@ -206,7 +203,7 @@ def solve_ode(
     fs = [k1.copy()]
     r5 = []
     n_rhs = 1
-    n_rejected = n_capped = 0
+    n_rejected = 0
     h_min, h_max = math.inf, 0.0
 
     t = t0
@@ -216,8 +213,7 @@ def solve_ode(
     k[0] = k1
     step_index = 0
     while t < t_end:
-        capped = max_step < min(h, t_end - t)
-        h = min(h, max_step, t_end - t)
+        h = min(h, t_end - t)
         if h < 16.0 * _EPS * max(abs(t), 1.0):
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t!r} (step {step_index})"
@@ -255,7 +251,6 @@ def solve_ode(
             k[0] = k[6]
             step_index += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
-            n_capped += capped
             factor = _MAX_FACTOR if norm == 0.0 else _SAFETY * norm ** -0.2
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         else:
@@ -267,7 +262,6 @@ def solve_ode(
         n_rejected=n_rejected,
         h_min=h_min if step_index else 0.0,
         h_max=h_max,
-        n_capped=n_capped,
     )
     return DenseSolution(
         np.array(ts),

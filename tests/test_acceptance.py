@@ -44,27 +44,21 @@ def test_criterion_01_sizes_and_indices_stay_in_band(exp_config, default_run):
 
 def test_criterion_02_decoupled_pair_follows_closed_form(params):
     sep = 1e6 * params.sigma_x  # 5e5 length units apart
-    traits = [
-        pf.PlantTraits(x=np.array([0.0, 0.0]), S=0.7, gamma=0.9),
-        pf.PlantTraits(x=np.array([sep, 0.0]), S=0.85, gamma=1.2),
-    ]
     s0 = np.array([0.12, 0.2])
     state0 = pf.PopulationState(
         sizes=s0.copy(),
-        positions=np.stack([th.x for th in traits]),
-        caps=np.array([th.S for th in traits]),
-        rates=np.array([th.gamma for th in traits]),
+        positions=np.array([[0.0, 0.0], [sep, 0.0]]),
+        caps=np.array([0.7, 0.85]),
+        rates=np.array([0.9, 1.2]),
     )
     cfg = pf.SolverConfig(t_end=10.0)
     traj = pf.integrate(params, state0, cfg)
     grid = np.linspace(0.0, 10.0, 101)
-    worst = 0.0
-    for i, th in enumerate(traits):
-        got = np.array([traj.sizes_at(t)[i] for t in grid])
-        ref = np.array(
-            [pf.gompertz_closed_form(th, params, s0[i], t) for t in grid]
-        )
-        worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    got = np.array([traj.sizes_at(t) for t in grid])
+    ref = pf.gompertz_closed_form(
+        params, s0, state0.caps, state0.rates, grid[:, None]
+    )
+    worst = float(np.max(np.abs(got - ref) / ref))
     ok = worst < 1e-5
     _report(
         2, ok,
@@ -100,22 +94,18 @@ def test_criterion_04_probe_reproduces_members(exp_config, default_run):
     state0, traj, _ = default_run
     rng = np.random.default_rng(42)
     members = rng.choice(state0.n, size=5, replace=False)
-    worst = 0.0
-    for i in members:
-        pt = pf.empirical_flow(
-            exp_config.params, traj, float(state0.sizes[i]),
-            pf.PlantTraits(
-                x=state0.positions[i], S=state0.caps[i], gamma=state0.rates[i]
-            ),
-            exp_config.solver,
-        )
-        member = traj.sizes[:, i]
-        worst = max(worst, float(np.max(np.abs(pt.sizes - member) / member)))
+    probes = pf.empirical_flow(
+        exp_config.params, traj, state0.sizes[members], state0.positions[members],
+        state0.caps[members], state0.rates[members], exp_config.solver,
+    )
+    member = traj.sizes[:, members]
+    worst = float(np.max(np.abs(probes - member) / member))
     ok = worst < 1e-7
     _report(
         4, ok,
-        f"single-plant probe grown against the frozen background matches "
-        f"the in-system member for 5 random plants: max rel dev {worst:.2e} < 1e-7",
+        f"a batch of probes grown together against the frozen background "
+        f"matches the in-system members for 5 random plants: max rel dev "
+        f"{worst:.2e} < 1e-7",
     )
 
 
@@ -184,16 +174,23 @@ def test_criterion_07_matching_agrees_with_brute_force(rng):
             cost[np.arange(n), list(perm)].mean()
             for perm in itertools.permutations(range(n))
         )
-        mk = lambda s, x, S, g: pf.EmpiricalMeasure(
-            s, x, S, g, np.full(n, 1.0 / n)
+        got = pf.w1_matching(
+            pf.EmpiricalMeasure(sa, xa, Sa, ga), pf.EmpiricalMeasure(sb, xb, Sb, gb), w
         )
-        got = pf.w1_matching(mk(sa, xa, Sa, ga), mk(sb, xb, Sb, gb), w)
         worst = max(worst, abs(got - brute))
     ok = worst < 1e-12
     _report(
         7, ok,
         f"assignment-based W1 equals exhaustive search over 200 random "
         f"instances (n=2..6): max abs dev {worst:.2e} < 1e-12",
+    )
+
+
+def _one_atom(rng, gamma_lo):
+    """One random atom as the columns s0 (1,), x (1, 2), S (1,), gamma (1,)."""
+    return (
+        rng.uniform(0.08, 0.45, 1), rng.normal(size=(1, 2)),
+        rng.uniform(0.55, 0.95, 1), rng.uniform(gamma_lo, 2.0, 1),
     )
 
 
@@ -205,25 +202,19 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
     worst_int = 0.0
     for _ in range(500):
         t = rng.uniform(0.0, model.T)
-        s = rng.uniform(0.08, 0.45)
-        theta = pf.PlantTraits(
-            x=rng.normal(size=2), S=rng.uniform(0.55, 0.95),
-            gamma=rng.uniform(0.1, 2.0),
-        )
-        vals = _stage_values(
-            model, np.array([s]), theta.x[None, :],
-            np.array([theta.S]), np.array([theta.gamma]),
-        )[:, 0]
+        atom = _one_atom(rng, 0.1)
+        gamma = atom[3][0]
+        vals = _stage_values(model, *atom)[:, 0]
 
         def step(tau):
             return vals[min(int(tau / dt), m - 1)]
 
         breaks = [j * dt for j in range(1, int(t / dt) + 1)] or None
         quad, _ = scipy.integrate.quad(
-            lambda u: theta.gamma * math.exp(theta.gamma * (u - t)) * step(u),
+            lambda u: gamma * math.exp(gamma * (u - t)) * step(u),
             0.0, t, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13,
         )
-        got = pf.reconstructed_potential_integral(model, t, s, theta)
+        (got,) = pf.reconstructed_potential_integral(model, t, *atom)
         worst_int = max(worst_int, abs(got - quad))
 
     zero = pf.MeanFieldModel(
@@ -241,13 +232,9 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
     worst_flow = 0.0
     for _ in range(500):
         t = rng.uniform(0.0, model.T)
-        s0 = rng.uniform(0.08, 0.45)
-        theta = pf.PlantTraits(
-            x=rng.normal(size=2), S=rng.uniform(0.55, 0.95),
-            gamma=rng.uniform(0.05, 2.0),
-        )
-        got = pf.flow_eval(zero, t, s0, theta)
-        ref = pf.gompertz_closed_form(theta, p, s0, t)
+        s0, x, S, gamma = _one_atom(rng, 0.05)
+        (got,) = pf.flow_eval_many(zero, t, s0, x, S, gamma)
+        (ref,) = pf.gompertz_closed_form(p, s0, S, gamma, t)
         worst_flow = max(worst_flow, abs(got - ref) / ref)
 
     ok = worst_int < 1e-9 and worst_flow < 1e-10

@@ -243,14 +243,41 @@ def test_plain_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
         run("simulate", "--n", "4", "--out", str(tmp_path / "o"))
 
 
-def test_exit_code_solver_failure(tmp_path):
+def test_exit_code_solver_failure(tmp_path, capsys):
     cfg = tmp_path / "under.cfg"
-    cfg.write_text("solver.max_step = 1e-300\n")
+    cfg.write_text("solver.dt_init = 1e-300\n")
     rc = run(
         "simulate", "--config", str(cfg), "--n", "4",
         "--out", str(tmp_path / "o"),
     )
     assert rc == 3
+    assert "numerical failure: step size underflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("solver.t_end = inf", "solver.t_end"),
+        ("solver.t_end = nan", "solver.t_end"),
+        ("solver.snapshot_dt = 1e-320", "solver.snapshot_dt"),
+        ("solver.dt_init = inf", "solver.dt_init"),
+        ("solver.dt_init = nan", "solver.dt_init"),
+        ("solver.rel_tol = inf", "solver.rel_tol"),
+        ("solver.abs_tol = nan", "solver.abs_tol"),
+    ],
+    ids=[
+        "t_end-inf", "t_end-nan", "snapshot-count-overflows", "dt_init-inf",
+        "dt_init-nan", "rel_tol-inf", "abs_tol-nan",
+    ],
+)
+def test_exit_code_non_finite_solver_settings(lines, key, tmp_path, capsys):
+    # Rejected when the config is built, naming the key, before any solve.
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text(lines + "\n")
+    rc = run("simulate", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
 
 
 def test_exit_code_diverged_integration(tmp_path, monkeypatch, capsys):
@@ -419,14 +446,9 @@ def test_decoupled_population_matches_isolated_growth(tmp_path):
     assert set(by_plant) == {"0", "1"}
     params = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=1.32)
     for seq in by_plant.values():
-        s0 = float(seq[0]["s"])
-        traits = pf.PlantTraits(
-            x=np.array([float(seq[0]["x1"]), float(seq[0]["x2"])]),
-            S=float(seq[0]["S"]),
-            gamma=float(seq[0]["gamma"]),
-        )
+        s0, S, gamma = (float(seq[0][key]) for key in ("s", "S", "gamma"))
         for r in seq:
-            ref = pf.gompertz_closed_form(traits, params, s0, float(r["t"]))
+            ref = pf.gompertz_closed_form(params, s0, S, gamma, float(r["t"]))
             assert abs(float(r["s"]) - ref) / ref < 1e-5
 
 

@@ -1,7 +1,5 @@
 """Flat key-value configs: parsing, validation, canonical hashing."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,6 @@ def test_defaults_build_reference_experiment(exp_config):
     assert ec.mu0.gamma_max == 2.0
     assert ec.mu0.L == 1.0
     assert ec.solver.t_end == 10.0
-    assert ec.solver.max_step == math.inf
     assert ec.train.T == 10.0 and ec.train.N == 1000
     assert ec.weights.ell == 1.0
     assert len(ec.sha256) == 64

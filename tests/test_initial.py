@@ -168,7 +168,7 @@ def test_config_validation(params, mu0_point):
 def test_samples_to_state_roundtrip(mu0_point):
     sample = pf.sample_mu0(mu0_point.with_seed(3), 12)
     state = pf.samples_to_state(sample)
-    assert state.n == 12 and state.t == 0.0
+    assert state.n == 12
     assert np.array_equal(state.sizes, sample.s0)
     assert np.array_equal(state.positions, sample.x)
     assert np.array_equal(state.caps, sample.S)

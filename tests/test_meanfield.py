@@ -327,35 +327,42 @@ def test_stage_weights_broadcast():
         assert np.allclose(w[:, j], _stage_weights(1.0, 3, 2.2, g[j])[:, 0])
 
 
+def _one(s0, x, S, gamma):
+    """One atom as the columns (1,), (1, 2), (1,), (1,)."""
+    return np.array([s0]), np.reshape(x, (1, 2)), np.array([S]), np.array([gamma])
+
+
+def _random_atoms(rng, n, gamma_lo=0.1):
+    """n atoms as columns, in the ranges of the training law."""
+    return (
+        rng.uniform(0.08, 0.45, n), rng.normal(size=(n, 2)),
+        rng.uniform(0.55, 0.95, n), rng.uniform(gamma_lo, 2.0, n),
+    )
+
+
 def test_integral_zero_at_start_and_zero_rate(tiny_model):
-    theta = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.05)
-    assert pf.reconstructed_potential_integral(tiny_model, 0.0, 0.2, theta) == 0.0
-    frozen = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=0.0)
-    assert pf.reconstructed_potential_integral(tiny_model, 2.0, 0.2, frozen) == 0.0
+    atom = _one(0.2, np.zeros(2), 0.75, 1.05)
+    assert pf.reconstructed_potential_integral(tiny_model, 0.0, *atom) == 0.0
+    frozen = _one(0.2, np.zeros(2), 0.75, 0.0)
+    assert pf.reconstructed_potential_integral(tiny_model, 2.0, *frozen) == 0.0
 
 
 def test_integral_single_stage_closed_form(tiny_model):
     # Inside the first stage only one term is active:
     # chat(t) = C_0 * (1 - e^{-gamma t}).
-    theta = pf.PlantTraits(x=np.array([0.3, -0.1]), S=0.8, gamma=0.9)
-    c0 = pf.stage_potential_eval(tiny_model.stages[0], 0.2, theta.x)
-    got = pf.reconstructed_potential_integral(tiny_model, 0.6, 0.2, theta)
+    x = np.array([0.3, -0.1])
+    c0 = pf.stage_potential_eval(tiny_model.stages[0], 0.2, x)
+    (got,) = pf.reconstructed_potential_integral(tiny_model, 0.6, *_one(0.2, x, 0.8, 0.9))
     assert got == pytest.approx(c0 * (1.0 - math.exp(-0.9 * 0.6)), rel=1e-12)
 
 
 def test_integral_monotone_and_bounded(tiny_model):
-    theta = pf.PlantTraits(x=np.array([0.1, 0.4]), S=0.8, gamma=1.1)
+    atom = _one(0.15, np.array([0.1, 0.4]), 0.8, 1.1)
     ts = np.linspace(0.0, tiny_model.T, 40)
-    vals = [
-        pf.reconstructed_potential_integral(tiny_model, t, 0.15, theta)
-        for t in ts
-    ]
+    vals = [pf.reconstructed_potential_integral(tiny_model, t, *atom)[0] for t in ts]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-    stage_vals = _stage_values(
-        tiny_model, np.array([0.15]), theta.x[None, :],
-        np.array([theta.S]), np.array([theta.gamma]),
-    )[:, 0]
-    cap = stage_vals.max() * (1.0 - math.exp(-theta.gamma * tiny_model.T))
+    stage_vals = _stage_values(tiny_model, *atom)[:, 0]
+    cap = stage_vals.max() * (1.0 - math.exp(-1.1 * tiny_model.T))
     assert vals[-1] <= cap + 1e-14
 
 
@@ -363,16 +370,8 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
     dt, m = tiny_model.dt, tiny_model.n_stages
     for _ in range(25):
         t = rng.uniform(0.0, tiny_model.T)
-        s = rng.uniform(0.08, 0.45)
-        theta = pf.PlantTraits(
-            x=rng.normal(size=2),
-            S=rng.uniform(0.55, 0.95),
-            gamma=rng.uniform(0.1, 2.0),
-        )
-        vals = _stage_values(
-            tiny_model, np.array([s]), theta.x[None, :],
-            np.array([theta.S]), np.array([theta.gamma]),
-        )[:, 0]
+        atoms = _random_atoms(rng, 1)
+        vals, gamma = _stage_values(tiny_model, *atoms)[:, 0], atoms[3][0]
 
         def step(tau):
             k = min(int(tau / dt), m - 1)
@@ -380,24 +379,24 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
 
         breaks = [j * dt for j in range(1, int(t / dt) + 1)] or None
         quad, _ = scipy.integrate.quad(
-            lambda u: theta.gamma * math.exp(theta.gamma * (u - t)) * step(u),
+            lambda u: gamma * math.exp(gamma * (u - t)) * step(u),
             0.0, t, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13,
         )
-        got = pf.reconstructed_potential_integral(tiny_model, t, s, theta)
+        (got,) = pf.reconstructed_potential_integral(tiny_model, t, *atoms)
         assert abs(got - quad) < 1e-10
 
 
 def test_integral_rejects_times_outside_horizon(tiny_model):
-    theta = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.0)
+    atom = _one(0.2, np.zeros(2), 0.75, 1.0)
     with pytest.raises(ValueError):
-        pf.reconstructed_potential_integral(tiny_model, tiny_model.T + 0.5, 0.2, theta)
+        pf.reconstructed_potential_integral(tiny_model, tiny_model.T + 0.5, *atom)
     with pytest.raises(ValueError):
-        pf.reconstructed_potential_integral(tiny_model, -0.5, 0.2, theta)
+        pf.reconstructed_potential_integral(tiny_model, -0.5, *atom)
 
 
 def test_flow_identity_at_time_zero(tiny_model):
-    theta = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.05)
-    assert pf.flow_eval(tiny_model, 0.0, 0.2, theta) == pytest.approx(0.2, rel=1e-14)
+    (got,) = pf.flow_eval_many(tiny_model, 0.0, *_one(0.2, np.zeros(2), 0.75, 1.05))
+    assert got == pytest.approx(0.2, rel=1e-14)
 
 
 def _zeroed(model):
@@ -420,15 +419,11 @@ def test_flow_without_competition_is_isolated_growth(tiny_model, rng):
     p = zero.params
     for _ in range(50):
         t = rng.uniform(0.0, zero.T)
-        s0 = rng.uniform(0.08, 0.45)
-        theta = pf.PlantTraits(
-            x=rng.normal(size=2),
-            S=rng.uniform(0.55, 0.95),
-            gamma=rng.uniform(0.05, 2.0),
-        )
-        got = pf.flow_eval(zero, t, s0, theta)
-        ref = pf.gompertz_closed_form(theta, p, s0, t)
-        assert abs(got - ref) / ref < 1e-10
+        atoms = _random_atoms(rng, 1, gamma_lo=0.05)
+        got = pf.flow_eval_many(zero, t, *atoms)
+        s0, _, S, gamma = atoms
+        ref = pf.gompertz_closed_form(p, s0, S, gamma, t)
+        assert np.all(np.abs(got - ref) / ref < 1e-10)
 
 
 def test_flow_stays_in_admissible_band(tiny_model, rng):
@@ -436,37 +431,29 @@ def test_flow_stays_in_admissible_band(tiny_model, rng):
     hi = p.s_m * math.exp(2.0 * p.R_M)
     for _ in range(200):
         t = rng.uniform(0.0, tiny_model.T)
-        s0 = rng.uniform(0.06, 0.49)
-        theta = pf.PlantTraits(
-            x=rng.normal(size=2) * 2.0,
-            S=rng.uniform(0.51, 1.0),
-            gamma=rng.uniform(0.01, 2.0),
+        got = pf.flow_eval_many(
+            tiny_model, t, rng.uniform(0.06, 0.49, 1), rng.normal(size=(1, 2)) * 2.0,
+            rng.uniform(0.51, 1.0, 1), rng.uniform(0.01, 2.0, 1),
         )
-        got = pf.flow_eval(tiny_model, t, s0, theta)
-        assert p.s_m < got < hi
+        assert np.all((p.s_m < got) & (got < hi))
 
 
 def test_flow_eval_many_matches_scalar(tiny_model, rng):
+    # One batch of 20 atoms equals 20 one-atom batches.
     n = 20
-    s0 = rng.uniform(0.08, 0.45, n)
-    x = rng.normal(size=(n, 2))
-    S = rng.uniform(0.55, 0.95, n)
-    g = rng.uniform(0.1, 2.0, n)
+    s0, x, S, g = _random_atoms(rng, n)
     many = pf.flow_eval_many(tiny_model, 2.3, s0, x, S, g)
     for i in range(n):
-        one = pf.flow_eval(
-            tiny_model, 2.3, s0[i],
-            pf.PlantTraits(x=x[i], S=S[i], gamma=g[i]),
-        )
+        (one,) = pf.flow_eval_many(tiny_model, 2.3, *_one(s0[i], x[i], S[i], g[i]))
         assert many[i] == pytest.approx(one, rel=1e-13)
 
 
 def test_flow_rejects_bad_inputs(tiny_model):
-    theta = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.0)
     with pytest.raises(ValueError):
-        pf.flow_eval(tiny_model, 0.5, 0.04, theta)
+        pf.flow_eval_many(tiny_model, 0.5, *_one(0.04, np.zeros(2), 0.75, 1.0))
+    atom = _one(0.2, np.zeros(2), 0.75, 1.0)
     with pytest.raises(ValueError):
-        pf.flow_eval(tiny_model, tiny_model.T + 1.0, 0.2, theta)
+        pf.flow_eval_many(tiny_model, tiny_model.T + 1.0, *atom)
 
 
 def test_training_is_deterministic(params, mu0_uniform):
@@ -512,8 +499,7 @@ def test_training_with_degree_zero(params, mu0_uniform):
     # Degree zero still regresses on the damping factor (one feature),
     # which is a weighted, not plain, average of the targets.
     assert all(st.beta.shape == (1,) for st in model.stages)
-    theta = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.0)
-    val = pf.flow_eval(model, 2.0, 0.2, theta)
+    (val,) = pf.flow_eval_many(model, 2.0, *_one(0.2, np.zeros(2), 0.75, 1.0))
     assert model.params.s_m < val < model.params.max_size
 
 

@@ -30,7 +30,6 @@ def _measure(rng, n, spread=1.0):
         positions=rng.normal(scale=spread, size=(n, 2)),
         caps=rng.uniform(0.55, 0.95, n),
         rates=rng.uniform(0.1, 1.9, n),
-        weights=np.full(n, 1.0 / n),
     )
 
 
@@ -136,9 +135,8 @@ def test_matching_reduces_to_sorted_when_only_sizes_differ(w, rng):
     pos = np.tile([[0.3, -0.2]], (n, 1))
     caps = np.full(n, 0.7)
     rates = np.full(n, 1.1)
-    wts = np.full(n, 1.0 / n)
-    a = pf.EmpiricalMeasure(rng.uniform(0.1, 0.9, n), pos, caps, rates, wts)
-    b = pf.EmpiricalMeasure(rng.uniform(0.1, 0.9, n), pos, caps, rates, wts)
+    a = pf.EmpiricalMeasure(rng.uniform(0.1, 0.9, n), pos, caps, rates)
+    b = pf.EmpiricalMeasure(rng.uniform(0.1, 0.9, n), pos, caps, rates)
     assert pf.w1_matching(a, b, w) == pytest.approx(
         pf.w1_sorted_1d(a.sizes, b.sizes) / w.s_m, abs=1e-12
     )
@@ -183,17 +181,14 @@ def test_bound_requires_two_plants(params, mu0_uniform, rng):
         pf.bound_coefficients(params, mu0_uniform, _measure(rng, 5), 1)
 
 
+def _columns(sample, n):
+    """The first n drawn plants as columns (s0, x, S, gamma)."""
+    return sample.s0[:n], sample.x[:n], sample.S[:n], sample.gamma[:n]
+
+
 def _cloud_measure(sample, n):
     """The first n drawn plants as a uniformly weighted measure."""
-    return pf.EmpiricalMeasure(
-        sample.s0[:n], sample.x[:n], sample.S[:n], sample.gamma[:n],
-        np.full(n, 1.0 / n),
-    )
-
-
-def _plant(sample, i):
-    """Drawn plant i as a one-plant trait record."""
-    return pf.PlantTraits(x=sample.x[i], S=sample.S[i], gamma=sample.gamma[i])
+    return pf.EmpiricalMeasure(*_columns(sample, n))
 
 
 def test_drive_functional_against_direct_average(params, mu0_uniform):
@@ -229,7 +224,7 @@ def test_bound_radicand_clamp_counted(params, mu0_uniform, rng):
     pos = np.array([3.0, 0.0]) + 0.01 * rng.normal(size=(n, 2))
     cloud = pf.EmpiricalMeasure(
         sizes=np.full(n, 0.2), positions=pos, caps=np.full(n, 0.8),
-        rates=np.full(n, 1.0), weights=np.full(n, 1.0 / n),
+        rates=np.full(n, 1.0),
     )
     c = pf.bound_coefficients(params, mu0_uniform, cloud, n)
     assert c.clamped_radicands == n
@@ -241,13 +236,13 @@ def test_flow_gap_zero_at_start(params, mu0_uniform, tiny_model):
     state0 = pf.samples_to_state(sample)
     cfg = pf.SolverConfig(t_end=1.0)
     traj = pf.integrate(params, state0, cfg)
-    probes = [(sample.s0[i], _plant(sample, i)) for i in range(4)]
-    gap0 = pf.flow_gap(params, traj, tiny_model, probes, 0.0, solver_cfg=cfg)
+    probes = _columns(sample, 4)
+    gap0 = pf.flow_gap(params, traj, tiny_model, 0.0, *probes, solver_cfg=cfg)
     assert gap0 == pytest.approx(0.0, abs=1e-14)
-    gap1 = pf.flow_gap(params, traj, tiny_model, probes, 1.0, solver_cfg=cfg)
+    gap1 = pf.flow_gap(params, traj, tiny_model, 1.0, *probes, solver_cfg=cfg)
     assert gap1 >= 0.0
     with pytest.raises(ValueError):
-        pf.flow_gap(params, traj, tiny_model, [], 1.0, solver_cfg=cfg)
+        pf.flow_gap(params, traj, tiny_model, 1.0, *_columns(sample, 0), solver_cfg=cfg)
 
 
 def test_self_comparison_is_exactly_zero(params, mu0_uniform):
@@ -278,12 +273,10 @@ def test_convergence_flow_gap_equals_member_probe_gap(
     sample = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
     cfg = pf.SolverConfig(t_end=float(t_grid[-1]), snapshot_times=t_grid)
     traj = pf.integrate(params, pf.samples_to_state(sample), cfg)
-    probe_gaps = np.empty((t_grid.size, n))
-    for i in range(n):
-        s0, traits = sample.s0[i], _plant(sample, i)
-        pt = pf.empirical_flow(params, traj, s0, traits, cfg)
-        mf = [pf.flow_eval(tiny_model, t, s0, traits) for t in t_grid]
-        probe_gaps[:, i] = np.abs(pt.sizes - np.array(mf))
+    members = _columns(sample, n)
+    probes = pf.empirical_flow(params, traj, *members, cfg)
+    mf = np.stack([pf.flow_eval_many(tiny_model, t, *members) for t in t_grid])
+    probe_gaps = np.abs(probes - mf)
     assert np.all(report.flow_gap[1:] > 0.0)
     np.testing.assert_allclose(
         report.flow_gap, probe_gaps.mean(axis=1), rtol=0.0, atol=1e-8
@@ -352,13 +345,9 @@ def test_surrogate_tracks_large_population(params, mu0_uniform, trained_model):
     model, _ = trained_model
     sample = pf.sample_mu0(mu0_uniform.with_seed(123), 2000)
     state0 = pf.samples_to_state(sample)
-    cfg = pf.SolverConfig(t_end=10.0, rel_tol=1e-6, abs_tol=1e-9, max_step=0.5)
+    cfg = pf.SolverConfig(t_end=10.0, rel_tol=1e-6, abs_tol=1e-9)
     traj = pf.integrate(params, state0, cfg)
-    rel_gaps = []
-    for i in range(40):
-        s0, traits = sample.s0[i], _plant(sample, i)
-        pt = pf.empirical_flow(params, traj, s0, traits, cfg)
-        probe = pt.size_at(10.0)
-        surro = pf.flow_eval(model, 10.0, s0, traits)
-        rel_gaps.append(abs(probe - surro) / probe)
-    assert float(np.mean(rel_gaps)) < 0.05
+    members = _columns(sample, 40)
+    probe = pf.empirical_flow(params, traj, *members, cfg)[-1]
+    surro = pf.flow_eval_many(model, 10.0, *members)
+    assert float(np.mean(np.abs(probe - surro) / probe)) < 0.05

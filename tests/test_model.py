@@ -91,38 +91,42 @@ def test_potential_monotonicity(p):
 
 
 def test_growth_matches_frozen_oracle(p):
-    tr = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.05)
-    assert pf.gompertz_closed_form(tr, p, 0.1, 2.0) == pytest.approx(
+    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 2.0) == pytest.approx(
         GROWTH_01_075_105_T2, rel=1e-15
     )
-    assert pf.gompertz_closed_form(tr, p, 0.1, 0.7) == pytest.approx(
+    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 0.7) == pytest.approx(
         GROWTH_01_075_105_T07, rel=1e-15
     )
-    tr2 = pf.PlantTraits(x=np.zeros(2), S=0.9, gamma=0.3)
-    assert pf.gompertz_closed_form(tr2, p, 0.28, 5.0) == pytest.approx(
+    assert pf.gompertz_closed_form(p, 0.28, 0.9, 0.3, 5.0) == pytest.approx(
         GROWTH_028_09_03_T5, rel=1e-15
     )
+    # Every argument broadcasts: the three oracle values as one call.
+    both = pf.gompertz_closed_form(
+        p, [0.1, 0.1, 0.28], [0.75, 0.75, 0.9], [1.05, 1.05, 0.3], [2.0, 0.7, 5.0]
+    )
+    assert both == pytest.approx(
+        [GROWTH_01_075_105_T2, GROWTH_01_075_105_T07, GROWTH_028_09_03_T5], rel=1e-15
+    )
+    with pytest.raises(ValueError, match="initial size"):
+        pf.gompertz_closed_form(p, [0.1, 0.0], 0.75, 1.05, 2.0)
 
 
 def test_growth_limits(p):
-    tr = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=1.05)
-    assert pf.gompertz_closed_form(tr, p, 0.1, 0.0) == pytest.approx(0.1, rel=1e-14)
-    assert pf.gompertz_closed_form(tr, p, 0.1, 200.0) == pytest.approx(0.75, rel=1e-12)
-    frozen = pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=0.0)
-    assert pf.gompertz_closed_form(frozen, p, 0.1, 7.3) == pytest.approx(0.1, rel=1e-14)
+    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 0.0) == pytest.approx(0.1, rel=1e-14)
+    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 200.0) == pytest.approx(0.75, rel=1e-12)
+    assert pf.gompertz_closed_form(p, 0.1, 0.75, 0.0, 7.3) == pytest.approx(0.1, rel=1e-14)
 
 
 def test_growth_matches_numeric_integration(p):
-    tr = pf.PlantTraits(x=np.zeros(2), S=0.8, gamma=0.7)
-    s0 = 0.12
+    S, gamma, s0 = 0.8, 0.7, 0.12
 
     def rhs(t, y):
-        return np.array([tr.gamma * y[0] * (math.log(tr.S / p.s_m) - math.log(y[0] / p.s_m))])
+        return np.array([gamma * y[0] * (math.log(S / p.s_m) - math.log(y[0] / p.s_m))])
 
     sol = pf.solve_ode(rhs, 0.0, 6.0, np.array([s0]), rel_tol=1e-11, abs_tol=1e-13)
     for t in (0.5, 1.7, 3.0, 6.0):
         assert sol(t)[0] == pytest.approx(
-            pf.gompertz_closed_form(tr, p, s0, t), rel=1e-8
+            pf.gompertz_closed_form(p, s0, S, gamma, t), rel=1e-8
         )
 
 
@@ -135,8 +139,7 @@ def test_growth_matches_numeric_integration(p):
 )
 def test_growth_stays_between_start_and_cap(s0, S, gamma, t):
     p = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=1.32)
-    tr = pf.PlantTraits(x=np.zeros(2), S=S, gamma=gamma)
-    s = pf.gompertz_closed_form(tr, p, s0, t)
+    s = pf.gompertz_closed_form(p, s0, S, gamma, t)
     lo, hi = min(s0, S), max(s0, S)
     assert lo - 1e-12 <= s <= hi + 1e-12
 
@@ -236,11 +239,3 @@ def test_params_reject_sigma_x_with_unrepresentable_square():
     for sigma_x in (1.5e-154, 1e-6, 1e6, 1.3e154):
         pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=sigma_x, sigma_r=1.32)
 
-
-def test_traits_validation():
-    with pytest.raises(ValueError):
-        pf.PlantTraits(x=np.zeros(3), S=0.75, gamma=1.0)
-    with pytest.raises(ValueError):
-        pf.PlantTraits(x=np.zeros(2), S=-0.1, gamma=1.0)
-    with pytest.raises(ValueError):
-        pf.PlantTraits(x=np.zeros(2), S=0.75, gamma=-0.5)

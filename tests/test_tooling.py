@@ -33,8 +33,11 @@ def test_benchmark_tracer_hooks_resolve_and_restore():
     hooked = [
         (cli, "main"),
         (cli, "sample_mu0"),
+        (cli, "load_model"),
         (meanfield, "flow_eval_many"),
         (metrics, "_stage_values"),
+        (metrics, "empirical_flow"),
+        (metrics, "snapshot_measure"),
         (population, "validate_initial_config"),
         (initial, "write_csv"),
     ]
@@ -65,7 +68,7 @@ def test_benchmark_step_accounting_matches_the_solver():
     spans = _load_spans()
     ec = config.build_experiment_config(config.resolve_config({"seed": 1}))
     state = initial.samples_to_state(initial.sample_mu0(ec.mu0, 8))
-    cfg = population.SolverConfig(t_end=10.0, dt_init=2.0, max_step=10.0)
+    cfg = population.SolverConfig(t_end=10.0, dt_init=2.0)
     tracer = spans.Tracer()
     with spans.patched(tracer):
         traj = population.integrate(ec.params, state, cfg)

@@ -76,26 +76,28 @@ def cmd_simulate(args) -> int:
     traj = integrate(ec.params, state0, ec.solver)
 
     export_trajectory_csv(traj, out / "trajectory.csv", comments=[header])
-    diag = traj.diagnostics
+    lo_s, hi_s = traj.sizes.min(axis=1), traj.sizes.max(axis=1)
+    c = traj.diagnostics.c_indices
+    lo_c, hi_c = c.min(axis=1), c.max(axis=1)
     doc = {
         "command": "simulate",
         "config_sha256": ec.sha256,
         "seed": ec.seed,
         "n": ec.n,
         "t_end": ec.solver.t_end,
-        "n_accepted_steps": diag.n_accepted_steps,
-        "n_clamped": diag.n_clamped,
-        "min_size": float(diag.min_sizes.min()),
-        "max_size": float(diag.max_sizes.max()),
-        "min_c_index": float(diag.min_c_index.min()),
-        "max_c_index": float(diag.max_c_index.max()),
+        "n_accepted_steps": traj.dense.stats.n_accepted,
+        "n_clamped": traj.diagnostics.n_clamped,
+        "min_size": float(lo_s.min()),
+        "max_size": float(hi_s.max()),
+        "min_c_index": float(lo_c.min()),
+        "max_c_index": float(hi_c.max()),
         "snapshots": [
             {
                 "t": float(traj.times[k]),
-                "min_size": float(diag.min_sizes[k]),
-                "max_size": float(diag.max_sizes[k]),
-                "min_c_index": float(diag.min_c_index[k]),
-                "max_c_index": float(diag.max_c_index[k]),
+                "min_size": float(lo_s[k]),
+                "max_size": float(hi_s[k]),
+                "min_c_index": float(lo_c[k]),
+                "max_c_index": float(hi_c[k]),
             }
             for k in range(len(traj.times))
         ],
@@ -168,7 +170,14 @@ def cmd_converge(args) -> int:
     n_list = _parse_n_list(args.n_list)
     model, _ = _load_model_checked(args.model)
 
-    t_grid = _snapshot_times(model.T, flat["solver.snapshot_dt"])
+    snap_dt = flat["solver.snapshot_dt"]
+    try:
+        t_grid = _snapshot_times(model.T, snap_dt)
+    except ValueError as exc:
+        raise ConfigError(
+            f"solver.snapshot_dt = {snap_dt!r} gives no grid over the model "
+            f"horizon T = {model.T!r}: {exc}"
+        ) from exc
 
     weights = ZMetricWeights(
         s_m=model.params.s_m,
@@ -224,8 +233,8 @@ def cmd_potential_dump(args) -> int:
     ax2 = np.linspace(x2min, x2max, steps)
     pts = np.array([(a, b) for a in ax1 for b in ax2])
     mu0 = model.mu0_cfg
-    s_bar_vals = np.atleast_1d(surface_eval(mu0.S_surface, pts))
-    g_bar_vals = np.atleast_1d(surface_eval(mu0.gamma_surface, pts))
+    s_bar_vals = surface_eval(mu0.S_surface, pts)
+    g_bar_vals = surface_eval(mu0.gamma_surface, pts)
     s_init = np.full(pts.shape[0], mu0.s0_mid)
     s_inf = flow_eval_many(
         model, model.T, s_init, pts, s_bar_vals, g_bar_vals
@@ -315,10 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid_value(argv))
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (

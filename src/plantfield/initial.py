@@ -75,23 +75,20 @@ class SurfaceParams:
             )
 
 
-def surface_eval(sp: SurfaceParams, x) -> float | np.ndarray:
-    """Evaluate the surface at one position (2,) or many (n, 2)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
+def surface_eval(sp: SurfaceParams, x) -> np.ndarray:
+    """Evaluate the surface at positions (n, 2); shape (n,)."""
+    pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("positions must have shape (2,) or (n, 2)")
+        raise ValueError("positions must have shape (n, 2)")
     d1 = pts - sp.peak_center[None, :]
     d2 = pts - sp.trough_center[None, :]
     q1 = np.einsum("ni,ij,nj->n", d1, sp.curvature_peak, d1)
     q2 = np.einsum("ni,ij,nj->n", d2, sp.curvature_trough, d2)
-    vals = (
+    return (
         sp.offset
         + (sp.peak_value - sp.offset) * np.exp(-0.5 * q1)
         - (sp.offset - sp.trough_value) * np.exp(-0.5 * q2)
     )
-    return float(vals[0]) if single else vals
 
 
 @dataclass
@@ -216,7 +213,7 @@ def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
 
     positions = cfg.L * _stream(cfg.seed, (_STREAM_X,)).standard_normal((n, 2))
 
-    mean_S = np.atleast_1d(surface_eval(cfg.S_surface, positions))
+    mean_S = surface_eval(cfg.S_surface, positions)
     u_S = _stream(cfg.seed, (_STREAM_S,)).random(n)
     S = _truncnorm_ppf(u_S, mean_S, cfg.delta_S, cfg.S_lower, hi_S)
     # S must land strictly inside its truncation interval.
@@ -226,7 +223,7 @@ def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
             hi_S, lambda v: cfg.S_lower < v < hi_S,
         )
 
-    mean_g = np.atleast_1d(surface_eval(cfg.gamma_surface, positions))
+    mean_g = surface_eval(cfg.gamma_surface, positions)
     u_g = _stream(cfg.seed, (_STREAM_GAMMA,)).random(n)
     gamma = _truncnorm_ppf(u_g, mean_g, cfg.delta_gamma, 0.0, cfg.gamma_max)
     # gamma = 0 has probability zero but is representable; redraw it.

@@ -96,15 +96,12 @@ def monomial_exponents(k: int, d: int) -> tuple:
 def polynomial_features(values, d: int) -> np.ndarray:
     """All monomials of total degree <= d of the given variables.
 
-    ``values`` is one point (k,) or a batch (n, k); the result is the
-    corresponding (n_monomials,) or (n, n_monomials) array, columns in
-    ``monomial_exponents`` order.
+    ``values`` is a batch (n, k); the result is (n, n_monomials), columns
+    in ``monomial_exponents`` order.
     """
-    values = np.asarray(values, dtype=float)
-    single = values.ndim == 1
-    pts = values[None, :] if single else values
+    pts = np.asarray(values, dtype=float)
     if pts.ndim != 2:
-        raise ValueError("values must have shape (k,) or (n, k)")
+        raise ValueError("values must have shape (n, k)")
     k = pts.shape[1]
     exps = monomial_exponents(k, d)
     # Power tables: pow_tab[j][:, e] = pts[:, j] ** e
@@ -118,7 +115,7 @@ def polynomial_features(values, d: int) -> np.ndarray:
             if alpha[j]:
                 acc *= pow_tab[j][:, alpha[j]]
         cols[:, c] = acc
-    return cols[0] if single else cols
+    return cols
 
 
 @dataclass(frozen=True)
@@ -152,34 +149,20 @@ class FeatureSpec:
         return n_monomials(self.arity, self.degree)
 
 
-def feature_map(
-    spec: FeatureSpec,
-    s,
-    x,
-    S=None,
-    gamma=None,
-) -> np.ndarray:
-    """Features of a probe's initial data: polynomial in bounded transforms.
+def feature_map(spec: FeatureSpec, s, x, S, gamma) -> np.ndarray:
+    """Features of probes' initial data: polynomial in bounded transforms.
 
-    The transformed variables are log(s/s_m), arctan of each centered
-    and scaled position coordinate and, for arity 5, log(S/s_m) and
-    e^{-gamma dt}.  Every monomial is damped by the spatial factor
+    The columns are s (n,), x (n, 2), S (n,) and gamma (n,); the result
+    is (n, n_features).  The transformed variables are log(s/s_m), arctan
+    of each centered and scaled position coordinate and, for arity 5,
+    log(S/s_m) and e^{-gamma dt}; arity 3 ignores S and gamma.  Every
+    monomial is damped by the spatial factor
     1 / (1 + |x - center|^2 / sigma_x^2).
     """
     s = np.asarray(s, dtype=float)
-    single = s.ndim == 0
-    s = np.atleast_1d(s)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape != (s.shape[0], 2):
+    if s.ndim != 1 or x.shape != (s.shape[0], 2):
         raise ValueError("positions must have shape (n, 2) matching sizes")
-    if spec.arity == 3:
-        if S is not None or gamma is not None:
-            raise ValueError("arity-3 features take no S or gamma")
-    else:
-        if S is None or gamma is None:
-            raise ValueError("arity-5 features require S and gamma")
     p = spec.params
     dx = x - spec.center[None, :]
     vars_ = [
@@ -188,15 +171,12 @@ def feature_map(
         np.arctan(dx[:, 1] / spec.length_y),
     ]
     if spec.arity == 5:
-        S = np.atleast_1d(np.asarray(S, dtype=float))
-        gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-        vars_.append(np.log(S / p.s_m))
-        vars_.append(np.exp(-gamma * spec.dt))
+        vars_.append(np.log(np.asarray(S, dtype=float) / p.s_m))
+        vars_.append(np.exp(-np.asarray(gamma, dtype=float) * spec.dt))
     V = np.stack(vars_, axis=1)
     feats = polynomial_features(V, spec.degree)
     cauchy = _spatial_kernel(x, p.sigma_x, spec.center[None, :])[:, 0]
-    feats = feats * cauchy[:, None]
-    return feats[0] if single else feats
+    return feats * cauchy[:, None]
 
 
 def mc_potential(
@@ -205,23 +185,23 @@ def mc_potential(
     x,
     cloud_sizes: np.ndarray,
     cloud_positions: np.ndarray,
-):
-    """Cloud-averaged competition potential on one or many probes.
+) -> np.ndarray:
+    """Cloud-averaged competition potential on probes s (n,) at x (n, 2).
 
     Returns (1/N) sum_j C(s, s'_j, |x - x'_j|) where the primes run
-    over the cloud atoms.
+    over the cloud atoms; shape (n,).
     """
     cloud_sizes = np.asarray(cloud_sizes, dtype=float)
     cloud_positions = np.asarray(cloud_positions, dtype=float)
     if cloud_sizes.size == 0:
         raise ValueError("cloud must be nonempty")
     s = np.asarray(s, dtype=float)
-    single = s.ndim == 0
-    s = np.atleast_1d(s)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape != (s.shape[0], 2) or cloud_positions.shape != (cloud_sizes.size, 2):
+    if (
+        s.ndim != 1
+        or x.shape != (s.shape[0], 2)
+        or cloud_positions.shape != (cloud_sizes.size, 2)
+    ):
         raise ValueError("positions must have shape (n, 2) matching sizes")
     if np.any(s <= 0.0) or np.any(cloud_sizes <= 0.0):
         raise ValueError("sizes must be strictly positive")
@@ -230,8 +210,7 @@ def mc_potential(
     row = _pair_row_sums(
         np.log(s / p.s_m), kernel, p.sigma_r, np.log(cloud_sizes / p.s_m)
     )
-    vals = row / (2.0 * p.R_M * cloud_sizes.shape[0])
-    return float(vals[0]) if single else vals
+    return row / (2.0 * p.R_M * cloud_sizes.shape[0])
 
 
 @dataclass
@@ -286,7 +265,7 @@ def fit_stage(
     """Least-squares fit of one stage's potential targets.
 
     ``training`` and ``testing`` are (inputs, targets) pairs where
-    inputs is (s, x) for arity 3 or (s, x, S, gamma) for arity 5.  The
+    inputs are the columns (s, x, S, gamma) of ``feature_map``.  The
     coefficient vector is the minimum-norm least-squares solution, so
     rank-deficient designs (e.g. all probes identical) are handled
     without pivoting choices.  Fit quality is measured on the clamped
@@ -316,16 +295,12 @@ def fit_stage(
     )
 
 
-def stage_potential_eval(stage: PotentialStage, s, x, S=None, gamma=None):
+def stage_potential_eval(stage: PotentialStage, s, x, S, gamma) -> np.ndarray:
     """Clamped stage potential: the fitted combination projected into [0,1].
 
-    Arity-3 stages ignore ``S`` and ``gamma``.
+    Takes the columns of ``feature_map``; shape (n,).
     """
-    if stage.spec.arity == 3:
-        S = gamma = None
-    raw = feature_map(stage.spec, s, x, S, gamma) @ stage.beta
-    clipped = np.clip(raw, 0.0, 1.0)
-    return float(clipped) if np.ndim(clipped) == 0 else clipped
+    return np.clip(feature_map(stage.spec, s, x, S, gamma) @ stage.beta, 0.0, 1.0)
 
 
 @dataclass
@@ -377,12 +352,8 @@ def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
 
 def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
     """Evaluate every stage's clamped potential at initial data; (M, n)."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     return np.stack(
-        [
-            np.atleast_1d(stage_potential_eval(stage, s0, x, S, gamma))
-            for stage in model.stages
-        ]
+        [stage_potential_eval(stage, s0, x, S, gamma) for stage in model.stages]
     )
 
 
@@ -523,8 +494,7 @@ def train(
             else:
                 sizes_p = flow_eval_many(partial, t_k, d.s0, d.x, d.S, d.gamma)
             targets = mc_potential(p, sizes_p, d.x, sizes_cloud, x_c)
-            inputs = (d.s0, d.x) if k == 0 else (d.s0, d.x, d.S, d.gamma)
-            sets[name] = (inputs, targets)
+            sets[name] = ((d.s0, d.x, d.S, d.gamma), targets)
 
         spec = FeatureSpec(
             arity=3 if k == 0 else 5,
@@ -537,9 +507,7 @@ def train(
         )
         stage = fit_stage(spec, sets["train"], sets["test"], stage_index=k)
         stages.append(stage)
-        cloud_stage_vals.append(
-            np.atleast_1d(stage_potential_eval(stage, s0_c, x_c, S_c, g_c))
-        )
+        cloud_stage_vals.append(stage_potential_eval(stage, s0_c, x_c, S_c, g_c))
 
     return MeanFieldModel(
         stages=stages,

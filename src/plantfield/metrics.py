@@ -20,7 +20,7 @@ from .initial import Mu0Config, sample_mu0, samples_to_state
 from .meanfield import MeanFieldModel, _stage_values, flow_eval_many
 from .model import ModelParams
 from .population import (
-    EmpiricalMeasure,
+    PopulationState,
     SolverConfig,
     Trajectory,
     empirical_flow,
@@ -81,7 +81,7 @@ def w1_sorted_1d(a, b) -> float:
 
 
 def _cost_matrix(
-    w: ZMetricWeights, a: EmpiricalMeasure, b: EmpiricalMeasure
+    w: ZMetricWeights, a: PopulationState, b: PopulationState
 ) -> np.ndarray:
     ds = np.abs(a.sizes[:, None] - b.sizes[None, :]) / w.s_m
     dS = np.abs(a.caps[:, None] - b.caps[None, :]) / w.s_m
@@ -93,8 +93,8 @@ def _cost_matrix(
 
 
 def w1_matching(
-    a: EmpiricalMeasure,
-    b: EmpiricalMeasure,
+    a: PopulationState,
+    b: PopulationState,
     w: ZMetricWeights,
     cap: int = DEFAULT_MATCHING_CAP,
 ) -> float:
@@ -162,7 +162,7 @@ class BoundCoefficients:
 def bound_coefficients(
     params: ModelParams,
     mu0_cfg: Mu0Config,
-    cloud: EmpiricalMeasure,
+    cloud: PopulationState,
     N: int,
 ) -> BoundCoefficients:
     """Evaluate the bound constants on an initial empirical cloud.

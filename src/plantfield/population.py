@@ -23,7 +23,6 @@ from .solver import DenseSolution, solve_ode
 from .textio import format_floats, format_row, format_value, write_csv
 
 __all__ = [
-    "EmpiricalMeasure",
     "IntegrationDivergedError",
     "KernelRangeError",
     "PopulationState",
@@ -160,14 +159,10 @@ class SolverConfig:
 
 @dataclass
 class TrajectoryDiagnostics:
-    """Per-snapshot extremes plus integrator bookkeeping."""
+    """What only the integration knows: the competition index on the
+    snapshot grid and the number of projected plant states."""
 
-    min_sizes: np.ndarray
-    max_sizes: np.ndarray
-    min_c_index: np.ndarray
-    max_c_index: np.ndarray
     c_indices: np.ndarray  # (n_snapshots, N)
-    n_accepted_steps: int
     n_clamped: int
 
 
@@ -195,20 +190,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.initial.n
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Uniformly weighted atoms (s_i, x_i, S_i, gamma_i) of one snapshot."""
-
-    sizes: np.ndarray
-    positions: np.ndarray
-    caps: np.ndarray
-    rates: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.sizes.shape[0]
 
 
 def _project(r: np.ndarray, caps_log: np.ndarray) -> np.ndarray:
@@ -383,20 +364,11 @@ def integrate(
     r_mat = np.stack([hold(r_t, interp_tol, int(k)) for r_t, k in zip(r_mat, steps)])
     sizes_mat = params.s_m * np.exp(r_mat)
     c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
-    diagnostics = TrajectoryDiagnostics(
-        min_sizes=sizes_mat.min(axis=1),
-        max_sizes=sizes_mat.max(axis=1),
-        min_c_index=c_mat.min(axis=1),
-        max_c_index=c_mat.max(axis=1),
-        c_indices=c_mat,
-        n_accepted_steps=dense.stats.n_accepted,
-        n_clamped=clamp_count,
-    )
     return Trajectory(
         times=cfg.snapshot_times,
         initial=initial,
         sizes=sizes_mat,
-        diagnostics=diagnostics,
+        diagnostics=TrajectoryDiagnostics(c_indices=c_mat, n_clamped=clamp_count),
         dense=dense,
         params=params,
     )
@@ -463,9 +435,9 @@ def empirical_flow(
     return params.s_m * np.exp(r_mat)
 
 
-def snapshot_measure(state: PopulationState) -> EmpiricalMeasure:
-    """The uniformly weighted atom list of one population snapshot."""
-    return EmpiricalMeasure(
+def snapshot_measure(state: PopulationState) -> PopulationState:
+    """A copy of one snapshot: its uniformly weighted atoms (s, x, S, gamma)."""
+    return PopulationState(
         sizes=state.sizes.copy(),
         positions=state.positions.copy(),
         caps=state.caps.copy(),

@@ -175,7 +175,7 @@ def test_criterion_07_matching_agrees_with_brute_force(rng):
             for perm in itertools.permutations(range(n))
         )
         got = pf.w1_matching(
-            pf.EmpiricalMeasure(sa, xa, Sa, ga), pf.EmpiricalMeasure(sb, xb, Sb, gb), w
+            pf.PopulationState(sa, xa, Sa, ga), pf.PopulationState(sb, xb, Sb, gb), w
         )
         worst = max(worst, abs(got - brute))
     ok = worst < 1e-12
@@ -305,8 +305,8 @@ def test_criterion_11_surrogate_respects_cap_surface(trained_model):
     axis = np.linspace(-2.0, 2.0, 25)
     pts = np.array([(a, b) for a in axis for b in axis])
     inside = (pts**2).sum(axis=1) <= (2.0 * mu0.L) ** 2
-    S_bar = np.atleast_1d(pf.surface_eval(mu0.S_surface, pts))
-    g_bar = np.atleast_1d(pf.surface_eval(mu0.gamma_surface, pts))
+    S_bar = pf.surface_eval(mu0.S_surface, pts)
+    g_bar = pf.surface_eval(mu0.gamma_surface, pts)
     s0 = np.full(pts.shape[0], mu0.s0_mid)
     s_inf = pf.flow_eval_many(model, model.T, s0, pts, S_bar, g_bar)
     frac = float(np.mean(s_inf[inside] < S_bar[inside]))

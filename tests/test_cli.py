@@ -280,6 +280,22 @@ def test_exit_code_non_finite_solver_settings(lines, key, tmp_path, capsys):
     assert "configuration error" in err and key in err
 
 
+@pytest.mark.parametrize("dt", ["1e-300", "1e-320"])
+def test_exit_code_converge_grid_over_model_horizon(dt, trained_dir, tmp_path, capsys):
+    # The config's own grid (t_end = snapshot_dt) is one step; against the
+    # model's horizon it has too many points (1e-300) or an infinite count
+    # (1e-320).  Both are refused before anything is allocated.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"solver.t_end = {dt}\nsolver.snapshot_dt = {dt}\n")
+    rc = run(
+        "converge", "--config", str(cfg), "--model", str(trained_dir / "model.json"),
+        "--n-list", "4", "--out", str(tmp_path / "o"),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "solver.snapshot_dt" in err
+
+
 def test_exit_code_diverged_integration(tmp_path, monkeypatch, capsys):
     # A load of -1 sets every plant's target to twice its log-cap, so an
     # accepted step crosses the cap by far more than roundoff.

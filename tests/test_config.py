@@ -144,14 +144,18 @@ def test_build_wires_surfaces(exp_config):
     # Midway between symmetric bumps the two corrections cancel exactly,
     # leaving the offset; near the centers the surface tilts toward the
     # configured peak and trough.
-    sp = exp_config.mu0.S_surface
-    assert pf.surface_eval(sp, np.zeros(2)) == pytest.approx(0.75, abs=1e-15)
-    assert pf.surface_eval(sp, np.array([-1.0, 0.0])) > 0.9
-    assert pf.surface_eval(sp, np.array([1.0, 0.0])) < 0.6
-    gp = exp_config.mu0.gamma_surface
-    assert pf.surface_eval(gp, np.zeros(2)) == pytest.approx(1.05, abs=1e-15)
-    assert pf.surface_eval(gp, np.array([0.0, 1.0])) > 1.7
-    assert pf.surface_eval(gp, np.array([0.0, -1.0])) < 0.5
+    mid, low, high = pf.surface_eval(
+        exp_config.mu0.S_surface, np.array([[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    )
+    assert mid == pytest.approx(0.75, abs=1e-15)
+    assert low > 0.9
+    assert high < 0.6
+    mid, up, down = pf.surface_eval(
+        exp_config.mu0.gamma_surface, np.array([[0.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    )
+    assert mid == pytest.approx(1.05, abs=1e-15)
+    assert up > 1.7
+    assert down < 0.5
 
 
 def test_experiment_sha_matches_flat_hash(exp_config):

@@ -19,26 +19,24 @@ _COLUMNS = ("s0", "x", "S", "gamma")
 
 def test_cap_surface_landmarks(mu0_point):
     sp = mu0_point.S_surface
-    assert pf.surface_eval(sp, np.array([-1.0, 0.0])) == pytest.approx(
-        CAP_SURFACE_AT_PEAK, rel=1e-14
-    )
+    at_peak, at_mid = pf.surface_eval(sp, np.array([[-1.0, 0.0], [0.0, 0.0]]))
+    assert at_peak == pytest.approx(CAP_SURFACE_AT_PEAK, rel=1e-14)
     # At the midpoint both bumps cancel by symmetry.
-    assert pf.surface_eval(sp, np.array([0.0, 0.0])) == pytest.approx(0.75, rel=1e-14)
+    assert at_mid == pytest.approx(0.75, rel=1e-14)
 
 
 def test_rate_surface_landmarks(mu0_point):
     sp = mu0_point.gamma_surface
-    assert pf.surface_eval(sp, np.array([0.0, 1.0])) == pytest.approx(
-        RATE_SURFACE_AT_PEAK, rel=1e-14
-    )
-    assert pf.surface_eval(sp, np.array([0.0, 0.0])) == pytest.approx(1.05, rel=1e-14)
+    at_peak, at_mid = pf.surface_eval(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert at_peak == pytest.approx(RATE_SURFACE_AT_PEAK, rel=1e-14)
+    assert at_mid == pytest.approx(1.05, rel=1e-14)
 
 
-def test_surface_batch_matches_scalar(mu0_point, rng):
+def test_surface_batch_rows_match_one_row_batches(mu0_point, rng):
     pts = rng.normal(size=(40, 2))
     batch = pf.surface_eval(mu0_point.S_surface, pts)
-    singles = np.array([pf.surface_eval(mu0_point.S_surface, x) for x in pts])
-    assert np.array_equal(batch, singles)
+    rows = np.concatenate([pf.surface_eval(mu0_point.S_surface, x[None]) for x in pts])
+    assert np.array_equal(batch, rows)
 
 
 def test_surface_validation():

@@ -40,15 +40,15 @@ def test_monomial_exponents_degrees_bounded():
 
 
 def test_polynomial_features_hand_values():
-    got = pf.polynomial_features(np.array([2.0, 3.0]), 2)
-    assert np.array_equal(got, [1.0, 2.0, 4.0, 3.0, 6.0, 9.0])
+    got = pf.polynomial_features(np.array([[2.0, 3.0]]), 2)
+    assert np.array_equal(got, [[1.0, 2.0, 4.0, 3.0, 6.0, 9.0]])
     batch = pf.polynomial_features(np.array([[2.0, 3.0], [1.0, 1.0]]), 2)
     assert batch.shape == (2, 6)
     assert np.array_equal(batch[1], np.ones(6))
 
 
 def test_polynomial_features_degree_zero():
-    assert np.array_equal(pf.polynomial_features(np.array([5.0, -1.0]), 0), [1.0])
+    assert np.array_equal(pf.polynomial_features(np.array([[5.0, -1.0]]), 0), [[1.0]])
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,18 @@ def _spec3(p, degree=2, center=(0.0, 0.0), lx=1.0, ly=1.0):
     )
 
 
+def _one(s0, x, S, gamma):
+    """One atom as the columns (1,), (1, 2), (1,), (1,)."""
+    return np.array([s0]), np.reshape(x, (1, 2)), np.array([S]), np.array([gamma])
+
+
+def _with_traits(s, x, S=0.8, gamma=1.0):
+    """Sizes and positions plus constant S and gamma columns (arity-3 fits
+    ignore them)."""
+    n = len(s)
+    return s, x, np.full(n, S), np.full(n, gamma)
+
+
 def _spec5(p, degree=1):
     return pf.FeatureSpec(
         arity=5, degree=degree, center=np.zeros(2),
@@ -74,7 +86,7 @@ def test_feature_map_at_center(p):
     # At the center both arctans vanish and the damping factor is 1, so
     # the features reduce to powers of log(s/s_m).
     spec = _spec3(p, degree=2)
-    got = pf.feature_map(spec, 0.1, np.zeros(2))
+    (got,) = pf.feature_map(spec, *_one(0.1, np.zeros(2), 0.8, 1.0))
     r = math.log(0.1 / 0.05)
     # variable order (r, ax, ay): exponent tuples (0,0,0),(1,0,0),(2,0,0),...
     assert got[0] == pytest.approx(1.0, abs=1e-15)
@@ -86,7 +98,7 @@ def test_feature_map_at_center(p):
 def test_feature_map_damping_off_center(p):
     spec = _spec3(p, degree=0)
     x = np.array([0.5, 0.0])
-    got = pf.feature_map(spec, 0.1, x)
+    (got,) = pf.feature_map(spec, *_one(0.1, x, 0.8, 1.0))
     expected = 1.0 / (1.0 + 0.25 / p.sigma_x**2)
     assert got == pytest.approx(np.array([expected]), rel=1e-14)
 
@@ -95,7 +107,7 @@ def test_feature_map_arity_five_variables(p):
     spec = _spec5(p, degree=1)
     s, S, gamma = 0.1, 0.8, 0.6
     x = np.array([0.2, -0.4])
-    got = pf.feature_map(spec, s, x, S, gamma)
+    (got,) = pf.feature_map(spec, *_one(s, x, S, gamma))
     damp = 1.0 / (1.0 + (0.04 + 0.16) / p.sigma_x**2)
     expected_vars = [
         math.log(s / p.s_m),
@@ -110,16 +122,17 @@ def test_feature_map_arity_five_variables(p):
         assert got[1 + j] == pytest.approx(v * damp, rel=1e-13)
 
 
-def test_feature_map_arity_mismatch(p):
-    with pytest.raises(ValueError):
-        pf.feature_map(_spec3(p), 0.1, np.zeros(2), 0.8, 0.6)
-    with pytest.raises(ValueError):
-        pf.feature_map(_spec5(p), 0.1, np.zeros(2))
+def test_feature_map_arity_three_ignores_cap_and_rate(p, rng):
+    s, x = rng.uniform(0.06, 0.9, 7), rng.normal(size=(7, 2))
+    spec = _spec3(p, degree=3)
+    a = pf.feature_map(spec, *_with_traits(s, x, S=0.8, gamma=0.6))
+    b = pf.feature_map(spec, s, x, rng.uniform(0.55, 0.95, 7), rng.uniform(0.1, 2.0, 7))
+    assert np.array_equal(a, b)
 
 
 def test_mc_potential_single_atom_is_pair_potential(p):
-    got = pf.mc_potential(
-        p, 0.1, np.zeros(2), np.array([0.2]), np.array([[0.5, 0.0]])
+    (got,) = pf.mc_potential(
+        p, np.array([0.1]), np.zeros((1, 2)), np.array([0.2]), np.array([[0.5, 0.0]])
     )
     assert got == pytest.approx(
         pf.competition_potential(p, 0.1, 0.2, 0.5), rel=1e-14
@@ -151,12 +164,13 @@ def test_mc_potential_rejects_mismatched_positions(p):
     cloud_s, cloud_x = np.array([0.2, 0.3]), np.zeros((2, 2))
     with pytest.raises(ValueError, match="positions"):
         pf.mc_potential(p, np.full(4, 0.1), np.zeros(2), cloud_s, cloud_x)
+    one = np.array([0.1])
     with pytest.raises(ValueError, match="positions"):
-        pf.mc_potential(p, 0.1, np.zeros((3, 2)), cloud_s, cloud_x)
+        pf.mc_potential(p, one, np.zeros((3, 2)), cloud_s, cloud_x)
     with pytest.raises(ValueError, match="positions"):
-        pf.mc_potential(p, 0.1, np.zeros(2), cloud_s, np.zeros((3, 2)))
+        pf.mc_potential(p, one, np.zeros((1, 2)), cloud_s, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="positions"):
-        pf.mc_potential(p, 0.1, np.zeros(2), cloud_s, np.zeros(2))
+        pf.mc_potential(p, one, np.zeros((1, 2)), cloud_s, np.zeros(2))
 
 
 def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):
@@ -187,16 +201,16 @@ def test_mc_potential_subsample_consistency(p, mu0_uniform):
     # of the 10^5-atom estimate of the same integral.
     big = pf.sample_mu0(mu0_uniform.with_seed(31), 100_000)
     sizes, pos = big.s0, big.x
-    probe_s, probe_x = 0.15, np.array([0.3, -0.2])
+    probe_s, probe_x = np.array([0.15]), np.array([[0.3, -0.2]])
 
-    r_probe = math.log(probe_s / p.s_m)
+    r_probe = math.log(probe_s[0] / p.s_m)
     d2 = ((pos - probe_x) ** 2).sum(axis=1)
     vals = (
         np.log(sizes / p.s_m) / (2.0 * p.R_M * (1.0 + d2 / p.sigma_x**2))
         * (1.0 + np.tanh((np.log(sizes / p.s_m) - r_probe) / p.sigma_r))
     )
-    small = pf.mc_potential(p, probe_s, probe_x, sizes[:1000], pos[:1000])
-    full = pf.mc_potential(p, probe_s, probe_x, sizes, pos)
+    (small,) = pf.mc_potential(p, probe_s, probe_x, sizes[:1000], pos[:1000])
+    (full,) = pf.mc_potential(p, probe_s, probe_x, sizes, pos)
     se_small = vals.std() / math.sqrt(1000)
     assert abs(small - full) < 5.0 * se_small
     assert full == pytest.approx(vals.mean(), rel=1e-12)
@@ -207,10 +221,10 @@ def test_fit_recovers_clean_polynomial(p, rng):
     beta_true = np.array([0.3, 0.05, 0.01, -0.02, 0.015, 0.004, -0.01, 0.02, 0.005, 0.002])
     s = rng.uniform(0.06, 0.9, 400)
     x = rng.normal(size=(400, 2))
-    F = pf.feature_map(spec, s, x)
+    F = pf.feature_map(spec, *_with_traits(s, x))
     y = F @ beta_true
     assert np.all((y > 0.0) & (y < 1.0))  # clamping never active
-    stage = pf.fit_stage(spec, ((s, x), y), stage_index=0)
+    stage = pf.fit_stage(spec, (_with_traits(s, x), y), stage_index=0)
     assert np.allclose(stage.beta, beta_true, atol=1e-9)
     assert stage.r2_train == pytest.approx(1.0, abs=1e-12)
     assert math.isnan(stage.r2_test)
@@ -223,8 +237,8 @@ def test_fit_handles_rank_deficient_design(p):
     s = np.full(20, 0.1)
     x = np.zeros((20, 2))
     y = np.full(20, 0.4)
-    stage = pf.fit_stage(spec, ((s, x), y), stage_index=0)
-    pred = pf.stage_potential_eval(stage, 0.1, np.zeros(2))
+    stage = pf.fit_stage(spec, (_with_traits(s, x), y), stage_index=0)
+    (pred,) = pf.stage_potential_eval(stage, *_one(0.1, np.zeros(2), 0.8, 1.0))
     assert pred == pytest.approx(0.4, rel=1e-10)
     assert math.isnan(stage.r2_train)  # constant targets carry no variance
 
@@ -234,8 +248,8 @@ def test_fit_residuals_orthogonal_to_features(p, rng):
     s = rng.uniform(0.06, 0.9, 300)
     x = rng.normal(size=(300, 2))
     y = rng.uniform(0.0, 1.0, 300)
-    stage = pf.fit_stage(spec, ((s, x), y), stage_index=0)
-    F = pf.feature_map(spec, s, x)
+    stage = pf.fit_stage(spec, (_with_traits(s, x), y), stage_index=0)
+    F = pf.feature_map(spec, *_with_traits(s, x))
     resid = y - F @ stage.beta
     gram_scale = float(np.abs(F.T @ F).max())
     assert np.abs(F.T @ resid).max() < 1e-8 * max(gram_scale, 1.0)
@@ -251,8 +265,8 @@ def test_fit_quality_improves_with_degree(p, rng):
     y = 0.3 + 0.2 * np.tanh(np.log(s / 0.05) - 1.0) + 0.05 * np.tanh(x[:, 0])
     r2 = []
     for degree in (0, 1, 2, 3):
-        stage = pf.fit_stage(_spec3(p, degree=degree), ((s, x), y))
-        F = pf.feature_map(_spec3(p, degree=degree), s, x)
+        stage = pf.fit_stage(_spec3(p, degree=degree), (_with_traits(s, x), y))
+        F = pf.feature_map(_spec3(p, degree=degree), *_with_traits(s, x))
         raw = F @ stage.beta
         assert np.all((raw > 0.0) & (raw < 1.0))
         r2.append(stage.r2_train)
@@ -265,12 +279,13 @@ def test_stage_eval_clamps_into_unit_interval(p):
         beta=np.array([5.0]), spec=spec, r2_train=float("nan"),
         r2_test=float("nan"), stage_index=0,
     )
-    assert pf.stage_potential_eval(stage, 0.1, np.zeros(2)) == 1.0
+    atom = _one(0.1, np.zeros(2), 0.8, 1.0)
+    assert np.array_equal(pf.stage_potential_eval(stage, *atom), [1.0])
     stage_neg = pf.PotentialStage(
         beta=np.array([-5.0]), spec=spec, r2_train=float("nan"),
         r2_test=float("nan"), stage_index=0,
     )
-    assert pf.stage_potential_eval(stage_neg, 0.1, np.zeros(2)) == 0.0
+    assert np.array_equal(pf.stage_potential_eval(stage_neg, *atom), [0.0])
 
 
 def test_stage_weights_telescope():
@@ -327,11 +342,6 @@ def test_stage_weights_broadcast():
         assert np.allclose(w[:, j], _stage_weights(1.0, 3, 2.2, g[j])[:, 0])
 
 
-def _one(s0, x, S, gamma):
-    """One atom as the columns (1,), (1, 2), (1,), (1,)."""
-    return np.array([s0]), np.reshape(x, (1, 2)), np.array([S]), np.array([gamma])
-
-
 def _random_atoms(rng, n, gamma_lo=0.1):
     """n atoms as columns, in the ranges of the training law."""
     return (
@@ -351,8 +361,9 @@ def test_integral_single_stage_closed_form(tiny_model):
     # Inside the first stage only one term is active:
     # chat(t) = C_0 * (1 - e^{-gamma t}).
     x = np.array([0.3, -0.1])
-    c0 = pf.stage_potential_eval(tiny_model.stages[0], 0.2, x)
-    (got,) = pf.reconstructed_potential_integral(tiny_model, 0.6, *_one(0.2, x, 0.8, 0.9))
+    atom = _one(0.2, x, 0.8, 0.9)
+    (c0,) = pf.stage_potential_eval(tiny_model.stages[0], *atom)
+    (got,) = pf.reconstructed_potential_integral(tiny_model, 0.6, *atom)
     assert got == pytest.approx(c0 * (1.0 - math.exp(-0.9 * 0.6)), rel=1e-12)
 
 

@@ -25,7 +25,7 @@ def w():
 
 
 def _measure(rng, n, spread=1.0):
-    return pf.EmpiricalMeasure(
+    return pf.PopulationState(
         sizes=rng.uniform(0.06, 0.9, n),
         positions=rng.normal(scale=spread, size=(n, 2)),
         caps=rng.uniform(0.55, 0.95, n),
@@ -135,8 +135,8 @@ def test_matching_reduces_to_sorted_when_only_sizes_differ(w, rng):
     pos = np.tile([[0.3, -0.2]], (n, 1))
     caps = np.full(n, 0.7)
     rates = np.full(n, 1.1)
-    a = pf.EmpiricalMeasure(rng.uniform(0.1, 0.9, n), pos, caps, rates)
-    b = pf.EmpiricalMeasure(rng.uniform(0.1, 0.9, n), pos, caps, rates)
+    a = pf.PopulationState(rng.uniform(0.1, 0.9, n), pos, caps, rates)
+    b = pf.PopulationState(rng.uniform(0.1, 0.9, n), pos, caps, rates)
     assert pf.w1_matching(a, b, w) == pytest.approx(
         pf.w1_sorted_1d(a.sizes, b.sizes) / w.s_m, abs=1e-12
     )
@@ -188,7 +188,7 @@ def _columns(sample, n):
 
 def _cloud_measure(sample, n):
     """The first n drawn plants as a uniformly weighted measure."""
-    return pf.EmpiricalMeasure(*_columns(sample, n))
+    return pf.PopulationState(*_columns(sample, n))
 
 
 def test_drive_functional_against_direct_average(params, mu0_uniform):
@@ -222,7 +222,7 @@ def test_bound_radicand_clamp_counted(params, mu0_uniform, rng):
     # emit NaN.
     n = 50
     pos = np.array([3.0, 0.0]) + 0.01 * rng.normal(size=(n, 2))
-    cloud = pf.EmpiricalMeasure(
+    cloud = pf.PopulationState(
         sizes=np.full(n, 0.2), positions=pos, caps=np.full(n, 0.8),
         rates=np.full(n, 1.0),
     )

@@ -35,6 +35,8 @@ def test_benchmark_tracer_hooks_resolve_and_restore():
         (cli, "sample_mu0"),
         (cli, "load_model"),
         (meanfield, "flow_eval_many"),
+        (meanfield, "mc_potential"),
+        (meanfield, "stage_potential_eval"),
         (metrics, "_stage_values"),
         (metrics, "empirical_flow"),
         (metrics, "snapshot_measure"),
@@ -74,5 +76,18 @@ def test_benchmark_step_accounting_matches_the_solver():
         traj = population.integrate(ec.params, state, cfg)
     counts = tracer.counts
     assert counts["step_count_mismatch"] == 0
-    assert counts["accepted"] == traj.diagnostics.n_accepted_steps
+    assert counts["accepted"] == traj.dense.stats.n_accepted
     assert counts["rejected"] > 0
+
+
+def test_benchmark_tracer_counts_training_pairs():
+    # The tracer's mc_potential wrapper unpacks the call's five positional
+    # arguments; each of the 2 stages draws a training and a testing set of
+    # K probes against the N-atom cloud.
+    spans = _load_spans()
+    ec = config.build_experiment_config(config.resolve_config({"seed": 1}))
+    n = k = 20
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        meanfield.train(ec.mu0, ec.params, dt=1.0, T=2.0, N=n, K=k, d3=2, d5=1, seed=1)
+    assert tracer.counts["mc_pairs"] == 2 * k * n * 2

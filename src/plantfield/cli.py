@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .meanfield import (
     save_model,
     train,
 )
-from .metrics import ZMetricWeights, convergence_experiment, export_distances_csv
+from .metrics import convergence_experiment, export_distances_csv
 from .population import (
     IntegrationDivergedError,
     _snapshot_times,
@@ -179,20 +180,12 @@ def cmd_converge(args) -> int:
             f"horizon T = {model.T!r}: {exc}"
         ) from exc
 
-    weights = ZMetricWeights(
-        s_m=model.params.s_m,
-        ell=flat["metric.ell"],
-        tau_r=flat["metric.tau_r"],
-    )
     reports = convergence_experiment(
-        model.mu0_cfg,
-        model.params,
         model,
         n_list,
-        t_grid,
+        replace(ec.solver, t_end=model.T, snapshot_times=t_grid),
         seed=ec.seed,
-        weights=weights,
-        solver_template=ec.solver,
+        weights=replace(ec.weights, s_m=model.params.s_m),
         self_comparison=args.self_comparison,
     )
     export_distances_csv(reports, out / "distances.csv", comments=[header])
@@ -256,7 +249,9 @@ def cmd_potential_dump(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="plantfield",
         description=(

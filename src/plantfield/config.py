@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial import Mu0Config, SurfaceParams
-from .meanfield import _stage_count
+from .meanfield import _from_fields, _stage_count
 from .metrics import ZMetricWeights
 from .model import ModelParams
 from .population import SolverConfig, _snapshot_times
@@ -221,51 +221,36 @@ def _surface_from_flat(flat: dict, prefix: str) -> SurfaceParams:
     )
 
 
+def _section(flat: dict, prefix: str) -> dict:
+    """The keys under ``prefix.``, with the prefix stripped."""
+    head = prefix + "."
+    return {k[len(head):]: v for k, v in flat.items() if k.startswith(head)}
+
+
 def build_experiment_config(flat: dict) -> ExperimentConfig:
-    """Assemble the typed sub-configs from a resolved flat dict."""
+    """Assemble the typed sub-configs from a resolved flat dict.
+
+    Each record reads its section by field name (``model.*`` gives
+    ``ModelParams``, ``mu0.*`` ``Mu0Config``, ``solver.*``
+    ``SolverConfig``, ``train.*`` ``TrainConfig``, ``metric.*``
+    ``ZMetricWeights``); the fields no key names are passed in.
+    """
     try:
-        params = ModelParams(
-            s_m=flat["model.s_m"],
-            R_M=flat["model.R_M"],
-            sigma_x=flat["model.sigma_x"],
-            sigma_r=flat["model.sigma_r"],
-        )
-        mu0 = Mu0Config(
-            params=params,
-            seed=flat["seed"],
-            L=flat["mu0.L"],
+        params = _from_fields(ModelParams, _section(flat, "model"))
+        mu0 = _from_fields(
+            Mu0Config, _section(flat, "mu0"), params=params, seed=flat["seed"],
             S_surface=_surface_from_flat(flat, "mu0.S_surface"),
             gamma_surface=_surface_from_flat(flat, "mu0.gamma_surface"),
-            delta_S=flat["mu0.delta_S"],
-            delta_gamma=flat["mu0.delta_gamma"],
-            S_lower=flat["mu0.S_lower"],
-            gamma_max=flat["mu0.gamma_max"],
-            s0_law=flat["mu0.s0_law"],
-            s0=flat["mu0.s0"],
-            s0_min=flat["mu0.s0_min"],
-            s0_max=flat["mu0.s0_max"],
         )
-        solver = SolverConfig(
-            t_end=flat["solver.t_end"],
-            dt_init=flat["solver.dt_init"],
-            rel_tol=flat["solver.rel_tol"],
-            abs_tol=flat["solver.abs_tol"],
+        solver = _from_fields(
+            SolverConfig, _section(flat, "solver"),
             snapshot_times=_snapshot_times(
                 flat["solver.t_end"], flat["solver.snapshot_dt"]
             ),
         )
-        train = TrainConfig(
-            dt=flat["train.dt"],
-            T=flat["train.T"],
-            N=flat["train.N"],
-            K=flat["train.K"],
-            d3=flat["train.d3"],
-            d5=flat["train.d5"],
-            s0_min=flat["train.s0_min"],
-            s0_max=flat["train.s0_max"],
-        )
-        weights = ZMetricWeights(
-            s_m=params.s_m, ell=flat["metric.ell"], tau_r=flat["metric.tau_r"]
+        train = _from_fields(TrainConfig, _section(flat, "train"))
+        weights = _from_fields(
+            ZMetricWeights, _section(flat, "metric"), s_m=params.s_m
         )
         seed = flat["seed"]
         n = flat["sim.n"]

@@ -242,24 +242,24 @@ class DistanceReport:
 
 
 def convergence_experiment(
-    mu0_cfg: Mu0Config,
-    params: ModelParams,
-    model: MeanFieldModel | None,
+    model: MeanFieldModel,
     n_list,
-    t_grid,
+    solver: SolverConfig,
     seed: int,
-    weights: ZMetricWeights | None = None,
-    solver_template: SolverConfig | None = None,
+    weights: ZMetricWeights,
     self_comparison: bool = False,
-    matching_cap: int = DEFAULT_MATCHING_CAP,
 ) -> list:
     """Distance trend over increasing population sizes.
 
-    For each N: draw the population (samples are nested across N via
-    the seed-extension property), run it, evaluate the surrogate flow
-    at the same initial data, and report per-time distances.  In
-    self-comparison mode the population is compared to itself, so all
-    distances are exactly zero — a pipeline identity check.
+    For each N: draw the population from the model's training law
+    ``model.mu0_cfg`` (samples are nested across N via the
+    seed-extension property), run it under ``model.params`` with
+    ``solver``, evaluate the surrogate flow at the same initial data,
+    and report distances on ``solver.snapshot_times``, which must end
+    within the model horizon.  The full-state W1 is computed for N up to
+    ``DEFAULT_MATCHING_CAP`` and is NaN above it.  In self-comparison
+    mode the population is compared to itself, so all distances are
+    exactly zero — a pipeline identity check.
 
     The flow gap is the paired member gap
     ``mean_i |s_i^N(t) - flow(t, z_i)|``.  A probe grown by
@@ -275,27 +275,16 @@ def convergence_experiment(
         raise ValueError("n_list must be strictly increasing")
     if any(n < 2 for n in n_list):
         raise ValueError("population sizes must be at least 2")
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    if t_grid.size == 0 or t_grid[0] < 0.0:
-        raise ValueError("t_grid must be nonempty and nonnegative")
-    if model is None and not self_comparison:
-        raise ValueError("a model is required unless self_comparison is set")
-    if model is not None and float(t_grid[-1]) > model.T + 1e-12:
-        raise ValueError("t_grid exceeds the model horizon")
-    if weights is None:
-        weights = ZMetricWeights(
-            s_m=params.s_m, ell=mu0_cfg.L, tau_r=1.0 / mu0_cfg.gamma_max
-        )
-    t_max = float(t_grid[-1])
-    if solver_template is None:
-        solver_template = SolverConfig(t_end=t_max)
-    cfg = replace(solver_template, t_end=t_max, snapshot_times=t_grid)
+    t_grid = solver.snapshot_times
+    if float(t_grid[-1]) > model.T + 1e-12:
+        raise ValueError("snapshot times exceed the model horizon")
+    mu0_cfg, params = model.mu0_cfg, model.params
 
     reports = []
     for n in n_list:
         tic = time.perf_counter()
         state0 = samples_to_state(sample_mu0(mu0_cfg.with_seed(seed), n))
-        traj = integrate(params, state0, cfg)
+        traj = integrate(params, state0, solver)
         sim_sizes = traj.sizes  # (T, n)
         atoms = (state0.sizes, state0.positions, state0.caps, state0.rates)
 
@@ -314,11 +303,11 @@ def convergence_experiment(
             [w1_sorted_1d(sim_sizes[k], mf_sizes[k]) for k in range(t_grid.size)]
         )
         w1_full = np.full(t_grid.size, float("nan"))
-        if n <= matching_cap:
+        if n <= DEFAULT_MATCHING_CAP:
             for k in range(t_grid.size):
                 a = replace(measure0, sizes=sim_sizes[k])
                 b = replace(measure0, sizes=mf_sizes[k])
-                w1_full[k] = w1_matching(a, b, weights, cap=matching_cap)
+                w1_full[k] = w1_matching(a, b, weights)
         gap = np.abs(sim_sizes - mf_sizes).mean(axis=1)
         bound = np.array([coeffs.drive_term(t) for t in t_grid])
         reports.append(

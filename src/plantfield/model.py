@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "AdmissibilityVerdict",
     "competition_potential",
     "log_potential",
     "gompertz_closed_form",
@@ -74,23 +73,6 @@ class ModelParams:
     def max_size(self) -> float:
         """Hard upper size bound ``s_m * exp(R_M)``."""
         return self.s_m * math.exp(self.R_M)
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    """Outcome of :func:`validate_initial_config`.
-
-    ``ok`` is True when every individual satisfies the admissibility
-    hypotheses; otherwise ``index`` is the first offending individual and
-    ``reason`` a short description of the violated condition.
-    """
-
-    ok: bool
-    index: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def competition_potential(params: ModelParams, s, s_prime, dist):
@@ -157,29 +139,28 @@ def gompertz_closed_form(params: ModelParams, s0, S, gamma, t):
     return out if out.ndim else float(out)
 
 
-_ADMISSIBILITY_REASONS = (
-    "asymptotic size outside (s_m, s_m*exp(R_M))",
-    "growth rate not strictly positive",
-    "initial size outside (s_m, S)",
-)
+def _raise_first_offender(kind: str, checks) -> None:
+    """Raise ``ValueError("inadmissible <kind> i: <reason>")`` for the first
+    index i failing one of ``checks``, (reason, ok mask) pairs tried in order."""
+    ok = np.stack([mask for _, mask in checks])
+    offenders = np.flatnonzero(~ok.all(axis=0))
+    if offenders.size:
+        i = int(offenders[0])
+        reason = checks[int(np.argmin(ok[:, i]))][0]
+        raise ValueError(f"inadmissible {kind} {i}: {reason}")
 
 
-def validate_initial_config(
-    params: ModelParams,
-    caps,
-    rates,
-    sizes0,
-) -> AdmissibilityVerdict:
+def validate_initial_config(params: ModelParams, caps, rates, sizes0) -> None:
     """Check the admissibility hypotheses guaranteeing a global solution.
 
     Every individual must satisfy ``s_m < S_i < s_m * exp(R_M)``,
     ``gamma_i > 0`` and ``s_m < s0_i < S_i``.  Under these conditions the
     coupled system has a unique global solution with
     ``s_m < s_i(t) < S_i`` and competition indices in ``[0, 1]`` for all
-    time.  Returns a verdict naming the first violating individual, if
-    any, and its first violated condition in the order above.  Raises on
-    a length mismatch or a population smaller than 2 (the competition
-    index divides by ``N - 1``).
+    time.  Raises ``ValueError`` naming the first violating plant and its
+    first violated condition in the order above, and on a length mismatch
+    or a population smaller than 2 (the competition index divides by
+    ``N - 1``).
     """
     caps = np.asarray(caps, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -189,16 +170,9 @@ def validate_initial_config(
     if caps.shape[0] < 2:
         raise ValueError("population must contain at least 2 individuals")
     s_m = params.s_m
-    bad = ~np.stack(
-        [
-            (s_m < caps) & (caps < params.max_size),
-            rates > 0.0,
-            (s_m < sizes0) & (sizes0 < caps),
-        ]
-    )
-    offenders = np.flatnonzero(bad.any(axis=0))
-    if offenders.size == 0:
-        return AdmissibilityVerdict(True)
-    i = int(offenders[0])
-    reason = _ADMISSIBILITY_REASONS[int(np.argmax(bad[:, i]))]
-    return AdmissibilityVerdict(False, i, reason)
+    _raise_first_offender("plant", [
+        ("asymptotic size outside (s_m, s_m*exp(R_M))",
+         (s_m < caps) & (caps < params.max_size)),
+        ("growth rate not strictly positive", rates > 0.0),
+        ("initial size outside (s_m, S)", (s_m < sizes0) & (sizes0 < caps)),
+    ])

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ModelParams, validate_initial_config
+from .model import ModelParams, _raise_first_offender, validate_initial_config
 from .solver import DenseSolution, solve_ode
 from .textio import format_floats, format_row, format_value, write_csv
 
@@ -29,7 +29,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "TrajectoryDiagnostics",
-    "competition_index_all",
     "empirical_flow",
     "export_trajectory_csv",
     "integrate",
@@ -290,16 +289,12 @@ def _competition_all(
     Sources default to the targets.  Each row drops the self term r_i
     (unit kernel, tanh 0) and averages over N - 1 of the N sources, so
     a probe that duplicates a source feels exactly what that source feels.
+    Where the other terms are negligible, row - r is roundoff and may dip
+    below 0; it is raised to 0, the least load there is.
     """
     row = _pair_row_sums(r, kernel, params.sigma_r, r_sources)
-    return (row - r) / (2.0 * params.R_M * (kernel.shape[1] - 1))
-
-
-def competition_index_all(params: ModelParams, state: PopulationState) -> np.ndarray:
-    """Mean competition load on every plant of ``state``; shape (N,)."""
-    r = np.log(state.sizes / params.s_m)
-    kernel = _spatial_kernel(state.positions, params.sigma_x)
-    return _competition_all(params, r, kernel)
+    c = (row - r) / (2.0 * params.R_M * (kernel.shape[1] - 1))
+    return np.maximum(c, 0.0, out=c)
 
 
 def _grow(cfg: SolverConfig, r0, caps_log, rates, competition, monitor=None):
@@ -332,13 +327,10 @@ def integrate(
     ``IntegrationDivergedError``.  Snapshot rows between nodes come from
     the interpolant, whose error near a cap is the error control's own,
     abs_tol + rel_tol log(S_i/s_m): they are held to the same rule with
-    that tolerance.
+    that tolerance.  An inadmissible ``initial`` raises ``ValueError``
+    naming the first offending plant (``validate_initial_config``).
     """
-    verdict = validate_initial_config(
-        params, initial.caps, initial.rates, initial.sizes
-    )
-    if not verdict:
-        raise ValueError(f"inadmissible initial configuration: {verdict.reason}")
+    validate_initial_config(params, initial.caps, initial.rates, initial.sizes)
 
     caps_log = np.log(initial.caps / params.s_m)
     kernel = _spatial_kernel(initial.positions, params.sigma_x)
@@ -372,13 +364,6 @@ def integrate(
         dense=dense,
         params=params,
     )
-
-
-_PROBE_REASONS = (
-    "initial size not above s_m",
-    "asymptotic size outside (s_m, s_m*exp(R_M))",
-    "growth rate not nonnegative",
-)
 
 
 def empirical_flow(
@@ -415,14 +400,12 @@ def empirical_flow(
         )
     if not s0.size:
         raise ValueError("need at least one probe")
-    bad = ~np.stack(
-        [s0 > params.s_m, (params.s_m < S) & (S < params.max_size), gamma >= 0.0]
-    )
-    offenders = np.flatnonzero(bad.any(axis=0))
-    if offenders.size:
-        i = int(offenders[0])
-        reason = _PROBE_REASONS[int(np.argmax(bad[:, i]))]
-        raise ValueError(f"inadmissible probe {i}: {reason}")
+    _raise_first_offender("probe", [
+        ("initial size not above s_m", s0 > params.s_m),
+        ("asymptotic size outside (s_m, s_m*exp(R_M))",
+         (params.s_m < S) & (S < params.max_size)),
+        ("growth rate not nonnegative", gamma >= 0.0),
+    ])
 
     probe_kernel = _spatial_kernel(x, params.sigma_x, background.initial.positions)
     _, r_mat = _grow(

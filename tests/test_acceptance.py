@@ -124,14 +124,16 @@ def test_criterion_05_training_quality(trained_model):
 
 
 @pytest.fixture(scope="session")
-def convergence_reports(exp_config, mu0_uniform, trained_model):
+def convergence_reports(exp_config, trained_model):
     import time
 
     model, _ = trained_model
+    t_grid = np.arange(21) * 0.5
     tic = time.perf_counter()
     reports = pf.convergence_experiment(
-        mu0_uniform, exp_config.params, model,
-        [50, 100, 200, 400], np.arange(21) * 0.5, seed=0,
+        model, [50, 100, 200, 400],
+        pf.SolverConfig(t_end=float(t_grid[-1]), snapshot_times=t_grid),
+        seed=0, weights=exp_config.weights,
     )
     return reports, time.perf_counter() - tic
 

@@ -416,6 +416,19 @@ def test_simulate_two_plants(tmp_path):
     assert {r["plant_id"] for r in rows} == {"0", "1"}
 
 
+@pytest.mark.parametrize("seed", ["2", "3"])
+def test_simulate_c_index_never_below_zero(seed, tmp_path):
+    # Narrowest admissible sigma_r (R_M/600) and a distance-free kernel: a
+    # row whose other terms underflow used to cancel to -1.5e-18.
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("model.sigma_r = 0.005\nmodel.sigma_x = 1000000.0\n")
+    out = tmp_path / "run"
+    assert run("simulate", "--config", str(cfg), "--seed", seed, "--out", str(out)) == 0
+    _checked_trajectory_rows(out)
+    doc = json.loads((out / "diagnostics.json").read_text())
+    assert doc["min_c_index"] >= 0.0
+
+
 def test_simulate_zero_horizon(tmp_path):
     cfg = tmp_path / "t0.cfg"
     cfg.write_text("solver.t_end = 0\n")

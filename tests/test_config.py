@@ -1,5 +1,7 @@
 """Flat key-value configs: parsing, validation, canonical hashing."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,27 @@ def test_build_rejects_inconsistent_physics():
         pf.build_experiment_config(pf.resolve_config({"model.s_m": -0.05}))
     with pytest.raises(pf.ConfigError, match="snapshot_dt"):
         pf.build_experiment_config(pf.resolve_config({"solver.snapshot_dt": -0.5}))
+
+
+def test_section_keys_are_record_field_names(exp_config):
+    # Each record is read from its section by field name, so a key that
+    # names no field would be silently ignored.  Only the passed-in
+    # fields, solver.snapshot_dt and the surface keys are exempt.
+    surfaces = ("mu0.S_surface.", "mu0.gamma_surface.")
+    for prefix, record, passed_in in [
+        ("model", exp_config.params, set()),
+        ("mu0", exp_config.mu0, {"params", "seed", "S_surface", "gamma_surface"}),
+        ("solver", exp_config.solver, {"snapshot_times"}),
+        ("train", exp_config.train, set()),
+        ("metric", exp_config.weights, {"s_m"}),
+    ]:
+        keys = {
+            k.split(".", 1)[1]
+            for k in DEFAULTS
+            if k.startswith(prefix + ".") and not k.startswith(surfaces)
+        } - {"snapshot_dt"}
+        names = {f.name for f in fields(record)} - passed_in
+        assert keys == names, prefix
 
 
 def test_build_wires_surfaces(exp_config):

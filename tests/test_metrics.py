@@ -245,10 +245,15 @@ def test_flow_gap_zero_at_start(params, mu0_uniform, tiny_model):
         pf.flow_gap(params, traj, tiny_model, 1.0, *_columns(sample, 0), solver_cfg=cfg)
 
 
-def test_self_comparison_is_exactly_zero(params, mu0_uniform):
+def _grid(times):
+    """Solver settings whose snapshot grid is ``times``."""
+    return pf.SolverConfig(t_end=float(times[-1]), snapshot_times=times)
+
+
+def test_self_comparison_is_exactly_zero(tiny_model, exp_config):
     reports = pf.convergence_experiment(
-        mu0_uniform, params, None, [5, 9], [0.0, 0.5, 1.0],
-        seed=3, self_comparison=True,
+        tiny_model, [5, 9], _grid([0.0, 0.5, 1.0]), seed=3,
+        weights=exp_config.weights, self_comparison=True,
     )
     assert [r.N for r in reports] == [5, 9]
     for r in reports:
@@ -260,7 +265,7 @@ def test_self_comparison_is_exactly_zero(params, mu0_uniform):
 
 
 def test_convergence_flow_gap_equals_member_probe_gap(
-    params, mu0_uniform, tiny_model
+    params, mu0_uniform, tiny_model, exp_config
 ):
     # flow_gap is computed from the run's own trajectories; growing each
     # member again as a probe against the frozen run must give the same
@@ -268,7 +273,7 @@ def test_convergence_flow_gap_equals_member_probe_gap(
     n, seed = 12, 4
     t_grid = np.arange(7) * 0.5
     (report,) = pf.convergence_experiment(
-        mu0_uniform, params, tiny_model, [n], t_grid, seed=seed
+        tiny_model, [n], _grid(t_grid), seed=seed, weights=exp_config.weights
     )
     sample = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
     cfg = pf.SolverConfig(t_end=float(t_grid[-1]), snapshot_times=t_grid)
@@ -284,47 +289,35 @@ def test_convergence_flow_gap_equals_member_probe_gap(
 
 
 def test_convergence_experiment_grows_no_probes(
-    params, mu0_uniform, tiny_model, monkeypatch
+    tiny_model, exp_config, monkeypatch
 ):
     def no_probes(*args, **kwargs):
         raise AssertionError("convergence_experiment must not grow probes")
 
     monkeypatch.setattr("plantfield.metrics.empirical_flow", no_probes)
     reports = pf.convergence_experiment(
-        mu0_uniform, params, tiny_model, [5, 8], [0.0, 1.0], seed=1
+        tiny_model, [5, 8], _grid([0.0, 1.0]), seed=1, weights=exp_config.weights
     )
     assert [r.N for r in reports] == [5, 8]
     assert all(np.all(np.isfinite(r.flow_gap)) for r in reports)
 
 
-def test_convergence_experiment_validation(params, mu0_uniform, tiny_model):
+def test_convergence_experiment_validation(tiny_model, exp_config):
+    w = exp_config.weights
     with pytest.raises(ValueError, match="increasing"):
-        pf.convergence_experiment(
-            mu0_uniform, params, tiny_model, [10, 10], [1.0], seed=0
-        )
+        pf.convergence_experiment(tiny_model, [10, 10], _grid([1.0]), 0, w)
     with pytest.raises(ValueError, match="at least 2"):
-        pf.convergence_experiment(
-            mu0_uniform, params, tiny_model, [1, 5], [1.0], seed=0
-        )
-    with pytest.raises(ValueError, match="nonempty"):
-        pf.convergence_experiment(
-            mu0_uniform, params, tiny_model, [5, 10], [], seed=0
-        )
-    with pytest.raises(ValueError, match="model"):
-        pf.convergence_experiment(
-            mu0_uniform, params, None, [5, 10], [1.0], seed=0
-        )
+        pf.convergence_experiment(tiny_model, [1, 5], _grid([1.0]), 0, w)
     with pytest.raises(ValueError, match="horizon"):
         pf.convergence_experiment(
-            mu0_uniform, params, tiny_model, [5, 10],
-            [0.0, tiny_model.T + 1.0], seed=0
+            tiny_model, [5, 10], _grid([0.0, tiny_model.T + 1.0]), 0, w
         )
 
 
-def test_distances_csv_layout(params, mu0_uniform, tmp_path):
+def test_distances_csv_layout(tiny_model, exp_config, tmp_path):
     reports = pf.convergence_experiment(
-        mu0_uniform, params, None, [4, 6], [0.0, 0.5, 1.0],
-        seed=11, self_comparison=True,
+        tiny_model, [4, 6], _grid([0.0, 0.5, 1.0]), seed=11,
+        weights=exp_config.weights, self_comparison=True,
     )
     out = tmp_path / "distances.csv"
     export_distances_csv(reports, out, comments=["seed=11"])

@@ -145,28 +145,18 @@ def test_growth_stays_between_start_and_cap(s0, S, gamma, t):
 
 
 def test_admissibility_accepts_valid_population(p):
-    verdict = pf.validate_initial_config(p, [0.75, 0.9], [1.0, 1.0], [0.1, 0.2])
-    assert verdict
-    assert verdict.index is None
+    assert pf.validate_initial_config(p, [0.75, 0.9], [1.0, 1.0], [0.1, 0.2]) is None
 
 
 def test_admissibility_flags_each_violation(p):
-    bad_cap = pf.validate_initial_config(p, [0.75, 1.5], [1.0, 1.0], [0.1, 0.1])
-    assert not bad_cap and bad_cap.index == 1
-    assert "asymptotic" in bad_cap.reason
-
-    bad_rate = pf.validate_initial_config(p, [0.75, 0.75], [0.0, 1.0], [0.1, 0.1])
-    assert not bad_rate and bad_rate.index == 0
-    assert "growth rate" in bad_rate.reason
-
-    bad_size = pf.validate_initial_config(p, [0.75, 0.75], [1.0, 1.0], [0.1, 0.8])
-    assert not bad_size and bad_size.index == 1
-    assert "initial size" in bad_size.reason
-
-    at_minimum = pf.validate_initial_config(
-        p, [0.75, 0.75], [1.0, 1.0], [0.05, 0.1]
-    )
-    assert not at_minimum and at_minimum.index == 0
+    with pytest.raises(ValueError, match=r"plant 1: asymptotic"):
+        pf.validate_initial_config(p, [0.75, 1.5], [1.0, 1.0], [0.1, 0.1])
+    with pytest.raises(ValueError, match=r"plant 0: growth rate"):
+        pf.validate_initial_config(p, [0.75, 0.75], [0.0, 1.0], [0.1, 0.1])
+    with pytest.raises(ValueError, match=r"plant 1: initial size"):
+        pf.validate_initial_config(p, [0.75, 0.75], [1.0, 1.0], [0.1, 0.8])
+    with pytest.raises(ValueError, match=r"plant 0: "):
+        pf.validate_initial_config(p, [0.75, 0.75], [1.0, 1.0], [0.05, 0.1])
 
 
 def _first_violation(p, caps, rates, sizes0):
@@ -183,25 +173,27 @@ def _first_violation(p, caps, rates, sizes0):
 
 def test_admissibility_reports_first_offender_and_reason(p, rng):
     # Plant 1 breaks the rate and the size condition, plant 2 the cap: the
-    # verdict names plant 1 and the rate, the earlier of its two breaches.
-    v = pf.validate_initial_config(
-        p, [0.75, 0.75, 1.5], [1.0, 0.0, 1.0], [0.1, 0.9, 0.1]
-    )
-    assert (v.ok, v.index) == (False, 1) and "growth rate" in v.reason
-    v = pf.validate_initial_config(p, [0.75, 1.5], [1.0, -1.0], [0.1, 2.0])
-    assert (v.ok, v.index) == (False, 1) and "asymptotic" in v.reason
-    v = pf.validate_initial_config(p, [0.75, 0.75], [1.0, math.nan], [0.1, 0.1])
-    assert (v.ok, v.index) == (False, 1) and "growth rate" in v.reason
+    # error names plant 1 and the rate, the earlier of its two breaches.
+    with pytest.raises(ValueError, match=r"plant 1: growth rate"):
+        pf.validate_initial_config(
+            p, [0.75, 0.75, 1.5], [1.0, 0.0, 1.0], [0.1, 0.9, 0.1]
+        )
+    with pytest.raises(ValueError, match=r"plant 1: asymptotic"):
+        pf.validate_initial_config(p, [0.75, 1.5], [1.0, -1.0], [0.1, 2.0])
+    with pytest.raises(ValueError, match=r"plant 1: growth rate"):
+        pf.validate_initial_config(p, [0.75, 0.75], [1.0, math.nan], [0.1, 0.1])
     # Random populations in which every condition fails now and then.
     for _ in range(300):
         n = int(rng.integers(2, 6))
         caps = rng.uniform(0.0, 1.2, n)
         rates = rng.uniform(-0.3, 1.0, n)
         sizes0 = rng.uniform(0.0, 1.0, n)
-        v = pf.validate_initial_config(p, caps, rates, sizes0)
         index, keyword = _first_violation(p, caps, rates, sizes0)
-        assert v.ok == (index is None) and v.index == index
-        assert (v.reason is None) if index is None else (keyword in v.reason)
+        if index is None:
+            assert pf.validate_initial_config(p, caps, rates, sizes0) is None
+        else:
+            with pytest.raises(ValueError, match=rf"plant {index}: {keyword}"):
+                pf.validate_initial_config(p, caps, rates, sizes0)
 
 
 def test_admissibility_raises_on_malformed_input(p):

@@ -46,9 +46,14 @@ def _random_state(p, n, rng):
     )
 
 
+def _c_index(p, state):
+    """Competition index of every plant of ``state``: row 0 of a run of length 0."""
+    return pf.integrate(p, state, pf.SolverConfig(t_end=0.0)).diagnostics.c_indices[0]
+
+
 def test_competition_index_matches_double_loop(p, rng):
     state = _random_state(p, 5, rng)
-    got = pf.competition_index_all(p, state)
+    got = _c_index(p, state)
     pos = state.positions
     for i in range(5):
         acc = 0.0
@@ -182,7 +187,7 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
 def test_competition_index_matches_potential_for_any_sigma_r(sigma_r, n, seed):
     p = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=sigma_r)
     state = _random_state(p, n, np.random.default_rng(seed))
-    got = pf.competition_index_all(p, state)
+    got = _c_index(p, state)
     pos = state.positions
     for i in range(n):
         want = sum(
@@ -212,7 +217,7 @@ def test_huge_sigma_x_makes_competition_distance_free(rng):
     # At sigma_x = 1e6 the kernel is 1 up to about 1e-12.
     q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=1e6, sigma_r=1.32)
     state = _random_state(q, 6, rng)
-    got = pf.competition_index_all(q, state)
+    got = _c_index(q, state)
     r = np.log(state.sizes / q.s_m).tolist()
     for i in range(6):
         want = math.fsum(
@@ -230,7 +235,7 @@ def test_integrate_rejects_inadmissible(p):
         caps=np.array([0.75, 2.0]),  # plant 1's cap is too large
         rates=np.array([1.0, 1.0]),
     )
-    with pytest.raises(ValueError, match="inadmissible"):
+    with pytest.raises(ValueError, match=r"inadmissible plant 1: asymptotic"):
         pf.integrate(p, state, pf.SolverConfig(t_end=1.0))
 
 
@@ -288,7 +293,7 @@ def test_growth_nearly_stalls_by_horizon(default_run, exp_config):
     _, traj, _ = default_run
     p = exp_config.params
     final = replace(traj.initial, sizes=traj.sizes[-1])
-    c = pf.competition_index_all(p, final)
+    c = traj.diagnostics.c_indices[-1]
     slopes = final.rates * final.sizes * (
         np.log(final.caps / p.s_m) * (1.0 - c) - np.log(final.sizes / p.s_m)
     )

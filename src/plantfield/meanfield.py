@@ -189,7 +189,9 @@ def mc_potential(
     """Cloud-averaged competition potential on probes s (n,) at x (n, 2).
 
     Returns (1/N) sum_j C(s, s'_j, |x - x'_j|) where the primes run
-    over the cloud atoms; shape (n,).
+    over the cloud atoms; shape (n,).  The (n, N) spatial kernel is never
+    stored: ``_pair_row_sums`` builds it one row block at a time into a
+    reused buffer, with the values ``_spatial_kernel`` would hold.
     """
     cloud_sizes = np.asarray(cloud_sizes, dtype=float)
     cloud_positions = np.asarray(cloud_positions, dtype=float)
@@ -206,9 +208,9 @@ def mc_potential(
     if np.any(s <= 0.0) or np.any(cloud_sizes <= 0.0):
         raise ValueError("sizes must be strictly positive")
     p = params
-    kernel = _spatial_kernel(x, p.sigma_x, cloud_positions)
     row = _pair_row_sums(
-        np.log(s / p.s_m), kernel, p.sigma_r, np.log(cloud_sizes / p.s_m)
+        np.log(s / p.s_m), (x, cloud_positions, p.sigma_x), p.sigma_r,
+        np.log(cloud_sizes / p.s_m),
     )
     return row / (2.0 * p.R_M * cloud_sizes.shape[0])
 
@@ -256,6 +258,11 @@ def _r2(targets: np.ndarray, predictions: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _clamped(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The fitted combination F @ beta of features F (n, m), projected into [0, 1]."""
+    return np.clip(F @ beta, 0.0, 1.0)
+
+
 def fit_stage(
     spec: FeatureSpec,
     training,
@@ -279,13 +286,13 @@ def fit_stage(
     beta, *_ = np.linalg.lstsq(F, y, rcond=None)
     if not np.all(np.isfinite(beta)):
         raise np.linalg.LinAlgError(f"stage {stage_index}: fitted beta is not finite")
-    r2_train = _r2(y, np.clip(F @ beta, 0.0, 1.0))
+    r2_train = _r2(y, _clamped(F, beta))
     r2_test = float("nan")
     if testing is not None:
         test_inputs, test_targets = testing
         yt = np.asarray(test_targets, dtype=float)
         Ft = feature_map(spec, *test_inputs)
-        r2_test = _r2(yt, np.clip(Ft @ beta, 0.0, 1.0))
+        r2_test = _r2(yt, _clamped(Ft, beta))
     return PotentialStage(
         beta=beta,
         spec=spec,
@@ -300,7 +307,7 @@ def stage_potential_eval(stage: PotentialStage, s, x, S, gamma) -> np.ndarray:
 
     Takes the columns of ``feature_map``; shape (n,).
     """
-    return np.clip(feature_map(stage.spec, s, x, S, gamma) @ stage.beta, 0.0, 1.0)
+    return _clamped(feature_map(stage.spec, s, x, S, gamma), stage.beta)
 
 
 @dataclass
@@ -350,11 +357,29 @@ def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
     return np.exp(g_b * (end - t_b)) - np.exp(g_b * (start - t_b))
 
 
-def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
-    """Evaluate every stage's clamped potential at initial data; (M, n)."""
-    return np.stack(
-        [stage_potential_eval(stage, s0, x, S, gamma) for stage in model.stages]
+def _spec_key(spec: FeatureSpec) -> tuple:
+    """The values of a spec's fields, so that equal specs compare equal even
+    when their centres are distinct arrays (as after loading)."""
+    return (
+        spec.arity, spec.degree, *spec.center.tolist(), spec.length_x,
+        spec.length_y, spec.dt, spec.params,
     )
+
+
+def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
+    """Evaluate every stage's clamped potential at initial data; (M, n).
+
+    Stages with equal specs share one feature matrix, so each row equals
+    ``stage_potential_eval`` of its stage.
+    """
+    features = {}
+    rows = []
+    for stage in model.stages:
+        key = _spec_key(stage.spec)
+        if key not in features:
+            features[key] = feature_map(stage.spec, s0, x, S, gamma)
+        rows.append(_clamped(features[key], stage.beta))
+    return np.stack(rows)
 
 
 def _flow_exponents(model: MeanFieldModel, t, s0, x, S, gamma, stage_vals=None):

@@ -17,6 +17,7 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .model import ModelParams, _raise_first_offender, validate_initial_config
 from .solver import DenseSolution, solve_ode
@@ -102,6 +103,8 @@ def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
     """Grid 0, snap_dt, 2 snap_dt, ... whose last point is t_end exactly."""
     if not math.isfinite(t_end):
         raise ValueError(f"solver.t_end must be finite, got {t_end!r}")
+    if t_end < 0.0:
+        raise ValueError(f"solver.t_end must be nonnegative, got {t_end!r}")
     if snap_dt <= 0.0:
         raise ValueError("solver.snapshot_dt must be strictly positive")
     ratio = t_end / snap_dt
@@ -210,6 +213,19 @@ def _hold_in_band(r, caps_log, tol, step_index):
     return _project(r, caps_log)
 
 
+def _kernel_block(x, sources, sigma_x: float, out: np.ndarray) -> np.ndarray:
+    """Write 1 / (1 + |x_i - x'_j|^2 / sigma_x^2) of targets x (T, 2) and
+    sources x' (S, 2) into ``out`` (T, S, C-contiguous) and return it.
+
+    ``cdist`` forms dx^2 + dy^2 exactly as NumPy's subtract and square do,
+    and the rest is in place, so no T x S temporary is made.
+    """
+    cdist(x, sources, "sqeuclidean", out=out)
+    out /= sigma_x**2
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def _spatial_kernel(
     positions: np.ndarray,
     sigma_x: float,
@@ -217,16 +233,14 @@ def _spatial_kernel(
 ) -> np.ndarray:
     """Factor 1 / (1 + |x_i - x'_j|^2 / sigma_x^2), (T, S); sources default to x."""
     src = positions if sources is None else sources
-    k = np.subtract.outer(positions[:, 0], src[:, 0]) ** 2
-    k += np.subtract.outer(positions[:, 1], src[:, 1]) ** 2
-    k /= sigma_x**2
-    k += 1.0
-    return np.reciprocal(k, out=k)
+    return _kernel_block(
+        positions, src, sigma_x, np.empty((positions.shape[0], src.shape[0]))
+    )
 
 
 def _pair_row_sums(
     r: np.ndarray,
-    kernel: np.ndarray,
+    kernel: np.ndarray | tuple,
     sigma_r: float,
     r_sources: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -242,6 +256,11 @@ def _pair_row_sums(
     symmetric, and row block [i0, i1) forms only the columns j >= i0 and
     adds its transpose to the rows below.  ``einsum`` sums in one thread
     and a fixed order, where BLAS may spread them over threads.
+
+    ``kernel`` is either the stored (T, S) array, read block by block, or
+    the positions and scale ``(x, x', sigma_x)`` it is made from: then
+    ``_kernel_block`` builds each block into one reused buffer, the same
+    values the stored array holds, and no T x S array is made.
     """
     sym = r_sources is None
     src = r if sym else r_sources
@@ -262,16 +281,28 @@ def _pair_row_sums(
     e = np.exp((r - mid) * scale)
     e_src = e if sym else np.exp((src - mid) * scale)
     v = 2.0 * e_src * src
-    n_t, n_s = kernel.shape
+    stored = isinstance(kernel, np.ndarray)
+    if stored:
+        n_t, n_s = kernel.shape
+    else:
+        x, x_src, sigma_x = kernel
+        n_t, n_s = x.shape[0], x_src.shape[0]
     out = np.zeros(n_t)
     buf = np.empty(min(_BLOCK, n_t) * n_s)
+    k_buf = None if stored else np.empty_like(buf)
     e_col = e[:, None]
     for i0 in range(0, n_t, _BLOCK):
         i1 = min(i0 + _BLOCK, n_t)
         c0 = i0 if sym else 0
-        w = buf[: (i1 - i0) * (n_s - c0)].reshape(i1 - i0, n_s - c0)
+        shape = (i1 - i0, n_s - c0)
+        w = buf[: shape[0] * shape[1]].reshape(shape)
         np.add(e_col[i0:i1], e_src[c0:], out=w)
-        np.divide(kernel[i0:i1, c0:], w, out=w)
+        if stored:
+            k = kernel[i0:i1, c0:]
+        else:
+            k = k_buf[: w.size].reshape(shape)
+            _kernel_block(x[i0:i1], x_src[c0:], sigma_x, out=k)
+        np.divide(k, w, out=w)
         out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
         if sym and i1 < n_t:
             out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])

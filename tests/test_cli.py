@@ -259,6 +259,8 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     [
         ("solver.t_end = inf", "solver.t_end"),
         ("solver.t_end = nan", "solver.t_end"),
+        ("solver.t_end = -1", "solver.t_end"),
+        ("solver.t_end = -0.1", "solver.t_end"),
         ("solver.snapshot_dt = 1e-320", "solver.snapshot_dt"),
         ("solver.dt_init = inf", "solver.dt_init"),
         ("solver.dt_init = nan", "solver.dt_init"),
@@ -266,12 +268,14 @@ def test_exit_code_solver_failure(tmp_path, capsys):
         ("solver.abs_tol = nan", "solver.abs_tol"),
     ],
     ids=[
-        "t_end-inf", "t_end-nan", "snapshot-count-overflows", "dt_init-inf",
+        "t_end-inf", "t_end-nan", "t_end-negative", "t_end-negative-fraction",
+        "snapshot-count-overflows", "dt_init-inf",
         "dt_init-nan", "rel_tol-inf", "abs_tol-nan",
     ],
 )
 def test_exit_code_non_finite_solver_settings(lines, key, tmp_path, capsys):
     # Rejected when the config is built, naming the key, before any solve.
+    # A negative t_end is refused by the snapshot grid, which is built first.
     cfg = tmp_path / "solver.cfg"
     cfg.write_text(lines + "\n")
     rc = run("simulate", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))

@@ -397,6 +397,42 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
         assert abs(got - quad) < 1e-10
 
 
+def test_stage_values_match_each_stage_eval(tiny_model, rng, tmp_path):
+    # _stage_values builds one feature matrix per distinct spec; every row
+    # must still be its own stage's evaluation, bit for bit.  After a file
+    # round trip the stages' centres are distinct arrays of equal value.
+    atoms = _random_atoms(rng, 40, gamma_lo=0.0)
+    pf.save_model(tiny_model, tmp_path / "m.json")
+    loaded = pf.load_model(tmp_path / "m.json")
+    centres = [st.spec.center for st in loaded.stages]
+    assert centres[1] is not centres[2]
+    # Equal-valued specs that are distinct objects, a spec with another
+    # centre and one with another degree, beside the arity-3 stage 0.
+    st0, st1, st2 = tiny_model.stages
+    mixed_specs = [
+        replace(st1.spec, center=st1.spec.center.copy()),
+        replace(st1.spec, center=st1.spec.center + 0.25),
+        replace(st1.spec, degree=1),
+        st2.spec,
+    ]
+    mixed = pf.MeanFieldModel(
+        stages=[st0] + [
+            pf.PotentialStage(
+                beta=rng.normal(size=spec.n_features) * 0.1, spec=spec,
+                r2_train=float("nan"), r2_test=float("nan"), stage_index=k + 1,
+            )
+            for k, spec in enumerate(mixed_specs)
+        ],
+        dt=1.0, T=5.0, mu0_cfg=tiny_model.mu0_cfg, n_cloud=tiny_model.n_cloud,
+        seed=tiny_model.seed, params=tiny_model.params,
+    )
+    for model in (tiny_model, loaded, mixed):
+        want = [pf.stage_potential_eval(st, *atoms) for st in model.stages]
+        got = _stage_values(model, *atoms)
+        assert got.shape == (model.n_stages, 40)
+        assert np.array_equal(got, np.stack(want))
+
+
 def test_integral_rejects_times_outside_horizon(tiny_model):
     atom = _one(0.2, np.zeros(2), 0.75, 1.0)
     with pytest.raises(ValueError):

@@ -134,19 +134,69 @@ def test_pair_row_sums_raise_outside_exp_window(rng):
     # At the edge of the window the same data gives finite sums.
     assert np.all(np.isfinite(_pair_row_sums(r, kernel, 3.0 / 700)))
     assert np.all(np.isfinite(_pair_row_sums(r[:2], cross, 3.0 / 700, r[2:])))
+    # mc_potential, which builds its kernel blocks as it goes, checks the
+    # same window over probes and cloud together.
+    q = pf.ModelParams(s_m=0.05, R_M=2.4, sigma_x=0.5, sigma_r=0.004)
+    s, x = q.s_m * np.exp(r), rng.normal(size=(3, 2))
+    with pytest.raises(pf.KernelRangeError, match=r"spread 3 exceeds 700"):
+        pf.mc_potential(q, s[:2], x[:2], s[2:], x[2:])
+    edge = replace(q, sigma_r=3.0 / 700)
+    assert np.all(np.isfinite(pf.mc_potential(edge, s[:2], x[:2], s[2:], x[2:])))
+
+
+def _kernel_by_definition(x, y, sigma_x):
+    """1 / (1 + |x_i - y_j|^2 / sigma_x^2) from subtracted and squared coordinates."""
+    return np.array([
+        [
+            1.0 / (1.0 + ((a0 - b0) ** 2 + (a1 - b1) ** 2) / sigma_x**2)
+            for b0, b1 in y.tolist()
+        ]
+        for a0, a1 in x.tolist()
+    ])
 
 
 def test_spatial_kernel_matches_definition(rng):
-    x = rng.normal(size=(7, 2))
+    # Exact: the kernel is built from the same subtract/square/divide ops.
+    # Rows 5 and 6 coincide with sources 1 and 2 (kernel exactly 1).
+    scales = np.array([1e-6, 1e-3, 1.0, 10.0, 1e3, 1.0, 1.0])
+    x = rng.normal(size=(7, 2)) * scales[:, None]
     y = rng.normal(size=(4, 2))
-    got = _spatial_kernel(x, 0.7, y)
-    for i in range(7):
-        for j in range(4):
-            d2 = float(np.sum((x[i] - y[j]) ** 2))
-            assert got[i, j] == pytest.approx(1.0 / (1.0 + d2 / 0.49), rel=1e-15)
-    sym = _spatial_kernel(x, 0.7)
-    assert np.array_equal(sym, sym.T)
-    assert np.array_equal(np.diag(sym), np.ones(7))
+    x[5:7] = y[1:3]
+    center = np.array([[0.3, -0.2]])
+    for sigma_x in (1e-6, 0.7, 1e6):
+        got = _spatial_kernel(x, sigma_x, y)
+        assert got.shape == (7, 4)
+        assert np.array_equal(got, _kernel_by_definition(x, y, sigma_x))
+        assert got[5, 1] == got[6, 2] == 1.0
+        sym = _spatial_kernel(x, sigma_x)
+        assert np.array_equal(sym, _kernel_by_definition(x, x, sigma_x))
+        assert np.array_equal(sym, sym.T)
+        assert np.array_equal(np.diag(sym), np.ones(7))
+        # The one-source call that feature_map makes for its spatial damping.
+        one = _spatial_kernel(x, sigma_x, center)
+        assert np.array_equal(one, _kernel_by_definition(x, center, sigma_x))
+
+
+@pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
+def test_mc_potential_streams_the_stored_kernel(sigma_r, rng):
+    # mc_potential builds its (K, N) kernel block by block in a reused
+    # buffer; the averages must equal the row sums over the stored kernel
+    # bit for bit, for no probe, one, a block and a row either side of it,
+    # and a ragged third block.
+    q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=sigma_r)
+    n_cloud = 150
+    cloud_s = q.s_m * np.exp(rng.uniform(0.01, 2.99, n_cloud))
+    cloud_x = rng.normal(size=(n_cloud, 2))
+    for k in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300):
+        s = q.s_m * np.exp(rng.uniform(0.01, 2.99, k))
+        x = rng.normal(size=(k, 2))
+        got = pf.mc_potential(q, s, x, cloud_s, cloud_x)
+        row = _pair_row_sums(
+            np.log(s / q.s_m), _spatial_kernel(x, q.sigma_x, cloud_x), sigma_r,
+            np.log(cloud_s / q.s_m),
+        )
+        assert got.shape == (k,)
+        assert np.array_equal(got, row / (2.0 * q.R_M * n_cloud))
 
 
 def _direct_row_sums(r, kernel, sigma_r, r_sources=None):

@@ -17,11 +17,13 @@ import argparse
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from .config import (
     ConfigError,
+    ExperimentConfig,
     build_experiment_config,
     load_config_file,
     resolve_config,
@@ -39,7 +41,6 @@ from .meanfield import (
 from .metrics import convergence_experiment, export_distances_csv
 from .population import (
     IntegrationDivergedError,
-    _snapshot_times,
     export_trajectory_csv,
     integrate,
 )
@@ -49,29 +50,33 @@ from .textio import format_row, write_csv, write_json
 __all__ = ["main"]
 
 
-def _resolved_flat(args) -> dict:
+def _experiment(args) -> ExperimentConfig:
+    """The typed config of a run: defaults, then ``--config``, then the
+    ``--n`` and ``--seed`` flags of the commands that have them."""
     overrides = load_config_file(args.config) if args.config else {}
     flat = resolve_config(overrides)
     if getattr(args, "n", None) is not None:
         flat["sim.n"] = args.n
     if getattr(args, "seed", None) is not None:
         flat["seed"] = args.seed
-    return flat
+    return build_experiment_config(flat)
+
+
+def _stamp(sha256: str, seed: int) -> str:
+    """The comment line that heads every CSV output."""
+    return f"config_sha256={sha256} seed={seed}"
 
 
 def _out_dir(args):
-    from pathlib import Path
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_simulate(args) -> int:
-    flat = _resolved_flat(args)
-    ec = build_experiment_config(flat)
+    ec = _experiment(args)
     out = _out_dir(args)
-    header = f"config_sha256={ec.sha256} seed={ec.seed}"
+    header = _stamp(ec.sha256, ec.seed)
 
     state0 = samples_to_state(sample_mu0(ec.mu0, ec.n))
     traj = integrate(ec.params, state0, ec.solver)
@@ -108,10 +113,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train_meanfield(args) -> int:
-    flat = _resolved_flat(args)
-    ec = build_experiment_config(flat)
+    ec = _experiment(args)
     out = _out_dir(args)
-    header = f"config_sha256={ec.sha256} seed={ec.seed}"
+    header = _stamp(ec.sha256, ec.seed)
 
     try:
         mu0_train = replace(
@@ -163,27 +167,25 @@ def _load_model_checked(path):
 
 
 def cmd_converge(args) -> int:
-    flat = _resolved_flat(args)
-    ec = build_experiment_config(flat)
+    ec = _experiment(args)
     out = _out_dir(args)
-    header = f"config_sha256={ec.sha256} seed={ec.seed}"
+    header = _stamp(ec.sha256, ec.seed)
 
     n_list = _parse_n_list(args.n_list)
     model, _ = _load_model_checked(args.model)
 
-    snap_dt = flat["solver.snapshot_dt"]
     try:
-        t_grid = _snapshot_times(model.T, snap_dt)
+        solver = replace(ec.solver, t_end=model.T)
     except ValueError as exc:
         raise ConfigError(
-            f"solver.snapshot_dt = {snap_dt!r} gives no grid over the model "
-            f"horizon T = {model.T!r}: {exc}"
+            f"solver.snapshot_dt = {ec.solver.snapshot_dt!r} gives no grid over "
+            f"the model horizon T = {model.T!r}: {exc}"
         ) from exc
 
     reports = convergence_experiment(
         model,
         n_list,
-        replace(ec.solver, t_end=model.T, snapshot_times=t_grid),
+        solver,
         seed=ec.seed,
         weights=replace(ec.weights, s_m=model.params.s_m),
         self_comparison=args.self_comparison,
@@ -199,10 +201,12 @@ def _parse_grid(text: str):
             "grid must be 'x1min,x1max,x2min,x2max,steps' (5 fields)"
         )
     try:
-        x1min, x1max, x2min, x2max = (float(p) for p in parts[:4])
+        x1min, x1max, x2min, x2max = bounds = [float(p) for p in parts[:4]]
         steps = int(parts[4])
     except ValueError as exc:
         raise ConfigError(f"invalid grid {text!r}") from exc
+    if not np.all(np.isfinite(bounds)):
+        raise ConfigError(f"grid bounds must be finite, got {text!r}")
     if steps < 0:
         raise ConfigError("grid steps must be nonnegative")
     if x1min > x1max or x2min > x2max:
@@ -214,7 +218,7 @@ def cmd_potential_dump(args) -> int:
     model, mdict = _load_model_checked(args.model)
     out = _out_dir(args)
     sha = mdict.get("config_sha256") or "unknown"
-    header = f"config_sha256={sha} seed={model.seed}"
+    header = _stamp(sha, model.seed)
     x1min, x1max, x2min, x2max, steps = _parse_grid(args.grid)
 
     columns = ["x1", "x2", "S_bar", "gamma_bar", "s_inf", "extrapolated"]

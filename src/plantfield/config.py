@@ -17,7 +17,7 @@ from .initial import Mu0Config, SurfaceParams
 from .meanfield import _from_fields, _stage_count
 from .metrics import ZMetricWeights
 from .model import ModelParams
-from .population import SolverConfig, _snapshot_times
+from .population import SolverConfig
 from .textio import sha256_hex
 
 __all__ = [
@@ -242,12 +242,7 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
             S_surface=_surface_from_flat(flat, "mu0.S_surface"),
             gamma_surface=_surface_from_flat(flat, "mu0.gamma_surface"),
         )
-        solver = _from_fields(
-            SolverConfig, _section(flat, "solver"),
-            snapshot_times=_snapshot_times(
-                flat["solver.t_end"], flat["solver.snapshot_dt"]
-            ),
-        )
+        solver = _from_fields(SolverConfig, _section(flat, "solver"))
         train = _from_fields(TrainConfig, _section(flat, "train"))
         weights = _from_fields(
             ZMetricWeights, _section(flat, "metric"), s_m=params.s_m

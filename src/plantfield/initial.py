@@ -10,6 +10,7 @@ never reshuffles — a smaller one with the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -113,10 +114,12 @@ class Mu0Config:
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.L <= 0.0:
-            raise ValueError("position spread L must be strictly positive")
-        if self.delta_S <= 0.0 or self.delta_gamma <= 0.0:
-            raise ValueError("conditional standard deviations must be > 0")
+        for name in ("L", "delta_S", "delta_gamma"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also false for NaN
+                raise ValueError(
+                    f"mu0.{name} must be finite and strictly positive, got {value!r}"
+                )
         if self.gamma_max <= 0.0:
             raise ValueError("gamma_max must be strictly positive")
         s_m = self.params.s_m

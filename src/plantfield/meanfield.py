@@ -120,11 +120,15 @@ def polynomial_features(values, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Variable transforms and polynomial degree of one stage's regression."""
+    """Variable transforms and polynomial degree of one stage's regression.
+
+    A value: ``center`` is kept as a tuple of two floats, so specs compare
+    and hash by their fields and equal specs share one feature matrix.
+    """
 
     arity: int
     degree: int
-    center: np.ndarray
+    center: tuple
     length_x: float
     length_y: float
     dt: float
@@ -138,7 +142,7 @@ class FeatureSpec:
         c = np.asarray(self.center, dtype=float)
         if c.shape != (2,):
             raise ValueError("center must be a 2-vector")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", tuple(c.tolist()))
         if self.length_x <= 0.0 or self.length_y <= 0.0:
             raise ValueError("lengths must be strictly positive")
         if self.dt <= 0.0:
@@ -164,7 +168,8 @@ def feature_map(spec: FeatureSpec, s, x, S, gamma) -> np.ndarray:
     if s.ndim != 1 or x.shape != (s.shape[0], 2):
         raise ValueError("positions must have shape (n, 2) matching sizes")
     p = spec.params
-    dx = x - spec.center[None, :]
+    center = np.array([spec.center])
+    dx = x - center
     vars_ = [
         np.log(s / p.s_m),
         np.arctan(dx[:, 0] / spec.length_x),
@@ -175,7 +180,7 @@ def feature_map(spec: FeatureSpec, s, x, S, gamma) -> np.ndarray:
         vars_.append(np.exp(-np.asarray(gamma, dtype=float) * spec.dt))
     V = np.stack(vars_, axis=1)
     feats = polynomial_features(V, spec.degree)
-    cauchy = _spatial_kernel(x, p.sigma_x, spec.center[None, :])[:, 0]
+    cauchy = _spatial_kernel(x, p.sigma_x, center)[:, 0]
     return feats * cauchy[:, None]
 
 
@@ -357,15 +362,6 @@ def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
     return np.exp(g_b * (end - t_b)) - np.exp(g_b * (start - t_b))
 
 
-def _spec_key(spec: FeatureSpec) -> tuple:
-    """The values of a spec's fields, so that equal specs compare equal even
-    when their centres are distinct arrays (as after loading)."""
-    return (
-        spec.arity, spec.degree, *spec.center.tolist(), spec.length_x,
-        spec.length_y, spec.dt, spec.params,
-    )
-
-
 def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
     """Evaluate every stage's clamped potential at initial data; (M, n).
 
@@ -375,10 +371,9 @@ def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
     features = {}
     rows = []
     for stage in model.stages:
-        key = _spec_key(stage.spec)
-        if key not in features:
-            features[key] = feature_map(stage.spec, s0, x, S, gamma)
-        rows.append(_clamped(features[key], stage.beta))
+        if stage.spec not in features:
+            features[stage.spec] = feature_map(stage.spec, s0, x, S, gamma)
+        rows.append(_clamped(features[stage.spec], stage.beta))
     return np.stack(rows)
 
 

@@ -54,8 +54,13 @@ class ZMetricWeights:
     tau_r: float
 
     def __post_init__(self):
-        if self.s_m <= 0.0 or self.ell <= 0.0 or self.tau_r <= 0.0:
-            raise ValueError("all metric weights must be strictly positive")
+        for name in ("s_m", "ell", "tau_r"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also false for NaN
+                raise ValueError(
+                    f"metric weight {name} must be finite and strictly "
+                    f"positive, got {value!r}"
+                )
 
 
 def z_distance(w: ZMetricWeights, z1, z2) -> float:
@@ -128,7 +133,7 @@ def flow_gap(
     background to t, with the tolerances of ``solver_cfg``, and compared
     with the model flow at the same initial data.
     """
-    cfg = replace(solver_cfg or SolverConfig(t_end=t), t_end=t, snapshot_times=[t])
+    cfg = replace(solver_cfg or SolverConfig(t_end=t), t_end=t)
     probes = empirical_flow(params, background, s0, x, S, gamma, cfg)[-1]
     return float(np.mean(np.abs(probes - flow_eval_many(model, t, s0, x, S, gamma))))
 

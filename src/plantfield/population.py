@@ -48,6 +48,10 @@ _BLOCK = 128
 # (ModelParams admits R_M/sigma_r <= 600; the margin covers RK overshoot).
 _EXP_WINDOW = 700.0
 
+# Most snapshot steps one grid may hold: beyond this the (snapshots, N)
+# output would not fit in memory.
+_MAX_SNAPSHOTS = 1_000_000
+
 
 class IntegrationDivergedError(RuntimeError):
     """A size invariant was violated beyond roundoff during integration."""
@@ -101,16 +105,17 @@ class PopulationState:
 
 def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
     """Grid 0, snap_dt, 2 snap_dt, ... whose last point is t_end exactly."""
-    if not math.isfinite(t_end):
-        raise ValueError(f"solver.t_end must be finite, got {t_end!r}")
-    if t_end < 0.0:
-        raise ValueError(f"solver.t_end must be nonnegative, got {t_end!r}")
-    if snap_dt <= 0.0:
-        raise ValueError("solver.snapshot_dt must be strictly positive")
-    ratio = t_end / snap_dt
-    if not math.isfinite(ratio):
+    if not 0.0 <= t_end < math.inf:  # also false for NaN
+        raise ValueError(f"solver.t_end must be finite and nonnegative, got {t_end!r}")
+    if not 0.0 < snap_dt < math.inf:  # also false for NaN
         raise ValueError(
-            f"solver.t_end / solver.snapshot_dt = {ratio!r} is not finite"
+            f"solver.snapshot_dt must be finite and strictly positive, got {snap_dt!r}"
+        )
+    ratio = t_end / snap_dt
+    if not ratio < _MAX_SNAPSHOTS:  # also false for inf and NaN
+        raise ValueError(
+            f"solver.t_end / solver.snapshot_dt = {ratio!r} snapshot steps; "
+            f"at most {_MAX_SNAPSHOTS} are allowed"
         )
     n_steps = int(np.floor(ratio + 1e-9))
     times = np.arange(n_steps + 1) * snap_dt
@@ -126,37 +131,26 @@ def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
 class SolverConfig:
     """Integration controls for a population run.
 
-    ``snapshot_times`` defaults to every 0.5 including both ends.  The
-    error controller sets every step after the first, ``dt_init``.
+    ``snapshot_times`` is derived, not a field: the grid 0, snapshot_dt,
+    2 snapshot_dt, ... ending on ``t_end`` exactly, which ``replace``
+    rebuilds.  The error controller sets every step after the first,
+    ``dt_init``.
     """
 
     t_end: float
     dt_init: float = 0.01
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    snapshot_times: Optional[Sequence[float]] = None
+    snapshot_dt: float = 0.5
 
     def __post_init__(self):
-        for name in ("t_end", "dt_init", "rel_tol", "abs_tol"):
+        for name in ("dt_init", "rel_tol", "abs_tol"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"solver.{name} must be finite, got {value!r}")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.dt_init <= 0.0:
-            raise ValueError("dt_init must be strictly positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
-        if self.snapshot_times is None:
-            self.snapshot_times = _snapshot_times(self.t_end, 0.5)
-        st = np.asarray(self.snapshot_times, dtype=float)
-        if st.ndim != 1 or st.size == 0:
-            raise ValueError("snapshot_times must be a nonempty 1-D sequence")
-        if np.any(np.diff(st) <= 0.0):
-            raise ValueError("snapshot_times must be strictly increasing")
-        if st[0] < 0.0 or st[-1] > self.t_end:
-            raise ValueError("snapshot_times must lie within [0, t_end]")
-        self.snapshot_times = st
+            if not 0.0 < value < math.inf:  # also false for NaN
+                raise ValueError(
+                    f"solver.{name} must be finite and strictly positive, got {value!r}"
+                )
+        self.snapshot_times = _snapshot_times(self.t_end, self.snapshot_dt)
 
 
 @dataclass

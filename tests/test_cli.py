@@ -200,6 +200,46 @@ def test_exit_code_bad_model_and_grid(trained_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "grid", ["nan,1,0,1,3", "-inf,1,0,1,3", "0,inf,0,1,3", "0,1,0,nan,3"]
+)
+def test_exit_code_non_finite_grid_bounds(grid, trained_dir, tmp_path, capsys):
+    rc = run(
+        "potential-dump", "--model", str(trained_dir / "model.json"),
+        "--grid", grid, "--out", str(tmp_path / "d"),
+    )
+    assert rc == 2
+    assert "grid bounds must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd, line, key",
+    [
+        ("simulate", "mu0.L = inf", "mu0.L"),
+        ("simulate", "mu0.L = nan", "mu0.L"),
+        ("simulate", "mu0.delta_S = inf", "mu0.delta_S"),
+        ("simulate", "mu0.delta_gamma = nan", "mu0.delta_gamma"),
+        ("converge", "metric.tau_r = nan", "metric weight tau_r"),
+        ("converge", "metric.ell = nan", "metric weight ell"),
+        ("converge", "metric.ell = inf", "metric weight ell"),
+    ],
+)
+def test_exit_code_non_finite_law_and_metric(
+    cmd, line, key, trained_dir, tmp_path, capsys
+):
+    # Refused when the config is built, naming the setting, before any draw.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    extra = (
+        ("--model", str(trained_dir / "model.json"), "--n-list", "4")
+        if cmd == "converge" else ("--n", "4")
+    )
+    rc = run(cmd, "--config", str(cfg), *extra, "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
+@pytest.mark.parametrize(
     "lines",
     [
         "train.T = 2.5\ntrain.dt = 1.0",
@@ -262,6 +302,8 @@ def test_exit_code_solver_failure(tmp_path, capsys):
         ("solver.t_end = -1", "solver.t_end"),
         ("solver.t_end = -0.1", "solver.t_end"),
         ("solver.snapshot_dt = 1e-320", "solver.snapshot_dt"),
+        ("solver.snapshot_dt = 1e-12", "solver.snapshot_dt"),
+        ("solver.snapshot_dt = inf", "solver.snapshot_dt"),
         ("solver.dt_init = inf", "solver.dt_init"),
         ("solver.dt_init = nan", "solver.dt_init"),
         ("solver.rel_tol = inf", "solver.rel_tol"),
@@ -269,13 +311,14 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     ],
     ids=[
         "t_end-inf", "t_end-nan", "t_end-negative", "t_end-negative-fraction",
-        "snapshot-count-overflows", "dt_init-inf",
+        "snapshot-count-overflows", "snapshot-count-above-ceiling", "snapshot_dt-inf",
+        "dt_init-inf",
         "dt_init-nan", "rel_tol-inf", "abs_tol-nan",
     ],
 )
 def test_exit_code_non_finite_solver_settings(lines, key, tmp_path, capsys):
     # Rejected when the config is built, naming the key, before any solve.
-    # A negative t_end is refused by the snapshot grid, which is built first.
+    # t_end and snapshot_dt are checked by the snapshot grid SolverConfig builds.
     cfg = tmp_path / "solver.cfg"
     cfg.write_text(lines + "\n")
     rc = run("simulate", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))

@@ -1,13 +1,12 @@
 """Flat key-value configs: parsing, validation, canonical hashing."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import plantfield as pf
 from plantfield.config import DEFAULTS, canonical_config_text
-from plantfield.population import _snapshot_times
 
 
 def test_defaults_resolve_cleanly():
@@ -47,10 +46,21 @@ def test_snapshot_grid_ends_exactly_at_t_end():
     )
     assert np.asarray(ec.solver.snapshot_times).tolist() == [0.0, 0.3, 0.6, 0.9]
     # A spacing that does not divide t_end appends the end point.
-    assert _snapshot_times(1.0, 0.3).tolist() == [
+    assert pf.SolverConfig(t_end=1.0, snapshot_dt=0.3).snapshot_times.tolist() == [
         0.0, 0.3, 0.6, 0.8999999999999999, 1.0
     ]
-    assert np.array_equal(_snapshot_times(10.0, 0.5), np.arange(21) * 0.5)
+    default = pf.SolverConfig(t_end=10.0).snapshot_times
+    assert np.array_equal(default, np.arange(21) * 0.5)
+
+
+def test_replace_rebuilds_snapshot_grid():
+    # The grid is derived from t_end and snapshot_dt, not an init field,
+    # so replacing the horizon rebuilds it.
+    cfg = replace(pf.SolverConfig(t_end=10.0, snapshot_dt=0.3), t_end=0.9)
+    assert cfg.snapshot_times.tolist() == [0.0, 0.3, 0.6, 0.9]
+    assert [f.name for f in fields(cfg)] == [
+        "t_end", "dt_init", "rel_tol", "abs_tol", "snapshot_dt"
+    ]
 
 
 def test_file_parsing_tolerates_comments(tmp_path):
@@ -145,12 +155,12 @@ def test_build_rejects_inconsistent_physics():
 def test_section_keys_are_record_field_names(exp_config):
     # Each record is read from its section by field name, so a key that
     # names no field would be silently ignored.  Only the passed-in
-    # fields, solver.snapshot_dt and the surface keys are exempt.
+    # fields and the surface keys are exempt.
     surfaces = ("mu0.S_surface.", "mu0.gamma_surface.")
     for prefix, record, passed_in in [
         ("model", exp_config.params, set()),
         ("mu0", exp_config.mu0, {"params", "seed", "S_surface", "gamma_surface"}),
-        ("solver", exp_config.solver, {"snapshot_times"}),
+        ("solver", exp_config.solver, set()),
         ("train", exp_config.train, set()),
         ("metric", exp_config.weights, {"s_m"}),
     ]:
@@ -158,7 +168,7 @@ def test_section_keys_are_record_field_names(exp_config):
             k.split(".", 1)[1]
             for k in DEFAULTS
             if k.startswith(prefix + ".") and not k.startswith(surfaces)
-        } - {"snapshot_dt"}
+        }
         names = {f.name for f in fields(record)} - passed_in
         assert keys == names, prefix
 

@@ -400,18 +400,18 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
 def test_stage_values_match_each_stage_eval(tiny_model, rng, tmp_path):
     # _stage_values builds one feature matrix per distinct spec; every row
     # must still be its own stage's evaluation, bit for bit.  After a file
-    # round trip the stages' centres are distinct arrays of equal value.
+    # round trip the stages' specs are distinct objects of equal value.
     atoms = _random_atoms(rng, 40, gamma_lo=0.0)
     pf.save_model(tiny_model, tmp_path / "m.json")
     loaded = pf.load_model(tmp_path / "m.json")
-    centres = [st.spec.center for st in loaded.stages]
-    assert centres[1] is not centres[2]
+    specs = [st.spec for st in loaded.stages]
+    assert specs[1] is not specs[2]
     # Equal-valued specs that are distinct objects, a spec with another
     # centre and one with another degree, beside the arity-3 stage 0.
     st0, st1, st2 = tiny_model.stages
     mixed_specs = [
-        replace(st1.spec, center=st1.spec.center.copy()),
-        replace(st1.spec, center=st1.spec.center + 0.25),
+        replace(st1.spec, center=list(st1.spec.center)),
+        replace(st1.spec, center=tuple(c + 0.25 for c in st1.spec.center)),
         replace(st1.spec, degree=1),
         st2.spec,
     ]
@@ -557,9 +557,22 @@ def test_model_roundtrip_is_bit_exact(tiny_model):
     assert json.dumps(d, sort_keys=True) == json.dumps(d2, sort_keys=True)
     for sa, sb in zip(tiny_model.stages, clone.stages):
         assert np.array_equal(sa.beta, sb.beta)
-        assert sa.spec.center.tolist() == sb.spec.center.tolist()
+        assert sa.spec.center == sb.spec.center
     assert clone.mu0_cfg.s0_law == tiny_model.mu0_cfg.s0_law
     assert clone.seed == tiny_model.seed
+
+
+def test_feature_spec_compares_and_hashes_by_value(tiny_model, tmp_path):
+    # The centre is stored as a tuple, so a spec built from an array centre
+    # equals and hashes like the original, and a model file round trip
+    # gives specs equal to the trained ones.
+    spec = tiny_model.stages[1].spec
+    same = replace(spec, center=np.array(spec.center))
+    assert same == spec and hash(same) == hash(spec)
+    assert replace(spec, center=(spec.center[0] + 1.0, spec.center[1])) != spec
+    pf.save_model(tiny_model, tmp_path / "m.json")
+    loaded = pf.load_model(tmp_path / "m.json")
+    assert [st.spec for st in loaded.stages] == [st.spec for st in tiny_model.stages]
 
 
 def test_model_document_keys_are_pinned(tiny_model):

@@ -245,14 +245,14 @@ def test_flow_gap_zero_at_start(params, mu0_uniform, tiny_model):
         pf.flow_gap(params, traj, tiny_model, 1.0, *_columns(sample, 0), solver_cfg=cfg)
 
 
-def _grid(times):
-    """Solver settings whose snapshot grid is ``times``."""
-    return pf.SolverConfig(t_end=float(times[-1]), snapshot_times=times)
+def _grid(t_end, snapshot_dt):
+    """Solver settings whose snapshot grid runs from 0 to ``t_end``."""
+    return pf.SolverConfig(t_end=t_end, snapshot_dt=snapshot_dt)
 
 
 def test_self_comparison_is_exactly_zero(tiny_model, exp_config):
     reports = pf.convergence_experiment(
-        tiny_model, [5, 9], _grid([0.0, 0.5, 1.0]), seed=3,
+        tiny_model, [5, 9], _grid(1.0, 0.5), seed=3,
         weights=exp_config.weights, self_comparison=True,
     )
     assert [r.N for r in reports] == [5, 9]
@@ -271,12 +271,12 @@ def test_convergence_flow_gap_equals_member_probe_gap(
     # member again as a probe against the frozen run must give the same
     # gap, because the probe reproduces the member (criterion 04).
     n, seed = 12, 4
-    t_grid = np.arange(7) * 0.5
+    cfg = _grid(3.0, 0.5)
+    t_grid = cfg.snapshot_times
     (report,) = pf.convergence_experiment(
-        tiny_model, [n], _grid(t_grid), seed=seed, weights=exp_config.weights
+        tiny_model, [n], cfg, seed=seed, weights=exp_config.weights
     )
     sample = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
-    cfg = pf.SolverConfig(t_end=float(t_grid[-1]), snapshot_times=t_grid)
     traj = pf.integrate(params, pf.samples_to_state(sample), cfg)
     members = _columns(sample, n)
     probes = pf.empirical_flow(params, traj, *members, cfg)
@@ -296,7 +296,7 @@ def test_convergence_experiment_grows_no_probes(
 
     monkeypatch.setattr("plantfield.metrics.empirical_flow", no_probes)
     reports = pf.convergence_experiment(
-        tiny_model, [5, 8], _grid([0.0, 1.0]), seed=1, weights=exp_config.weights
+        tiny_model, [5, 8], _grid(1.0, 1.0), seed=1, weights=exp_config.weights
     )
     assert [r.N for r in reports] == [5, 8]
     assert all(np.all(np.isfinite(r.flow_gap)) for r in reports)
@@ -305,18 +305,18 @@ def test_convergence_experiment_grows_no_probes(
 def test_convergence_experiment_validation(tiny_model, exp_config):
     w = exp_config.weights
     with pytest.raises(ValueError, match="increasing"):
-        pf.convergence_experiment(tiny_model, [10, 10], _grid([1.0]), 0, w)
+        pf.convergence_experiment(tiny_model, [10, 10], _grid(1.0, 1.0), 0, w)
     with pytest.raises(ValueError, match="at least 2"):
-        pf.convergence_experiment(tiny_model, [1, 5], _grid([1.0]), 0, w)
+        pf.convergence_experiment(tiny_model, [1, 5], _grid(1.0, 1.0), 0, w)
     with pytest.raises(ValueError, match="horizon"):
         pf.convergence_experiment(
-            tiny_model, [5, 10], _grid([0.0, tiny_model.T + 1.0]), 0, w
+            tiny_model, [5, 10], _grid(tiny_model.T + 1.0, 1.0), 0, w
         )
 
 
 def test_distances_csv_layout(tiny_model, exp_config, tmp_path):
     reports = pf.convergence_experiment(
-        tiny_model, [4, 6], _grid([0.0, 0.5, 1.0]), seed=11,
+        tiny_model, [4, 6], _grid(1.0, 0.5), seed=11,
         weights=exp_config.weights, self_comparison=True,
     )
     out = tmp_path / "distances.csv"

@@ -453,14 +453,9 @@ def test_snapshot_grid_default_and_explicit(p, rng):
     state = _random_state(p, 4, rng)
     traj = pf.integrate(p, state, pf.SolverConfig(t_end=3.0))
     assert np.allclose(traj.times, np.arange(0.0, 3.5, 0.5))
-    explicit = pf.integrate(
-        p, state, pf.SolverConfig(t_end=3.0, snapshot_times=[0.0, 1.0, 3.0])
-    )
-    assert np.array_equal(explicit.times, [0.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        pf.SolverConfig(t_end=3.0, snapshot_times=[0.0, 4.0])
-    with pytest.raises(ValueError):
-        pf.SolverConfig(t_end=3.0, snapshot_times=[1.0, 1.0])
+    # A spacing that does not divide t_end appends the end point.
+    explicit = pf.integrate(p, state, pf.SolverConfig(t_end=3.0, snapshot_dt=2.0))
+    assert np.array_equal(explicit.times, [0.0, 2.0, 3.0])
 
 
 def test_sizes_at_interpolates_between_snapshots(p, rng):

@@ -117,17 +117,8 @@ def cmd_train_meanfield(args) -> int:
     out = _out_dir(args)
     header = _stamp(ec.sha256, ec.seed)
 
-    try:
-        mu0_train = replace(
-            ec.mu0,
-            s0_law="uniform",
-            s0_min=ec.train.s0_min,
-            s0_max=ec.train.s0_max,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     model = train(
-        mu0_train,
+        ec.mu0_train,
         ec.params,
         dt=ec.train.dt,
         T=ec.train.T,

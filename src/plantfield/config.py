@@ -9,7 +9,7 @@ experiment: 50 plants, the standard parameter table, horizon 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,6 +196,7 @@ class ExperimentConfig:
 
     params: ModelParams
     mu0: Mu0Config
+    mu0_train: Mu0Config  # ``mu0`` with s0 uniform on [train.s0_min, train.s0_max]
     solver: SolverConfig
     train: TrainConfig
     weights: ZMetricWeights
@@ -205,20 +206,24 @@ class ExperimentConfig:
 
 
 def _surface_from_flat(flat: dict, prefix: str) -> SurfaceParams:
+    """The surface under ``prefix``; a rejected value names the section."""
     g = lambda name: flat[f"{prefix}.{name}"]
-    return SurfaceParams(
-        offset=g("offset"),
-        peak_value=g("peak"),
-        trough_value=g("trough"),
-        peak_center=np.array([g("peak_x1"), g("peak_x2")]),
-        trough_center=np.array([g("trough_x1"), g("trough_x2")]),
-        curvature_peak=np.array(
-            [[g("h1_11"), g("h1_12")], [g("h1_12"), g("h1_22")]]
-        ),
-        curvature_trough=np.array(
-            [[g("h2_11"), g("h2_12")], [g("h2_12"), g("h2_22")]]
-        ),
-    )
+    try:
+        return SurfaceParams(
+            offset=g("offset"),
+            peak_value=g("peak"),
+            trough_value=g("trough"),
+            peak_center=np.array([g("peak_x1"), g("peak_x2")]),
+            trough_center=np.array([g("trough_x1"), g("trough_x2")]),
+            curvature_peak=np.array(
+                [[g("h1_11"), g("h1_12")], [g("h1_12"), g("h1_22")]]
+            ),
+            curvature_trough=np.array(
+                [[g("h2_11"), g("h2_12")], [g("h2_12"), g("h2_22")]]
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _section(flat: dict, prefix: str) -> dict:
@@ -244,6 +249,15 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
         )
         solver = _from_fields(SolverConfig, _section(flat, "solver"))
         train = _from_fields(TrainConfig, _section(flat, "train"))
+        try:
+            mu0_train = replace(
+                mu0, s0_law="uniform", s0_min=train.s0_min, s0_max=train.s0_max
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"train.s0_min = {train.s0_min!r}, train.s0_max = "
+                f"{train.s0_max!r}: {exc}"
+            ) from exc
         weights = _from_fields(
             ZMetricWeights, _section(flat, "metric"), s_m=params.s_m
         )
@@ -258,6 +272,7 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
     return ExperimentConfig(
         params=params,
         mu0=mu0,
+        mu0_train=mu0_train,
         solver=solver,
         train=train,
         weights=weights,

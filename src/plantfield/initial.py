@@ -11,7 +11,7 @@ never reshuffles — a smaller one with the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -53,6 +53,10 @@ class SurfaceParams:
     curvature_trough: np.ndarray
 
     def __post_init__(self):
+        for f in fields(self):
+            value = np.asarray(getattr(self, f.name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value.tolist()!r}")
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "peak_value", float(self.peak_value))
         object.__setattr__(self, "trough_value", float(self.trough_value))
@@ -114,14 +118,12 @@ class Mu0Config:
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        for name in ("L", "delta_S", "delta_gamma"):
+        for name in ("L", "delta_S", "delta_gamma", "gamma_max"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also false for NaN
                 raise ValueError(
                     f"mu0.{name} must be finite and strictly positive, got {value!r}"
                 )
-        if self.gamma_max <= 0.0:
-            raise ValueError("gamma_max must be strictly positive")
         s_m = self.params.s_m
         if not s_m < self.S_lower < self.params.max_size:
             raise ValueError(

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -276,28 +275,24 @@ def fit_stage(
 ) -> PotentialStage:
     """Least-squares fit of one stage's potential targets.
 
-    ``training`` and ``testing`` are (inputs, targets) pairs where
-    inputs are the columns (s, x, S, gamma) of ``feature_map``.  The
+    ``training`` and ``testing`` are (features, targets) pairs where the
+    features are ``feature_map(spec, ...)`` of the probes.  The
     coefficient vector is the minimum-norm least-squares solution, so
     rank-deficient designs (e.g. all probes identical) are handled
     without pivoting choices.  Fit quality is measured on the clamped
     predictions, matching how the stage is used.
     """
-    train_inputs, train_targets = training
-    y = np.asarray(train_targets, dtype=float)
+    F, y = training
+    y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("training set must be nonempty")
-    F = feature_map(spec, *train_inputs)
     beta, *_ = np.linalg.lstsq(F, y, rcond=None)
     if not np.all(np.isfinite(beta)):
         raise np.linalg.LinAlgError(f"stage {stage_index}: fitted beta is not finite")
     r2_train = _r2(y, _clamped(F, beta))
     r2_test = float("nan")
     if testing is not None:
-        test_inputs, test_targets = testing
-        yt = np.asarray(test_targets, dtype=float)
-        Ft = feature_map(spec, *test_inputs)
-        r2_test = _r2(yt, _clamped(Ft, beta))
+        r2_test = _r2(testing[1], _clamped(testing[0], beta))
     return PotentialStage(
         beta=beta,
         spec=spec,
@@ -377,19 +372,25 @@ def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
     return np.stack(rows)
 
 
-def _flow_exponents(model: MeanFieldModel, t, s0, x, S, gamma, stage_vals=None):
-    """Decay e^{-gamma t} and potential integral of atoms at one time t.
-
-    ``t`` is checked against the trained horizon and clamped into [0, T].
-    """
+def _horizon_time(model: MeanFieldModel, t) -> float:
+    """``t`` checked against the trained horizon and clamped into [0, T]."""
     if not -1e-12 <= t <= model.T + 1e-12:
         raise ValueError(f"time {t} outside the trained horizon [0, {model.T}]")
-    t = min(max(float(t), 0.0), model.T)
+    return min(max(float(t), 0.0), model.T)
+
+
+def _potential_integral(dt: float, t: float, stage_vals, gamma) -> np.ndarray:
+    """The weighted sum of stage values (M, n) at time t; shape (n,)."""
+    return np.sum(stage_vals * _stage_weights(dt, len(stage_vals), t, gamma), axis=0)
+
+
+def _flow(p: ModelParams, dt: float, t: float, stage_vals, s0, x, S, gamma):
+    """The surrogate flow at time t in [0, M dt] of atoms with stage values
+    (M, n); the positions x enter only through the stage values."""
     gamma = np.asarray(gamma, dtype=float)
-    if stage_vals is None:
-        stage_vals = _stage_values(model, s0, x, S, gamma)
-    w = _stage_weights(model.dt, model.n_stages, t, gamma)
-    return np.exp(-gamma * t), np.sum(stage_vals * w, axis=0)
+    decay = np.exp(-gamma * t)
+    chat = _potential_integral(dt, t, stage_vals, gamma)
+    return p.s_m * (s0 / p.s_m) ** decay * (S / p.s_m) ** (1.0 - decay - chat)
 
 
 def reconstructed_potential_integral(
@@ -402,7 +403,9 @@ def reconstructed_potential_integral(
     potential at each atom's initial data; shape (n,).  Zero at t = 0
     and for gamma = 0 (the weight density vanishes identically).
     """
-    return _flow_exponents(model, t, s0, x, S, gamma)[1]
+    t = _horizon_time(model, t)
+    stage_vals = _stage_values(model, s0, x, S, gamma)
+    return _potential_integral(model.dt, t, stage_vals, gamma)
 
 
 def flow_eval_many(
@@ -412,22 +415,18 @@ def flow_eval_many(
     x: np.ndarray,
     S: np.ndarray,
     gamma: np.ndarray,
-    stage_vals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The surrogate flow of many atoms sharing one evaluation time.
 
-    Grows each initial size s0_i with traits (x_i, S_i, gamma_i) to time
-    t.  ``stage_vals`` may carry precomputed per-stage potentials of the
-    same atoms (from ``_stage_values``) to amortize feature evaluation
-    across many times.
+    Grows each initial size s0_i with traits (x_i, S_i, gamma_i) to time t.
     """
-    p = model.params
     s0 = np.asarray(s0, dtype=float)
     S = np.asarray(S, dtype=float)
-    if np.any(s0 <= p.s_m):
+    if np.any(s0 <= model.params.s_m):
         raise ValueError("initial size must exceed the minimal size")
-    decay, chat = _flow_exponents(model, t, s0, x, S, gamma, stage_vals)
-    return p.s_m * (s0 / p.s_m) ** decay * (S / p.s_m) ** (1.0 - decay - chat)
+    t = _horizon_time(model, t)
+    stage_vals = _stage_values(model, s0, x, S, gamma)
+    return _flow(model.params, model.dt, t, stage_vals, s0, x, S, gamma)
 
 
 def _child_seed(seed: int, tag: int, k: int) -> int:
@@ -479,55 +478,46 @@ def train(
     m_stages = _stage_count(dt, T, N, K, d3, d5)
     p = params
     cloud = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, _SET_CLOUD, 0)), N)
-    s0_c, x_c, S_c, g_c = cloud.s0, cloud.x, cloud.S, cloud.gamma
-
-    center = x_c.mean(axis=0)
-    spread = float(np.std(x_c))
+    cloud_cols = (cloud.s0, cloud.x, cloud.S, cloud.gamma)
+    spread = float(np.std(cloud.x))
     if spread == 0.0:
         # Degenerate position cloud: fall back to the spatial decay scale.
         spread = p.sigma_x
+    spec3 = FeatureSpec(
+        arity=3, degree=d3, center=cloud.x.mean(axis=0), length_x=spread,
+        length_y=spread, dt=dt, params=p,
+    )
+    spec5 = replace(spec3, arity=5, degree=d5)
 
     stages: list = []
-    cloud_stage_vals: list = []  # per fitted stage, its value on the cloud
+    cloud_vals: list = []  # per fitted stage, its value on the cloud
 
     for k in range(m_stages):
         t_k = k * dt
-        if k == 0:
-            sizes_cloud = s0_c
-        else:
-            # The flow built from the stages fitted so far advances every
-            # involved size to t_k.
-            partial = MeanFieldModel(
-                stages=list(stages), dt=dt, T=k * dt,
-                mu0_cfg=mu0_cfg, n_cloud=N, seed=seed, params=p,
-            )
-            sizes_cloud = flow_eval_many(
-                partial, t_k, s0_c, x_c, S_c, g_c,
-                stage_vals=np.stack(cloud_stage_vals),
-            )
+        spec = spec3 if k == 0 else spec5
+        sizes_cloud = cloud.s0
+        if k > 0:
+            # The flow of the stages fitted so far advances every size to t_k.
+            sizes_cloud = _flow(p, dt, t_k, np.stack(cloud_vals), *cloud_cols)
 
-        sets = {}
-        for tag, name in ((_SET_TRAIN, "train"), (_SET_TEST, "test")):
+        sets = []
+        for tag in (_SET_TRAIN, _SET_TEST):
             d = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), K)
-            if k == 0:
-                sizes_p = d.s0
-            else:
-                sizes_p = flow_eval_many(partial, t_k, d.s0, d.x, d.S, d.gamma)
-            targets = mc_potential(p, sizes_p, d.x, sizes_cloud, x_c)
-            sets[name] = ((d.s0, d.x, d.S, d.gamma), targets)
+            cols = (d.s0, d.x, d.S, d.gamma)
+            F = feature_map(spec, *cols)
+            sizes = d.s0
+            if k > 0:
+                # Stage 0's arity-3 features are built and dropped here.
+                vals = [_clamped(feature_map(spec3, *cols), stages[0].beta)]
+                vals += [_clamped(F, st.beta) for st in stages[1:]]
+                sizes = _flow(p, dt, t_k, np.stack(vals), *cols)
+            sets.append((F, mc_potential(p, sizes, d.x, sizes_cloud, cloud.x)))
 
-        spec = FeatureSpec(
-            arity=3 if k == 0 else 5,
-            degree=d3 if k == 0 else d5,
-            center=center,
-            length_x=spread,
-            length_y=spread,
-            dt=dt,
-            params=p,
-        )
-        stage = fit_stage(spec, sets["train"], sets["test"], stage_index=k)
+        stage = fit_stage(spec, *sets, stage_index=k)
         stages.append(stage)
-        cloud_stage_vals.append(stage_potential_eval(stage, s0_c, x_c, S_c, g_c))
+        if k < 2:  # stages 0 and 1 are the first under their specs
+            F_cloud = feature_map(spec, *cloud_cols)
+        cloud_vals.append(_clamped(F_cloud, stage.beta))
 
     return MeanFieldModel(
         stages=stages,

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .initial import Mu0Config, sample_mu0, samples_to_state
-from .meanfield import MeanFieldModel, _stage_values, flow_eval_many
+from .meanfield import (
+    MeanFieldModel, _flow, _horizon_time, _stage_values, flow_eval_many
+)
 from .model import ModelParams
 from .population import (
     PopulationState,
@@ -296,10 +298,11 @@ def convergence_experiment(
         if self_comparison:
             mf_sizes = sim_sizes
         else:
-            sv = _stage_values(model, *atoms)
-            mf_sizes = np.stack(
-                [flow_eval_many(model, t, *atoms, stage_vals=sv) for t in t_grid]
-            )
+            sv = _stage_values(model, *atoms)  # one evaluation for every t
+            mf_sizes = np.stack([
+                _flow(params, model.dt, _horizon_time(model, t), sv, *atoms)
+                for t in t_grid
+            ])
 
         # Both runs share the initial traits; only the sizes differ.
         measure0 = snapshot_measure(state0)

@@ -4,7 +4,6 @@ are built once per session and reused by unit and acceptance tests."""
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +43,7 @@ def mu0_point(exp_config):
 @pytest.fixture(scope="session")
 def mu0_uniform(exp_config):
     """The initial law used for training: uniform initial sizes."""
-    return replace(exp_config.mu0, s0_law="uniform", s0_min=0.1, s0_max=0.3)
+    return exp_config.mu0_train
 
 
 @pytest.fixture(scope="session")

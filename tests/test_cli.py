@@ -221,6 +221,12 @@ def test_exit_code_non_finite_grid_bounds(grid, trained_dir, tmp_path, capsys):
         ("converge", "metric.tau_r = nan", "metric weight tau_r"),
         ("converge", "metric.ell = nan", "metric weight ell"),
         ("converge", "metric.ell = inf", "metric weight ell"),
+        ("simulate", "mu0.gamma_max = nan", "mu0.gamma_max"),
+        ("simulate", "mu0.gamma_max = inf", "mu0.gamma_max"),
+        ("simulate", "mu0.S_surface.peak = inf", "mu0.S_surface: peak_value"),
+        ("simulate", "mu0.S_surface.peak_x1 = nan", "mu0.S_surface: peak_center"),
+        ("simulate", "mu0.S_surface.trough_x2 = inf", "mu0.S_surface: trough_center"),
+        ("simulate", "mu0.gamma_surface.h2_22 = inf", "mu0.gamma_surface: curvature_trough"),
     ],
 )
 def test_exit_code_non_finite_law_and_metric(
@@ -240,27 +246,32 @@ def test_exit_code_non_finite_law_and_metric(
 
 
 @pytest.mark.parametrize(
-    "lines",
+    "lines, key",
     [
-        "train.T = 2.5\ntrain.dt = 1.0",
-        "train.dt = 0.0",
-        "train.d3 = -1",
-        "train.N = 0",
-        "train.dt = 1e-320",
-        "train.dt = 1e-300",
+        ("train.T = 2.5\ntrain.dt = 1.0", "integral number of stages"),
+        ("train.dt = 0.0", "dt and T must be strictly positive"),
+        ("train.d3 = -1", "degrees must be nonnegative"),
+        ("train.N = 0", "sample sizes must be at least 1"),
+        ("train.dt = 1e-320", "stages; at most"),
+        ("train.dt = 1e-300", "stages; at most"),
+        ("train.s0_min = 0.01", "train.s0"),
+        ("train.s0_max = 0.05", "train.s0"),
     ],
     ids=[
         "T-not-whole-stages", "dt-zero", "d3-negative", "N-zero",
         "dt-stage-count-overflows", "dt-stage-count-above-ceiling",
+        "s0_min-below-s_m", "s0_max-below-s0_min",
     ],
 )
-def test_exit_code_invalid_train_settings(lines, tmp_path, capsys):
-    # Checked when the config is built, by the rules ``meanfield.train`` uses.
+def test_exit_code_invalid_train_settings(lines, key, tmp_path, capsys):
+    # Checked when the config is built, by the rules ``meanfield.train`` and
+    # the training law use, so every command refuses the file alike.
     cfg = tmp_path / "train.cfg"
     cfg.write_text(lines + "\n")
     for cmd in ("simulate", "train-meanfield"):
         assert run(cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
 
 
 def test_exit_code_non_finite_stage_fit(small_train_cfg, tmp_path, monkeypatch, capsys):

@@ -152,6 +152,16 @@ def test_build_rejects_inconsistent_physics():
         pf.build_experiment_config(pf.resolve_config({"solver.snapshot_dt": -0.5}))
 
 
+def test_build_makes_the_training_law(exp_config):
+    # The training law is the initial law with s0 uniform on the train.*
+    # support; a support the law refuses is a configuration error naming it.
+    want = replace(exp_config.mu0, s0_law="uniform", s0_min=0.1, s0_max=0.3)
+    assert exp_config.mu0_train == want
+    for key, value in (("train.s0_min", 0.01), ("train.s0_max", 0.05)):
+        with pytest.raises(pf.ConfigError, match=f"{key} = {value}"):
+            pf.build_experiment_config(pf.resolve_config({key: value}))
+
+
 def test_section_keys_are_record_field_names(exp_config):
     # Each record is read from its section by field name, so a key that
     # names no field would be silently ignored.  Only the passed-in

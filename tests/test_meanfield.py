@@ -10,7 +10,12 @@ import scipy.integrate
 
 import plantfield as pf
 from conftest import one_plus_tanh
+from plantfield import meanfield
 from plantfield.meanfield import (
+    _SET_CLOUD,
+    _SET_TEST,
+    _SET_TRAIN,
+    _child_seed,
     _stage_values,
     _stage_weights,
     export_r2_csv,
@@ -224,7 +229,7 @@ def test_fit_recovers_clean_polynomial(p, rng):
     F = pf.feature_map(spec, *_with_traits(s, x))
     y = F @ beta_true
     assert np.all((y > 0.0) & (y < 1.0))  # clamping never active
-    stage = pf.fit_stage(spec, (_with_traits(s, x), y), stage_index=0)
+    stage = pf.fit_stage(spec, (F, y), stage_index=0)
     assert np.allclose(stage.beta, beta_true, atol=1e-9)
     assert stage.r2_train == pytest.approx(1.0, abs=1e-12)
     assert math.isnan(stage.r2_test)
@@ -237,7 +242,8 @@ def test_fit_handles_rank_deficient_design(p):
     s = np.full(20, 0.1)
     x = np.zeros((20, 2))
     y = np.full(20, 0.4)
-    stage = pf.fit_stage(spec, (_with_traits(s, x), y), stage_index=0)
+    F = pf.feature_map(spec, *_with_traits(s, x))
+    stage = pf.fit_stage(spec, (F, y), stage_index=0)
     (pred,) = pf.stage_potential_eval(stage, *_one(0.1, np.zeros(2), 0.8, 1.0))
     assert pred == pytest.approx(0.4, rel=1e-10)
     assert math.isnan(stage.r2_train)  # constant targets carry no variance
@@ -248,8 +254,8 @@ def test_fit_residuals_orthogonal_to_features(p, rng):
     s = rng.uniform(0.06, 0.9, 300)
     x = rng.normal(size=(300, 2))
     y = rng.uniform(0.0, 1.0, 300)
-    stage = pf.fit_stage(spec, (_with_traits(s, x), y), stage_index=0)
     F = pf.feature_map(spec, *_with_traits(s, x))
+    stage = pf.fit_stage(spec, (F, y), stage_index=0)
     resid = y - F @ stage.beta
     gram_scale = float(np.abs(F.T @ F).max())
     assert np.abs(F.T @ resid).max() < 1e-8 * max(gram_scale, 1.0)
@@ -265,8 +271,9 @@ def test_fit_quality_improves_with_degree(p, rng):
     y = 0.3 + 0.2 * np.tanh(np.log(s / 0.05) - 1.0) + 0.05 * np.tanh(x[:, 0])
     r2 = []
     for degree in (0, 1, 2, 3):
-        stage = pf.fit_stage(_spec3(p, degree=degree), (_with_traits(s, x), y))
-        F = pf.feature_map(_spec3(p, degree=degree), *_with_traits(s, x))
+        spec = _spec3(p, degree=degree)
+        F = pf.feature_map(spec, *_with_traits(s, x))
+        stage = pf.fit_stage(spec, (F, y))
         raw = F @ stage.beta
         assert np.all((raw > 0.0) & (raw < 1.0))
         r2.append(stage.r2_train)
@@ -511,6 +518,69 @@ def test_training_is_deterministic(params, mu0_uniform):
         assert sa.r2_train == sb.r2_train and sa.r2_test == sb.r2_test
     c = pf.train(mu0_uniform, params, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=4)
     assert not np.array_equal(a.stages[0].beta, c.stages[0].beta)
+
+
+def _train_by_rebuilding(mu0, p, dt, T, N, K, d3, d5, seed):
+    """The forward recursion rebuilt from public pieces, one call per use:
+    each stage wraps the stages so far in a partial model whose flow
+    advances the cloud and the probes, and fits freshly built features."""
+    cloud = pf.sample_mu0(mu0.with_seed(_child_seed(seed, _SET_CLOUD, 0)), N)
+    spread = float(np.std(cloud.x))
+    stages = []
+    for k in range(round(T / dt)):
+        spec = pf.FeatureSpec(
+            arity=5 if k else 3, degree=d5 if k else d3,
+            center=cloud.x.mean(axis=0), length_x=spread, length_y=spread,
+            dt=dt, params=p,
+        )
+        if k:
+            partial = pf.MeanFieldModel(
+                stages=list(stages), dt=dt, T=k * dt, mu0_cfg=mu0, n_cloud=N,
+                seed=seed, params=p,
+            )
+            advance = lambda *cols: pf.flow_eval_many(partial, k * dt, *cols)
+        else:
+            advance = lambda s0, *traits: s0
+        sizes_cloud = advance(cloud.s0, cloud.x, cloud.S, cloud.gamma)
+        sets = []
+        for tag in (_SET_TRAIN, _SET_TEST):
+            d = pf.sample_mu0(mu0.with_seed(_child_seed(seed, tag, k)), K)
+            cols = (d.s0, d.x, d.S, d.gamma)
+            y = pf.mc_potential(p, advance(*cols), d.x, sizes_cloud, cloud.x)
+            sets.append((pf.feature_map(spec, *cols), y))
+        stages.append(pf.fit_stage(spec, *sets, stage_index=k))
+    return pf.MeanFieldModel(
+        stages=stages, dt=dt, T=float(T), mu0_cfg=mu0, n_cloud=N, seed=seed,
+        params=p,
+    )
+
+
+@pytest.mark.parametrize("dt, T", [(1.0, 3.0), (0.3, 0.9)])
+def test_training_matches_the_rebuilt_recursion(params, mu0_uniform, dt, T):
+    # Training shares one feature matrix per probe set and spec between the
+    # flow, the stage values and the fit; the model must not change by a bit.
+    args = (mu0_uniform, params, dt, T, 60, 60, 3, 2, 5)
+    want = model_to_dict(_train_by_rebuilding(*args))
+    assert model_to_dict(pf.train(*args)) == want
+
+
+def test_training_builds_one_feature_matrix_per_set_and_spec(
+    params, mu0_uniform, monkeypatch
+):
+    # The cloud is built once per spec (2); stage 0's training and testing
+    # sets once each (2); every later stage's sets once per spec (2 x 2).
+    # Arity 3: cloud 1, stage 0 2, stages 1-2 4; arity 5: cloud 1, sets 4.
+    build = meanfield.feature_map
+    calls = []
+
+    def counted(spec, *cols):
+        calls.append(spec.arity)
+        return build(spec, *cols)
+
+    monkeypatch.setattr(meanfield, "feature_map", counted)
+    pf.train(mu0_uniform, params, dt=1.0, T=3.0, N=20, K=20, d3=2, d5=1, seed=0)
+    assert len(calls) == 12
+    assert (calls.count(3), calls.count(5)) == (7, 5)
 
 
 def test_training_stage_structure(tiny_model):

@@ -83,7 +83,7 @@ def cmd_simulate(args) -> int:
 
     export_trajectory_csv(traj, out / "trajectory.csv", comments=[header])
     lo_s, hi_s = traj.sizes.min(axis=1), traj.sizes.max(axis=1)
-    c = traj.diagnostics.c_indices
+    c = traj.c_indices
     lo_c, hi_c = c.min(axis=1), c.max(axis=1)
     doc = {
         "command": "simulate",
@@ -92,7 +92,7 @@ def cmd_simulate(args) -> int:
         "n": ec.n,
         "t_end": ec.solver.t_end,
         "n_accepted_steps": traj.dense.stats.n_accepted,
-        "n_clamped": traj.diagnostics.n_clamped,
+        "n_clamped": traj.n_clamped,
         "min_size": float(lo_s.min()),
         "max_size": float(hi_s.max()),
         "min_c_index": float(lo_c.min()),

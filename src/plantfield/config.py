@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .initial import Mu0Config, SurfaceParams
 from .meanfield import _from_fields, _stage_count
 from .metrics import ZMetricWeights
@@ -213,14 +211,10 @@ def _surface_from_flat(flat: dict, prefix: str) -> SurfaceParams:
             offset=g("offset"),
             peak_value=g("peak"),
             trough_value=g("trough"),
-            peak_center=np.array([g("peak_x1"), g("peak_x2")]),
-            trough_center=np.array([g("trough_x1"), g("trough_x2")]),
-            curvature_peak=np.array(
-                [[g("h1_11"), g("h1_12")], [g("h1_12"), g("h1_22")]]
-            ),
-            curvature_trough=np.array(
-                [[g("h2_11"), g("h2_12")], [g("h2_12"), g("h2_22")]]
-            ),
+            peak_center=(g("peak_x1"), g("peak_x2")),
+            trough_center=(g("trough_x1"), g("trough_x2")),
+            curvature_peak=((g("h1_11"), g("h1_12")), (g("h1_12"), g("h1_22"))),
+            curvature_trough=((g("h2_11"), g("h2_12")), (g("h2_12"), g("h2_22"))),
         )
     except ValueError as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc

@@ -42,15 +42,19 @@ _MAX_REDRAWS = 1000
 
 @dataclass(frozen=True)
 class SurfaceParams:
-    """A bump surface: constant offset plus a Gaussian peak and trough."""
+    """A bump surface: constant offset plus a Gaussian peak and trough.
+
+    A value: the centres are kept as tuples of two floats and the
+    curvatures as 2x2 tuples of tuples, so equal surfaces compare equal.
+    """
 
     offset: float
     peak_value: float
     trough_value: float
-    peak_center: np.ndarray
-    trough_center: np.ndarray
-    curvature_peak: np.ndarray
-    curvature_trough: np.ndarray
+    peak_center: tuple
+    trough_center: tuple
+    curvature_peak: tuple
+    curvature_trough: tuple
 
     def __post_init__(self):
         for f in fields(self):
@@ -64,7 +68,7 @@ class SurfaceParams:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (2,):
                 raise ValueError(f"{name} must be a 2-vector")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, tuple(v.tolist()))
         for name in ("curvature_peak", "curvature_trough"):
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (2, 2):
@@ -73,7 +77,7 @@ class SurfaceParams:
                 raise ValueError(f"{name} must be symmetric")
             if np.any(np.linalg.eigvalsh(m) <= 0.0):
                 raise ValueError(f"{name} must have positive eigenvalues")
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, tuple(map(tuple, m.tolist())))
         if not self.trough_value <= self.offset <= self.peak_value:
             raise ValueError(
                 "surface values must satisfy trough <= offset <= peak"
@@ -85,10 +89,10 @@ def surface_eval(sp: SurfaceParams, x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("positions must have shape (n, 2)")
-    d1 = pts - sp.peak_center[None, :]
-    d2 = pts - sp.trough_center[None, :]
-    q1 = np.einsum("ni,ij,nj->n", d1, sp.curvature_peak, d1)
-    q2 = np.einsum("ni,ij,nj->n", d2, sp.curvature_trough, d2)
+    d1 = pts - np.array(sp.peak_center)
+    d2 = pts - np.array(sp.trough_center)
+    q1 = np.einsum("ni,ij,nj->n", d1, np.array(sp.curvature_peak), d1)
+    q2 = np.einsum("ni,ij,nj->n", d2, np.array(sp.curvature_trough), d2)
     return (
         sp.offset
         + (sp.peak_value - sp.offset) * np.exp(-0.5 * q1)

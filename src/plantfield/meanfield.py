@@ -325,9 +325,11 @@ class MeanFieldModel:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a model needs at least one stage")
-        m = len(self.stages)
-        if abs(m * self.dt - self.T) > 1e-9 * max(1.0, abs(self.T)):
-            raise ValueError("stage count times dt must equal the horizon T")
+        if not 0.0 < self.dt < math.inf:  # also false for NaN
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        horizon = len(self.stages) * self.dt
+        if not abs(horizon - self.T) <= 1e-9 * max(1.0, horizon):  # NaN, inf fail
+            raise ValueError(f"stage count times dt must equal T, got T={self.T!r}")
         if self.stages[0].spec.arity != 3:
             raise ValueError("stage 0 must have arity 3")
         if any(st.spec.arity != 5 for st in self.stages[1:]):

@@ -29,7 +29,6 @@ __all__ = [
     "PopulationState",
     "SolverConfig",
     "Trajectory",
-    "TrajectoryDiagnostics",
     "empirical_flow",
     "export_trajectory_csv",
     "integrate",
@@ -154,22 +153,14 @@ class SolverConfig:
 
 
 @dataclass
-class TrajectoryDiagnostics:
-    """What only the integration knows: the competition index on the
-    snapshot grid and the number of projected plant states."""
-
-    c_indices: np.ndarray  # (n_snapshots, N)
-    n_clamped: int
-
-
-@dataclass
 class Trajectory:
     """A completed population run from ``initial``, sampled on the snapshot grid."""
 
     times: np.ndarray
     initial: PopulationState
     sizes: np.ndarray  # (n_snapshots, N)
-    diagnostics: TrajectoryDiagnostics
+    c_indices: np.ndarray  # (n_snapshots, N), the competition index
+    n_clamped: int  # projected plant states
     dense: DenseSolution = field(repr=False)
     params: ModelParams = field(repr=False)
 
@@ -385,7 +376,8 @@ def integrate(
         times=cfg.snapshot_times,
         initial=initial,
         sizes=sizes_mat,
-        diagnostics=TrajectoryDiagnostics(c_indices=c_mat, n_clamped=clamp_count),
+        c_indices=c_mat,
+        n_clamped=clamp_count,
         dense=dense,
         params=params,
     )
@@ -472,7 +464,7 @@ def export_trajectory_csv(
         for t, sizes, c_row in zip(
             traj.times.tolist(),
             traj.sizes.tolist(),
-            traj.diagnostics.c_indices.tolist(),
+            traj.c_indices.tolist(),
         ):
             yield from map(",".join, zip(
                 repeat(format_value(t)), ids, format_floats(sizes), traits,

@@ -31,7 +31,7 @@ def test_criterion_01_sizes_and_indices_stay_in_band(exp_config, default_run):
     strict = bool(
         np.all(sizes > p.s_m) and np.all(sizes < caps[None, :])
     )
-    c = traj.diagnostics.c_indices
+    c = traj.c_indices
     c_ok = bool(np.all(c >= -1e-9) and np.all(c <= 1.0 + 1e-9))
     fast = elapsed < 10.0
     _report(

@@ -447,6 +447,30 @@ def test_model_extra_key_is_ignored(edit, trained_dir, tmp_path):
     assert _dump_edited_model(trained_dir, tmp_path, edit) == 0
 
 
+@pytest.mark.parametrize(
+    "dt, T",
+    [(-1.0, None), (float("nan"), float("nan")), (None, float("nan"))],
+    ids=["negative", "nan", "nan-horizon"],
+)
+@pytest.mark.parametrize(
+    "cmd",
+    [("converge", "--n-list", "4"), ("potential-dump", "--grid", "0,1,0,1,2")],
+    ids=["converge", "potential-dump"],
+)
+def test_exit_code_malformed_model_horizon(cmd, dt, T, trained_dir, tmp_path, capsys):
+    # A negative horizon of whole stages (dt = -1, T = -m) and NaN values
+    # pass a bare stage-count test (false for NaN), so dt is checked first.
+    doc = json.loads((trained_dir / "model.json").read_text())
+    doc["dt"] = doc["dt"] if dt is None else dt
+    doc["T"] = -len(doc["stages"]) if T is None else T
+    bad = tmp_path / "horizon.json"
+    bad.write_text(json.dumps(doc))
+    name, *rest = cmd
+    assert run(name, "--model", str(bad), *rest, "--out", str(tmp_path / name)) == 2
+    err = capsys.readouterr().err
+    assert "invalid model file" in err and ("dt" in err or "T=" in err)
+
+
 def _run_twice(tmp_path, *argv):
     """Run a command into two directories, check that every output file is
     byte-identical between them, and return the first directory."""

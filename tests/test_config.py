@@ -201,5 +201,18 @@ def test_build_wires_surfaces(exp_config):
     assert down < 0.5
 
 
+def test_initial_laws_compare_by_value(tiny_model):
+    a = pf.build_experiment_config(pf.resolve_config({}))
+    b = pf.build_experiment_config(pf.resolve_config({}))
+    assert a.mu0.S_surface is not b.mu0.S_surface
+    assert a.mu0 == b.mu0 and a.mu0_train == b.mu0_train
+    moved = pf.build_experiment_config(
+        pf.resolve_config({"mu0.S_surface.peak_x1": -0.5})
+    )
+    assert moved.mu0.S_surface != a.mu0.S_surface and moved.mu0 != a.mu0
+    loaded = pf.model_from_dict(pf.model_to_dict(tiny_model))
+    assert loaded.mu0_cfg == tiny_model.mu0_cfg
+
+
 def test_experiment_sha_matches_flat_hash(exp_config):
     assert exp_config.sha256 == pf.config_sha256(pf.resolve_config({}))

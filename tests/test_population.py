@@ -48,7 +48,7 @@ def _random_state(p, n, rng):
 
 def _c_index(p, state):
     """Competition index of every plant of ``state``: row 0 of a run of length 0."""
-    return pf.integrate(p, state, pf.SolverConfig(t_end=0.0)).diagnostics.c_indices[0]
+    return pf.integrate(p, state, pf.SolverConfig(t_end=0.0)).c_indices[0]
 
 
 def test_competition_index_matches_double_loop(p, rng):
@@ -223,8 +223,8 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
     direct = pf.integrate(exp_config.params, state0, cfg)
     for got, want in zip(traj.sizes, direct.sizes):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert traj.diagnostics.c_indices == pytest.approx(
-        direct.diagnostics.c_indices, rel=1e-12, abs=1e-15
+    assert traj.c_indices == pytest.approx(
+        direct.c_indices, rel=1e-12, abs=1e-15
     )
 
 
@@ -343,7 +343,7 @@ def test_growth_nearly_stalls_by_horizon(default_run, exp_config):
     _, traj, _ = default_run
     p = exp_config.params
     final = replace(traj.initial, sizes=traj.sizes[-1])
-    c = traj.diagnostics.c_indices[-1]
+    c = traj.c_indices[-1]
     slopes = final.rates * final.sizes * (
         np.log(final.caps / p.s_m) * (1.0 - c) - np.log(final.sizes / p.s_m)
     )
@@ -536,7 +536,7 @@ def test_snapshots_between_nodes_stay_below_the_caps():
     assert (fine - caps_log).max() > 0.0  # the interpolant does cross
     assert np.all(traj.sizes < state.caps)
     assert np.all(traj.sizes > ec.params.s_m)
-    assert traj.diagnostics.n_clamped > 0
+    assert traj.n_clamped > 0
     # sizes_at applies the snapshot rows' projection.
     assert all(np.all(traj.sizes_at(t) < state.caps) for t in grid)
     for t, row in zip(traj.times, traj.sizes):
@@ -583,7 +583,7 @@ def test_accepted_step_breach_beyond_roundoff_aborts(p, rng, monkeypatch, gap, d
         assert info.value.breach == pytest.approx(gap, rel=1e-6)
     else:
         traj = pf.integrate(p, state, pf.SolverConfig(t_end=3.0))
-        assert traj.diagnostics.n_clamped == 1
+        assert traj.n_clamped == 1
         assert np.all(traj.sizes < state.caps)
 
 
@@ -603,7 +603,7 @@ def test_snapshot_breach_beyond_error_tolerance_aborts(p, rng, monkeypatch, shar
         assert info.value.breach == pytest.approx(share * tol, rel=1e-6)
     else:
         traj = pf.integrate(p, state, cfg)
-        assert traj.diagnostics.n_clamped == 1
+        assert traj.n_clamped == 1
         assert traj.sizes[3, 0] < state.caps[0]
         assert traj.sizes[3, 0] == pytest.approx(state.caps[0], rel=1e-15)
 
@@ -611,12 +611,11 @@ def test_snapshot_breach_beyond_error_tolerance_aborts(p, rng, monkeypatch, shar
 def test_diagnostics_shapes_and_counts(p, rng):
     state = _random_state(p, 5, rng)
     traj = pf.integrate(p, state, pf.SolverConfig(t_end=2.0))
-    d = traj.diagnostics
     n_snap = len(traj.times)
-    assert d.c_indices.shape == (n_snap, 5)
+    assert traj.c_indices.shape == (n_snap, 5)
     assert traj.sizes.shape == (n_snap, 5)
     assert traj.dense.stats.n_accepted == len(traj.dense.ts) - 1
-    assert d.n_clamped >= 0
+    assert traj.n_clamped >= 0
 
 
 def test_snapshot_measure_copies_state(p, rng):
@@ -664,7 +663,7 @@ def test_trajectory_csv_layout(p, rng, tmp_path):
     want = [
         float(traj.times[k]), i, float(traj.sizes[k, i]),
         *state.positions[i].tolist(), float(state.caps[i]),
-        float(state.rates[i]), float(traj.diagnostics.c_indices[k, i]),
+        float(state.rates[i]), float(traj.c_indices[k, i]),
     ]
     assert lines[2 + 3 * k + i] == ",".join(map(repr, want))
 
@@ -681,7 +680,7 @@ def test_trajectory_csv_matches_per_cell_formatting(p, rng, tmp_path):
         for i in range(4):
             cells = (
                 t, i, traj.sizes[k, i], *state.positions[i], state.caps[i],
-                state.rates[i], traj.diagnostics.c_indices[k, i],
+                state.rates[i], traj.c_indices[k, i],
             )
             lines.append(",".join(format_value(v) for v in cells))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()

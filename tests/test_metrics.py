@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import plantfield as pf
+from plantfield import metrics
 from plantfield.metrics import export_distances_csv
 
 # Drive constant frozen from an independent high-precision evaluation
@@ -34,11 +35,36 @@ def _atom(m, i):
     return (m.sizes[i], m.positions[i], m.caps[i], m.rates[i])
 
 
+def z_distance(w, z1, z2) -> float:
+    """The weighted ground distance between two states (s, x, S, gamma),
+    written out one pair at a time: the oracle for the package's cost."""
+    s1, x1, S1, g1 = z1
+    s2, x2, S2, g2 = z2
+    dx = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
+    return (
+        abs(s1 - s2) / w.s_m
+        + abs(S1 - S2) / w.s_m
+        + float(np.sqrt((dx**2).sum())) / w.ell
+        + w.tau_r * abs(g1 - g2)
+    )
+
+
+def _brute_w1(w, a, b) -> float:
+    """W1 by exhaustive search over the permutations of scalar distances."""
+    n = a.n
+    d = np.array([
+        [z_distance(w, _atom(a, i), _atom(b, j)) for j in range(n)]
+        for i in range(n)
+    ])
+    perms = np.array(list(itertools.permutations(range(n))))
+    return float(d[np.arange(n), perms].mean(axis=1).min())
+
+
 def test_z_distance_hand_value(w):
     z1 = (0.2, np.array([0.0, 0.0]), 0.8, 1.0)
     z2 = (0.25, np.array([3.0, 4.0]), 0.7, 1.6)
     expected = 0.05 / 0.05 + 0.1 / 0.05 + 5.0 / 2.0 + 0.7 * 0.6
-    assert pf.z_distance(w, z1, z2) == pytest.approx(expected, rel=1e-12)
+    assert z_distance(w, z1, z2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_z_distance_axioms(w, rng):
@@ -49,10 +75,10 @@ def test_z_distance_axioms(w, rng):
             for _ in range(3)
         ]
         a, b, c = zs
-        assert pf.z_distance(w, a, a) == 0.0
-        assert pf.z_distance(w, a, b) == pf.z_distance(w, b, a)
-        assert pf.z_distance(w, a, c) <= (
-            pf.z_distance(w, a, b) + pf.z_distance(w, b, c) + 1e-12
+        assert z_distance(w, a, a) == 0.0
+        assert z_distance(w, a, b) == z_distance(w, b, a)
+        assert z_distance(w, a, c) <= (
+            z_distance(w, a, b) + z_distance(w, b, c) + 1e-12
         )
 
 
@@ -91,15 +117,22 @@ def test_matching_equals_brute_force(w, rng):
         n = int(rng.integers(2, 7))
         a = _measure(rng, n)
         b = _measure(rng, n)
-        got = pf.w1_matching(a, b, w)
-        brute = min(
-            np.mean([
-                pf.z_distance(w, _atom(a, i), _atom(b, perm[i]))
-                for i in range(n)
-            ])
-            for perm in itertools.permutations(range(n))
-        )
-        assert got == pytest.approx(brute, abs=1e-12)
+        assert pf.w1_matching(a, b, w) == pytest.approx(_brute_w1(w, a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_matching_equals_brute_force_over_weight_range(scale, rng):
+    # Every weight from 1e-6 to 1e6 against every position scale, so each
+    # term of the ground metric in turn dominates or vanishes.
+    for s_m, ell, tau_r in itertools.product((1e-6, 1.0, 1e6), repeat=3):
+        w = pf.ZMetricWeights(s_m=s_m, ell=ell, tau_r=tau_r)
+        for _ in range(3):
+            n = int(rng.integers(2, 7))
+            a = _measure(rng, n, spread=scale)
+            b = _measure(rng, n, spread=scale)
+            assert pf.w1_matching(a, b, w) == pytest.approx(
+                _brute_w1(w, a, b), rel=1e-12, abs=0.0
+            )
 
 
 def test_matching_never_beats_identity(w, rng):
@@ -107,7 +140,7 @@ def test_matching_never_beats_identity(w, rng):
         a = _measure(rng, 12)
         b = _measure(rng, 12)
         identity = np.mean([
-            pf.z_distance(w, _atom(a, i), _atom(b, i)) for i in range(12)
+            z_distance(w, _atom(a, i), _atom(b, i)) for i in range(12)
         ])
         assert pf.w1_matching(a, b, w) <= identity + 1e-12
 
@@ -281,6 +314,74 @@ def test_convergence_experiment_grows_no_probes(
     )
     assert [r.N for r in reports] == [5, 8]
     assert all(np.all(np.isfinite(r.flow_gap)) for r in reports)
+
+
+@pytest.mark.parametrize("cheap_traits", [False, True])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_full_w1_equals_matching_at_each_time(
+    tiny_model, exp_config, seed, cheap_traits
+):
+    # The trait cost is built once per N; each time point must still give
+    # exactly the matching of the run's sizes against the surrogate's.
+    # Default weights match each plant with itself; cheap position and
+    # rate terms make some swaps pay at N = 200, so the trait values count.
+    w = exp_config.weights
+    if cheap_traits:
+        w = replace(w, ell=1e3, tau_r=1e-3)
+    cfg = _grid(1.0, 0.25)
+    reports = pf.convergence_experiment(
+        tiny_model, [2, 50, 200], cfg, seed=seed, weights=w
+    )
+    for rep in reports:
+        sample = pf.sample_mu0(tiny_model.mu0_cfg.with_seed(seed), rep.N)
+        state0 = pf.samples_to_state(sample)
+        sim = pf.integrate(tiny_model.params, state0, cfg).sizes
+        members = _columns(sample, rep.N)
+        for k, t in enumerate(cfg.snapshot_times):
+            mf = pf.flow_eval_many(tiny_model, t, *members)
+            expected = pf.w1_matching(
+                replace(state0, sizes=sim[k]), replace(state0, sizes=mf), w
+            )
+            assert rep.w1_full[k] == expected
+        assert rep.w1_full[-1] > 0.0
+
+
+def test_full_w1_is_nan_above_the_cap_without_an_assignment(
+    tiny_model, exp_config, monkeypatch
+):
+    sizes = []
+    assign = metrics.linear_sum_assignment
+
+    def counted(cost):
+        sizes.append(cost.shape[0])
+        return assign(cost)
+
+    monkeypatch.setattr(metrics, "DEFAULT_MATCHING_CAP", 10)
+    monkeypatch.setattr(metrics, "linear_sum_assignment", counted)
+    cfg = _grid(1.0, 0.5)
+    small, big = pf.convergence_experiment(
+        tiny_model, [10, 11], cfg, seed=2, weights=exp_config.weights
+    )
+    assert np.all(np.isfinite(small.w1_full))
+    assert np.all(np.isnan(big.w1_full))
+    assert sizes == [10] * cfg.snapshot_times.size
+
+
+def test_ladder_builds_each_trait_cost_once(tiny_model, exp_config, monkeypatch):
+    built = []
+    trait_cost = metrics._trait_cost
+
+    def counted(w, a, b):
+        built.append(a.n)
+        return trait_cost(w, a, b)
+
+    monkeypatch.setattr(metrics, "DEFAULT_MATCHING_CAP", 8)
+    monkeypatch.setattr(metrics, "_trait_cost", counted)
+    pf.convergence_experiment(
+        tiny_model, [3, 5, 8, 9], _grid(1.0, 0.25), seed=1,
+        weights=exp_config.weights,
+    )
+    assert built == [3, 5, 8]
 
 
 def test_convergence_experiment_validation(tiny_model, exp_config):

@@ -10,14 +10,13 @@ never reshuffles — a smaller one with the same seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import ModelParams
+from .model import ModelParams, _require_positive
 from .population import PopulationState
 from .textio import format_row, write_csv
 
@@ -122,12 +121,12 @@ class Mu0Config:
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        for name in ("L", "delta_S", "delta_gamma", "gamma_max"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # also false for NaN
-                raise ValueError(
-                    f"mu0.{name} must be finite and strictly positive, got {value!r}"
-                )
+        s0_given = {"s0": self.s0, "s0_min": self.s0_min, "s0_max": self.s0_max}
+        _require_positive(
+            "mu0.", L=self.L, delta_S=self.delta_S, delta_gamma=self.delta_gamma,
+            gamma_max=self.gamma_max, S_lower=self.S_lower,
+            **{name: v for name, v in s0_given.items() if v is not None},
+        )
         s_m = self.params.s_m
         if not s_m < self.S_lower < self.params.max_size:
             raise ValueError(

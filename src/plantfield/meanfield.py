@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .initial import Mu0Config, SurfaceParams, sample_mu0
-from .model import ModelParams
+from .model import ModelParams, _require_positive
 from .population import _pair_row_sums, _spatial_kernel
 from .textio import format_row, write_csv, write_json
 
@@ -142,10 +142,9 @@ class FeatureSpec:
         if c.shape != (2,):
             raise ValueError("center must be a 2-vector")
         object.__setattr__(self, "center", tuple(c.tolist()))
-        if self.length_x <= 0.0 or self.length_y <= 0.0:
-            raise ValueError("lengths must be strictly positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be strictly positive")
+        if not np.isfinite(c).all():
+            raise ValueError(f"center must be finite, got {self.center!r}")
+        _require_positive(length_x=self.length_x, length_y=self.length_y, dt=self.dt)
 
     @property
     def n_features(self) -> int:
@@ -325,8 +324,7 @@ class MeanFieldModel:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a model needs at least one stage")
-        if not 0.0 < self.dt < math.inf:  # also false for NaN
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        _require_positive(dt=self.dt)
         horizon = len(self.stages) * self.dt
         if not abs(horizon - self.T) <= 1e-9 * max(1.0, horizon):  # NaN, inf fail
             raise ValueError(f"stage count times dt must equal T, got T={self.T!r}")
@@ -359,15 +357,16 @@ def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
     return np.exp(g_b * (end - t_b)) - np.exp(g_b * (start - t_b))
 
 
-def _stage_values(model: MeanFieldModel, s0, x, S, gamma) -> np.ndarray:
-    """Evaluate every stage's clamped potential at initial data; (M, n).
+def _stage_values(stages, s0, x, S, gamma, features=None) -> np.ndarray:
+    """Evaluate each stage's clamped potential at initial data; (M, n).
 
     Stages with equal specs share one feature matrix, so each row equals
-    ``stage_potential_eval`` of its stage.
+    ``stage_potential_eval`` of its stage.  ``features`` ({spec: matrix}
+    of these same data) lets a caller keep the matrices across calls.
     """
-    features = {}
+    features = {} if features is None else features
     rows = []
-    for stage in model.stages:
+    for stage in stages:
         if stage.spec not in features:
             features[stage.spec] = feature_map(stage.spec, s0, x, S, gamma)
         rows.append(_clamped(features[stage.spec], stage.beta))
@@ -406,7 +405,7 @@ def reconstructed_potential_integral(
     and for gamma = 0 (the weight density vanishes identically).
     """
     t = _horizon_time(model, t)
-    stage_vals = _stage_values(model, s0, x, S, gamma)
+    stage_vals = _stage_values(model.stages, s0, x, S, gamma)
     return _potential_integral(model.dt, t, stage_vals, gamma)
 
 
@@ -427,7 +426,7 @@ def flow_eval_many(
     if np.any(s0 <= model.params.s_m):
         raise ValueError("initial size must exceed the minimal size")
     t = _horizon_time(model, t)
-    stage_vals = _stage_values(model, s0, x, S, gamma)
+    stage_vals = _stage_values(model.stages, s0, x, S, gamma)
     return _flow(model.params, model.dt, t, stage_vals, s0, x, S, gamma)
 
 
@@ -439,8 +438,7 @@ def _child_seed(seed: int, tag: int, k: int) -> int:
 
 def _stage_count(dt: float, T: float, N: int, K: int, d3: int, d5: int) -> int:
     """The number of stages T / dt, once the training settings are checked."""
-    if dt <= 0.0 or T <= 0.0:
-        raise ValueError("dt and T must be strictly positive")
+    _require_positive(dt=dt, T=T)
     ratio = T / dt
     if not ratio < _MAX_STAGES + 0.5:  # also false for inf and NaN
         raise ValueError(
@@ -492,34 +490,31 @@ def train(
     spec5 = replace(spec3, arity=5, degree=d5)
 
     stages: list = []
-    cloud_vals: list = []  # per fitted stage, its value on the cloud
+    cloud_features: dict = {}  # {spec: the cloud's features}, kept for every stage
+
+    def advanced(t, cols, features):
+        """The sizes of ``cols`` at t under the flow of the stages fitted so far."""
+        if not stages:
+            return cols[0]
+        return _flow(p, dt, t, _stage_values(stages, *cols, features), *cols)
 
     for k in range(m_stages):
         t_k = k * dt
         spec = spec3 if k == 0 else spec5
-        sizes_cloud = cloud.s0
-        if k > 0:
-            # The flow of the stages fitted so far advances every size to t_k.
-            sizes_cloud = _flow(p, dt, t_k, np.stack(cloud_vals), *cloud_cols)
+        sizes_cloud = advanced(t_k, cloud_cols, cloud_features)
 
         sets = []
         for tag in (_SET_TRAIN, _SET_TEST):
             d = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), K)
             cols = (d.s0, d.x, d.S, d.gamma)
-            F = feature_map(spec, *cols)
-            sizes = d.s0
-            if k > 0:
-                # Stage 0's arity-3 features are built and dropped here.
-                vals = [_clamped(feature_map(spec3, *cols), stages[0].beta)]
-                vals += [_clamped(F, st.beta) for st in stages[1:]]
-                sizes = _flow(p, dt, t_k, np.stack(vals), *cols)
-            sets.append((F, mc_potential(p, sizes, d.x, sizes_cloud, cloud.x)))
+            features: dict = {}
+            sizes = advanced(t_k, cols, features)
+            if spec not in features:
+                features[spec] = feature_map(spec, *cols)
+            targets = mc_potential(p, sizes, d.x, sizes_cloud, cloud.x)
+            sets.append((features[spec], targets))
 
-        stage = fit_stage(spec, *sets, stage_index=k)
-        stages.append(stage)
-        if k < 2:  # stages 0 and 1 are the first under their specs
-            F_cloud = feature_map(spec, *cloud_cols)
-        cloud_vals.append(_clamped(F_cloud, stage.beta))
+        stages.append(fit_stage(spec, *sets, stage_index=k))
 
     return MeanFieldModel(
         stages=stages,

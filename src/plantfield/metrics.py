@@ -20,7 +20,7 @@ from .initial import Mu0Config, sample_mu0, samples_to_state
 from .meanfield import (
     MeanFieldModel, _flow, _horizon_time, _stage_values, flow_eval_many
 )
-from .model import ModelParams
+from .model import ModelParams, _require_positive
 from .population import (
     PopulationState,
     SolverConfig,
@@ -57,13 +57,7 @@ class ZMetricWeights:
     tau_r: float
 
     def __post_init__(self):
-        for name in ("s_m", "ell", "tau_r"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # also false for NaN
-                raise ValueError(
-                    f"metric weight {name} must be finite and strictly "
-                    f"positive, got {value!r}"
-                )
+        _require_positive("metric weight ", s_m=self.s_m, ell=self.ell, tau_r=self.tau_r)
 
 
 def w1_sorted_1d(a, b) -> float:
@@ -142,9 +136,10 @@ class BoundCoefficients:
     drive_constant: float
     N: int
 
-    def drive_term(self, t: float) -> float:
-        """The finite part of the bound: (drive + t*A) / (N - 1).  The full
-        certificate multiplies it by e^{beta_N t}, vacuous at beta_N ~ 1e3."""
+    def drive_term(self, t):
+        """The finite part of the bound at time t (or an array of times):
+        (drive + t*A) / (N - 1).  The full certificate multiplies it by
+        e^{beta_N t}, vacuous at beta_N ~ 1e3."""
         return (self.drive_constant + t * self.A_mu) / (self.N - 1)
 
 
@@ -230,7 +225,7 @@ def convergence_experiment(
         if self_comparison:
             mf_sizes = sim_sizes
         else:
-            sv = _stage_values(model, *atoms)  # one evaluation for every t
+            sv = _stage_values(model.stages, *atoms)  # one evaluation for every t
             mf_sizes = np.stack([
                 _flow(params, model.dt, _horizon_time(model, t), sv, *atoms)
                 for t in t_grid
@@ -248,7 +243,7 @@ def convergence_experiment(
             for k in range(t_grid.size):
                 w1_full[k] = _matched_cost(weights, sim_sizes[k], mf_sizes[k], trait)
         gap = np.abs(sim_sizes - mf_sizes).mean(axis=1)
-        bound = np.array([coeffs.drive_term(t) for t in t_grid])
+        bound = coeffs.drive_term(t_grid)
         reports.append(
             DistanceReport(
                 N=n,

@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 
+def _require_positive(prefix: str = "", **values) -> None:
+    """Raise ``ValueError`` for the first of ``values`` (name=value) that is
+    not finite and strictly positive, naming it as ``prefix + name``."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # also false for NaN
+            raise ValueError(
+                f"{prefix}{name} must be finite and strictly positive, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Global constants shared by every formula of the model.
@@ -52,10 +62,9 @@ class ModelParams:
     sigma_r: float
 
     def __post_init__(self) -> None:
-        for name in ("s_m", "R_M", "sigma_x", "sigma_r"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        _require_positive(
+            s_m=self.s_m, R_M=self.R_M, sigma_x=self.sigma_x, sigma_r=self.sigma_r
+        )
         # The spatial kernel divides by sigma_x**2: a square that underflows
         # or overflows turns its diagonal into 0/0 or raises OverflowError.
         if not sys.float_info.min <= self.sigma_x * self.sigma_x <= sys.float_info.max:

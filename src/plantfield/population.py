@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .model import ModelParams, _raise_first_offender, validate_initial_config
+from .model import (
+    ModelParams, _raise_first_offender, _require_positive, validate_initial_config
+)
 from .solver import DenseSolution, solve_ode
 from .textio import format_floats, format_row, format_value, write_csv
 
@@ -106,10 +108,7 @@ def _snapshot_times(t_end: float, snap_dt: float) -> np.ndarray:
     """Grid 0, snap_dt, 2 snap_dt, ... whose last point is t_end exactly."""
     if not 0.0 <= t_end < math.inf:  # also false for NaN
         raise ValueError(f"solver.t_end must be finite and nonnegative, got {t_end!r}")
-    if not 0.0 < snap_dt < math.inf:  # also false for NaN
-        raise ValueError(
-            f"solver.snapshot_dt must be finite and strictly positive, got {snap_dt!r}"
-        )
+    _require_positive("solver.", snapshot_dt=snap_dt)
     ratio = t_end / snap_dt
     if not ratio < _MAX_SNAPSHOTS:  # also false for inf and NaN
         raise ValueError(
@@ -143,12 +142,9 @@ class SolverConfig:
     snapshot_dt: float = 0.5
 
     def __post_init__(self):
-        for name in ("dt_init", "rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # also false for NaN
-                raise ValueError(
-                    f"solver.{name} must be finite and strictly positive, got {value!r}"
-                )
+        _require_positive(
+            "solver.", dt_init=self.dt_init, rel_tol=self.rel_tol, abs_tol=self.abs_tol
+        )
         self.snapshot_times = _snapshot_times(self.t_end, self.snapshot_dt)
 
 

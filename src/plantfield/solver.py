@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .model import _require_positive
+
 __all__ = [
     "DenseSolution",
     "NonFiniteStateError",
@@ -195,8 +197,7 @@ def solve_ode(
     y0 = np.asarray(y0, dtype=float)
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
-    if rel_tol <= 0.0 or abs_tol <= 0.0:
-        raise ValueError("tolerances must be strictly positive")
+    _require_positive(rel_tol=rel_tol, abs_tol=abs_tol, dt_init=dt_init)
     ts = [t0]
     ys = [y0.copy()]
     k1 = np.asarray(f(t0, y0), dtype=float)

@@ -205,7 +205,7 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
         t = rng.uniform(0.0, model.T)
         atom = _one_atom(rng, 0.1)
         gamma = atom[3][0]
-        vals = _stage_values(model, *atom)[:, 0]
+        vals = _stage_values(model.stages, *atom)[:, 0]
 
         def step(tau):
             return vals[min(int(tau / dt), m - 1)]

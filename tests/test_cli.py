@@ -249,7 +249,7 @@ def test_exit_code_non_finite_law_and_metric(
     "lines, key",
     [
         ("train.T = 2.5\ntrain.dt = 1.0", "integral number of stages"),
-        ("train.dt = 0.0", "dt and T must be strictly positive"),
+        ("train.dt = 0.0", "dt must be finite and strictly positive"),
         ("train.d3 = -1", "degrees must be nonnegative"),
         ("train.N = 0", "sample sizes must be at least 1"),
         ("train.dt = 1e-320", "stages; at most"),
@@ -469,6 +469,31 @@ def test_exit_code_malformed_model_horizon(cmd, dt, T, trained_dir, tmp_path, ca
     assert run(name, "--model", str(bad), *rest, "--out", str(tmp_path / name)) == 2
     err = capsys.readouterr().err
     assert "invalid model file" in err and ("dt" in err or "T=" in err)
+
+
+@pytest.mark.parametrize("field, index", [("dt", None), ("length_x", None), ("center", 0)])
+@pytest.mark.parametrize(
+    "cmd",
+    [("converge", "--n-list", "4"), ("potential-dump", "--grid", "0,1,0,1,2")],
+    ids=["converge", "potential-dump"],
+)
+def test_exit_code_non_finite_stage_spec(cmd, field, index, trained_dir, tmp_path, capsys):
+    # json.load reads the NaN literal, so a stage spec can hold one; it is
+    # refused when the spec is built, before any row is computed.
+    doc = json.loads((trained_dir / "model.json").read_text())
+    stage = doc["stages"][1]
+    if index is None:
+        stage[field] = float("nan")
+    else:
+        stage[field][index] = float("nan")
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(doc))
+    name, *rest = cmd
+    assert run(name, "--model", str(bad), *rest, "--out", str(tmp_path / name)) == 2
+    err = capsys.readouterr().err
+    assert "invalid model file" in err and f"{field} must be finite" in err
+    assert not (tmp_path / name / "potential_surface.csv").exists()
+    assert not (tmp_path / name / "distances.csv").exists()
 
 
 def _run_twice(tmp_path, *argv):

@@ -1,5 +1,6 @@
 """Flat key-value configs: parsing, validation, canonical hashing."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -150,6 +151,32 @@ def test_build_rejects_inconsistent_physics():
         pf.build_experiment_config(pf.resolve_config({"model.s_m": -0.05}))
     with pytest.raises(pf.ConfigError, match="snapshot_dt"):
         pf.build_experiment_config(pf.resolve_config({"solver.snapshot_dt": -0.5}))
+
+
+# The SurfaceParams field each surface key fills (see _surface_from_flat),
+# by key prefix; the longer prefix of "peak_x" and "peak" comes first.
+_SURFACE_FIELDS = {
+    "offset": "offset", "peak_x": "peak_center", "peak": "peak_value",
+    "trough_x": "trough_center", "trough": "trough_value",
+    "h1_": "curvature_peak", "h2_": "curvature_trough",
+}
+
+
+def _field_name(key):
+    """The record field that ``key`` sets."""
+    name = key.rsplit(".", 1)[1]
+    if ".S_surface." in key or ".gamma_surface." in key:
+        return next(f for k, f in _SURFACE_FIELDS.items() if name.startswith(k))
+    return name
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", [k for k, v in DEFAULTS.items() if isinstance(v, float)])
+def test_every_float_setting_refuses_non_finite_values(key, value):
+    # Whether or not the chosen s0 law reads it, a non-finite setting is a
+    # configuration error that names its field.
+    with pytest.raises(pf.ConfigError, match=_field_name(key)):
+        pf.build_experiment_config(pf.resolve_config({key: value}))
 
 
 def test_build_makes_the_training_law(exp_config):

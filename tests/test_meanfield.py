@@ -379,7 +379,7 @@ def test_integral_monotone_and_bounded(tiny_model):
     ts = np.linspace(0.0, tiny_model.T, 40)
     vals = [pf.reconstructed_potential_integral(tiny_model, t, *atom)[0] for t in ts]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-    stage_vals = _stage_values(tiny_model, *atom)[:, 0]
+    stage_vals = _stage_values(tiny_model.stages, *atom)[:, 0]
     cap = stage_vals.max() * (1.0 - math.exp(-1.1 * tiny_model.T))
     assert vals[-1] <= cap + 1e-14
 
@@ -389,7 +389,7 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
     for _ in range(25):
         t = rng.uniform(0.0, tiny_model.T)
         atoms = _random_atoms(rng, 1)
-        vals, gamma = _stage_values(tiny_model, *atoms)[:, 0], atoms[3][0]
+        vals, gamma = _stage_values(tiny_model.stages, *atoms)[:, 0], atoms[3][0]
 
         def step(tau):
             k = min(int(tau / dt), m - 1)
@@ -435,7 +435,7 @@ def test_stage_values_match_each_stage_eval(tiny_model, rng, tmp_path):
     )
     for model in (tiny_model, loaded, mixed):
         want = [pf.stage_potential_eval(st, *atoms) for st in model.stages]
-        got = _stage_values(model, *atoms)
+        got = _stage_values(model.stages, *atoms)
         assert got.shape == (model.n_stages, 40)
         assert np.array_equal(got, np.stack(want))
 
@@ -643,6 +643,20 @@ def test_feature_spec_compares_and_hashes_by_value(tiny_model, tmp_path):
     pf.save_model(tiny_model, tmp_path / "m.json")
     loaded = pf.load_model(tmp_path / "m.json")
     assert [st.spec for st in loaded.stages] == [st.spec for st in tiny_model.stages]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("length_x", math.nan), ("length_x", math.inf),
+        ("length_y", math.nan), ("length_y", math.inf),
+        ("dt", math.nan), ("dt", math.inf),
+        ("center", (math.nan, 0.0)),
+    ],
+)
+def test_feature_spec_refuses_non_finite_fields(p, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        replace(_spec3(p), **{field: value})
 
 
 def test_model_document_keys_are_pinned(tiny_model):

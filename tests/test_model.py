@@ -225,9 +225,12 @@ def test_params_reject_sigma_r_below_r_m_over_600():
 def test_params_reject_sigma_x_with_unrepresentable_square():
     # The spatial kernel divides by sigma_x**2: at 1e-170 the square is 0
     # (diagonal 0/0), at 1e200 the float power overflows.
-    for sigma_x in (1e-170, 1e-160, 1e160, 1e200, math.inf):
+    for sigma_x in (1e-170, 1e-160, 1e160, 1e200):
         with pytest.raises(ValueError, match="sigma_x="):
             pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=sigma_x, sigma_r=1.32)
+    # An infinite scale is refused by the finite-and-positive rule first.
+    with pytest.raises(ValueError, match="sigma_x must be finite and strictly positive"):
+        pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=math.inf, sigma_r=1.32)
     for sigma_x in (1.5e-154, 1e-6, 1e6, 1.3e154):
         pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=sigma_x, sigma_r=1.32)
 

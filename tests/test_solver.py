@@ -220,6 +220,15 @@ def test_input_validation():
         solve_ode(_f, 0.0, 1.0, _Y0, rel_tol=0.0)
 
 
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "dt_init"])
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+def test_step_controls_must_be_finite_and_positive(name, value):
+    # Refused before the first step, as a setting error naming the argument:
+    # a NaN is not a non-finite state, and an infinite tolerance accepts all.
+    with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+        solve_ode(_f, 0.0, 1.0, _Y0, **{name: value})
+
+
 def test_dense_solution_single_segment_formula():
     # Values and slopes of y = t^3 at t = 0, 1 with r5 = 0 give the cubic
     # Hermite segment, t^3 itself; y = t^4 needs the quartic term r5 = 1.

@@ -39,8 +39,10 @@ from .meanfield import (
     train,
 )
 from .metrics import convergence_experiment, export_distances_csv
+from .model import _raise_first_offender
 from .population import (
     IntegrationDivergedError,
+    PopulationState,
     export_trajectory_csv,
     integrate,
 )
@@ -119,7 +121,6 @@ def cmd_train_meanfield(args) -> int:
 
     model = train(
         ec.mu0_train,
-        ec.params,
         dt=ec.train.dt,
         T=ec.train.T,
         N=ec.train.N,
@@ -153,7 +154,8 @@ def _load_model_checked(path):
         return model_from_dict(mdict), mdict
     except FileNotFoundError as exc:
         raise ConfigError(f"model file not found: {path}") from exc
-    except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; a field of the wrong type raises TypeError.
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid model file {path}: {exc}") from exc
 
 
@@ -220,21 +222,31 @@ def cmd_potential_dump(args) -> int:
     ax1 = np.linspace(x1min, x1max, steps)
     ax2 = np.linspace(x2min, x2max, steps)
     pts = np.array([(a, b) for a in ax1 for b in ax2])
-    mu0 = model.mu0_cfg
-    s_bar_vals = surface_eval(mu0.S_surface, pts)
-    g_bar_vals = surface_eval(mu0.gamma_surface, pts)
-    s_init = np.full(pts.shape[0], mu0.s0_mid)
-    s_inf = flow_eval_many(
-        model, model.T, s_init, pts, s_bar_vals, g_bar_vals
-    )
+    mu0, params = model.mu0_cfg, model.params
+    caps = surface_eval(mu0.S_surface, pts)
+    rates = surface_eval(mu0.gamma_surface, pts)
+    # The flow's domain: a cap at or below s_m grows an atom below s_m.
+    try:
+        _raise_first_offender("grid point", [
+            ("asymptotic size outside (s_m, s_m*exp(R_M))",
+             (params.s_m < caps) & (caps < params.max_size)),
+            ("growth rate not nonnegative", rates >= 0.0),
+        ])
+    except ValueError as exc:
+        raise ConfigError(
+            f"the model's trait surfaces leave the flow's domain: {exc} "
+            "(grid point i is the CSV's data row i, from 0)"
+        ) from exc
+    grid = PopulationState(np.full(pts.shape[0], mu0.s0_mid), pts, caps, rates)
+    s_inf = flow_eval_many(model, model.T, grid)
     # Positions beyond twice the spread were essentially unseen in training.
     extrapolated = (pts**2).sum(axis=1) > (2.0 * mu0.L) ** 2
 
     rows = zip(
         pts[:, 0].tolist(),
         pts[:, 1].tolist(),
-        s_bar_vals.tolist(),
-        g_bar_vals.tolist(),
+        caps.tolist(),
+        rates.tolist(),
         s_inf.tolist(),
         extrapolated.astype(int).tolist(),
     )

@@ -130,16 +130,17 @@ class Mu0Config:
         s_m = self.params.s_m
         if not s_m < self.S_lower < self.params.max_size:
             raise ValueError(
-                "the lower truncation bound for S must lie strictly between "
-                "the minimal and the maximal size"
+                f"mu0.S_lower = {self.S_lower!r}, the lower truncation bound "
+                f"for S, must lie strictly between the minimal size {s_m!r} "
+                f"and the maximal size {self.params.max_size!r}"
             )
         if self.s0_law == "point":
             if self.s0 is None:
                 raise ValueError("point law requires s0")
             if not s_m < self.s0 < self.S_lower:
                 raise ValueError(
-                    "s0 must lie strictly between the minimal size and the "
-                    "lower truncation bound for S"
+                    f"mu0.s0 = {self.s0!r} must lie strictly between the minimal "
+                    f"size {s_m!r} and mu0.S_lower = {self.S_lower!r}"
                 )
         elif self.s0_law == "uniform":
             if self.s0_min is None or self.s0_max is None:
@@ -189,6 +190,12 @@ def _truncnorm_ppf(u, mean, sd, lo, hi):
     a = ndtr((lo - mean) / sd)
     b = ndtr((hi - mean) / sd)
     x = mean + sd * ndtri(a + u * (b - a))
+    upper = a > 0.5
+    if np.any(upper):
+        # ndtr rounds to 1 about 8 sd above the mean, which would clip every
+        # draw to the cap; the mirrored upper tail keeps its small CDF values.
+        tail_lo, tail_hi = ndtr((mean - hi) / sd), ndtr((mean - lo) / sd)
+        x = np.where(upper, mean - sd * ndtri(tail_hi - u * (tail_hi - tail_lo)), x)
     return np.clip(x, lo, hi)
 
 

@@ -25,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .initial import Mu0Config, SurfaceParams, sample_mu0
+from .initial import Mu0Config, SurfaceParams, sample_mu0, samples_to_state
 from .model import ModelParams, _require_positive
-from .population import _pair_row_sums, _spatial_kernel
+from .population import PopulationState, _pair_row_sums, _spatial_kernel
 from .textio import format_row, write_csv, write_json
 
 __all__ = [
@@ -151,31 +151,27 @@ class FeatureSpec:
         return n_monomials(self.arity, self.degree)
 
 
-def feature_map(spec: FeatureSpec, s, x, S, gamma) -> np.ndarray:
+def feature_map(spec: FeatureSpec, atoms: PopulationState) -> np.ndarray:
     """Features of probes' initial data: polynomial in bounded transforms.
 
-    The columns are s (n,), x (n, 2), S (n,) and gamma (n,); the result
-    is (n, n_features).  The transformed variables are log(s/s_m), arctan
-    of each centered and scaled position coordinate and, for arity 5,
-    log(S/s_m) and e^{-gamma dt}; arity 3 ignores S and gamma.  Every
-    monomial is damped by the spatial factor
-    1 / (1 + |x - center|^2 / sigma_x^2).
+    ``atoms`` holds n plants; the result is (n, n_features).  The
+    transformed variables are log(s/s_m), arctan of each centered and
+    scaled position coordinate and, for arity 5, log(S/s_m) and
+    e^{-gamma dt}; arity 3 ignores S and gamma.  Every monomial is damped
+    by the spatial factor 1 / (1 + |x - center|^2 / sigma_x^2).
     """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if s.ndim != 1 or x.shape != (s.shape[0], 2):
-        raise ValueError("positions must have shape (n, 2) matching sizes")
     p = spec.params
+    x = atoms.positions
     center = np.array([spec.center])
     dx = x - center
     vars_ = [
-        np.log(s / p.s_m),
+        np.log(atoms.sizes / p.s_m),
         np.arctan(dx[:, 0] / spec.length_x),
         np.arctan(dx[:, 1] / spec.length_y),
     ]
     if spec.arity == 5:
-        vars_.append(np.log(np.asarray(S, dtype=float) / p.s_m))
-        vars_.append(np.exp(-np.asarray(gamma, dtype=float) * spec.dt))
+        vars_.append(np.log(atoms.caps / p.s_m))
+        vars_.append(np.exp(-atoms.rates * spec.dt))
     V = np.stack(vars_, axis=1)
     feats = polynomial_features(V, spec.degree)
     cauchy = _spatial_kernel(x, p.sigma_x, center)[:, 0]
@@ -301,12 +297,10 @@ def fit_stage(
     )
 
 
-def stage_potential_eval(stage: PotentialStage, s, x, S, gamma) -> np.ndarray:
-    """Clamped stage potential: the fitted combination projected into [0,1].
-
-    Takes the columns of ``feature_map``; shape (n,).
-    """
-    return _clamped(feature_map(stage.spec, s, x, S, gamma), stage.beta)
+def stage_potential_eval(stage: PotentialStage, atoms: PopulationState) -> np.ndarray:
+    """Clamped stage potential of ``atoms``: the fitted combination
+    projected into [0,1]; shape (n,)."""
+    return _clamped(feature_map(stage.spec, atoms), stage.beta)
 
 
 @dataclass
@@ -319,7 +313,6 @@ class MeanFieldModel:
     mu0_cfg: Mu0Config
     n_cloud: int
     seed: int
-    params: ModelParams
 
     def __post_init__(self):
         if not self.stages:
@@ -336,6 +329,11 @@ class MeanFieldModel:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
+
+    @property
+    def params(self) -> ModelParams:
+        """The model's parameters: those of its initial law."""
+        return self.mu0_cfg.params
 
 
 def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
@@ -357,7 +355,7 @@ def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
     return np.exp(g_b * (end - t_b)) - np.exp(g_b * (start - t_b))
 
 
-def _stage_values(stages, s0, x, S, gamma, features=None) -> np.ndarray:
+def _stage_values(stages, atoms: PopulationState, features=None) -> np.ndarray:
     """Evaluate each stage's clamped potential at initial data; (M, n).
 
     Stages with equal specs share one feature matrix, so each row equals
@@ -368,7 +366,7 @@ def _stage_values(stages, s0, x, S, gamma, features=None) -> np.ndarray:
     rows = []
     for stage in stages:
         if stage.spec not in features:
-            features[stage.spec] = feature_map(stage.spec, s0, x, S, gamma)
+            features[stage.spec] = feature_map(stage.spec, atoms)
         rows.append(_clamped(features[stage.spec], stage.beta))
     return np.stack(rows)
 
@@ -385,17 +383,19 @@ def _potential_integral(dt: float, t: float, stage_vals, gamma) -> np.ndarray:
     return np.sum(stage_vals * _stage_weights(dt, len(stage_vals), t, gamma), axis=0)
 
 
-def _flow(p: ModelParams, dt: float, t: float, stage_vals, s0, x, S, gamma):
+def _flow(p: ModelParams, dt: float, t: float, stage_vals, atoms: PopulationState):
     """The surrogate flow at time t in [0, M dt] of atoms with stage values
-    (M, n); the positions x enter only through the stage values."""
-    gamma = np.asarray(gamma, dtype=float)
-    decay = np.exp(-gamma * t)
-    chat = _potential_integral(dt, t, stage_vals, gamma)
-    return p.s_m * (s0 / p.s_m) ** decay * (S / p.s_m) ** (1.0 - decay - chat)
+    (M, n); the positions enter only through the stage values."""
+    decay = np.exp(-atoms.rates * t)
+    chat = _potential_integral(dt, t, stage_vals, atoms.rates)
+    return (
+        p.s_m * (atoms.sizes / p.s_m) ** decay
+        * (atoms.caps / p.s_m) ** (1.0 - decay - chat)
+    )
 
 
 def reconstructed_potential_integral(
-    model: MeanFieldModel, t: float, s0, x, S, gamma
+    model: MeanFieldModel, t: float, atoms: PopulationState
 ) -> np.ndarray:
     """Exponentially weighted sum of the stage potentials up to time t.
 
@@ -405,29 +405,20 @@ def reconstructed_potential_integral(
     and for gamma = 0 (the weight density vanishes identically).
     """
     t = _horizon_time(model, t)
-    stage_vals = _stage_values(model.stages, s0, x, S, gamma)
-    return _potential_integral(model.dt, t, stage_vals, gamma)
+    stage_vals = _stage_values(model.stages, atoms)
+    return _potential_integral(model.dt, t, stage_vals, atoms.rates)
 
 
-def flow_eval_many(
-    model: MeanFieldModel,
-    t: float,
-    s0: np.ndarray,
-    x: np.ndarray,
-    S: np.ndarray,
-    gamma: np.ndarray,
-) -> np.ndarray:
+def flow_eval_many(model: MeanFieldModel, t: float, atoms: PopulationState) -> np.ndarray:
     """The surrogate flow of many atoms sharing one evaluation time.
 
-    Grows each initial size s0_i with traits (x_i, S_i, gamma_i) to time t.
+    Grows each atom's initial size, with its position, cap and rate, to time t.
     """
-    s0 = np.asarray(s0, dtype=float)
-    S = np.asarray(S, dtype=float)
-    if np.any(s0 <= model.params.s_m):
+    if np.any(atoms.sizes <= model.params.s_m):
         raise ValueError("initial size must exceed the minimal size")
     t = _horizon_time(model, t)
-    stage_vals = _stage_values(model.stages, s0, x, S, gamma)
-    return _flow(model.params, model.dt, t, stage_vals, s0, x, S, gamma)
+    stage_vals = _stage_values(model.stages, atoms)
+    return _flow(model.params, model.dt, t, stage_vals, atoms)
 
 
 def _child_seed(seed: int, tag: int, k: int) -> int:
@@ -456,7 +447,6 @@ def _stage_count(dt: float, T: float, N: int, K: int, d3: int, d5: int) -> int:
 
 def train(
     mu0_cfg: Mu0Config,
-    params: ModelParams,
     dt: float,
     T: float,
     N: int,
@@ -474,17 +464,24 @@ def train(
     (s, x) only (degree d3); later stages on (s, x, S, gamma) (degree
     d5).  Cloud, training, and testing draws come from disjoint
     sub-streams of ``seed``, so the entire procedure is reproducible.
+    The model's parameters are ``mu0_cfg.params``.
     """
     m_stages = _stage_count(dt, T, N, K, d3, d5)
-    p = params
-    cloud = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, _SET_CLOUD, 0)), N)
-    cloud_cols = (cloud.s0, cloud.x, cloud.S, cloud.gamma)
-    spread = float(np.std(cloud.x))
+    p = mu0_cfg.params
+
+    def draw(tag, k, n):
+        """The n plants of draw set ``tag`` at stage k."""
+        return samples_to_state(
+            sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), n)
+        )
+
+    cloud = draw(_SET_CLOUD, 0, N)
+    spread = float(np.std(cloud.positions))
     if spread == 0.0:
         # Degenerate position cloud: fall back to the spatial decay scale.
         spread = p.sigma_x
     spec3 = FeatureSpec(
-        arity=3, degree=d3, center=cloud.x.mean(axis=0), length_x=spread,
+        arity=3, degree=d3, center=cloud.positions.mean(axis=0), length_x=spread,
         length_y=spread, dt=dt, params=p,
     )
     spec5 = replace(spec3, arity=5, degree=d5)
@@ -492,26 +489,27 @@ def train(
     stages: list = []
     cloud_features: dict = {}  # {spec: the cloud's features}, kept for every stage
 
-    def advanced(t, cols, features):
-        """The sizes of ``cols`` at t under the flow of the stages fitted so far."""
+    def advanced(t, atoms, features):
+        """The sizes of ``atoms`` at t under the flow of the stages fitted so far."""
         if not stages:
-            return cols[0]
-        return _flow(p, dt, t, _stage_values(stages, *cols, features), *cols)
+            return atoms.sizes
+        return _flow(p, dt, t, _stage_values(stages, atoms, features), atoms)
 
     for k in range(m_stages):
         t_k = k * dt
         spec = spec3 if k == 0 else spec5
-        sizes_cloud = advanced(t_k, cloud_cols, cloud_features)
+        sizes_cloud = advanced(t_k, cloud, cloud_features)
 
         sets = []
         for tag in (_SET_TRAIN, _SET_TEST):
-            d = sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), K)
-            cols = (d.s0, d.x, d.S, d.gamma)
+            probes = draw(tag, k, K)
             features: dict = {}
-            sizes = advanced(t_k, cols, features)
+            sizes = advanced(t_k, probes, features)
             if spec not in features:
-                features[spec] = feature_map(spec, *cols)
-            targets = mc_potential(p, sizes, d.x, sizes_cloud, cloud.x)
+                features[spec] = feature_map(spec, probes)
+            targets = mc_potential(
+                p, sizes, probes.positions, sizes_cloud, cloud.positions
+            )
             sets.append((features[spec], targets))
 
         stages.append(fit_stage(spec, *sets, stage_index=k))
@@ -523,7 +521,6 @@ def train(
         mu0_cfg=mu0_cfg,
         n_cloud=N,
         seed=seed,
-        params=p,
     )
 
 
@@ -564,6 +561,7 @@ def model_to_dict(model: MeanFieldModel, config_sha256: str = "") -> dict:
         "version": MODEL_VERSION,
         "config_sha256": config_sha256,
         **_fields_dict(model, skip=("mu0_cfg", "stages")),
+        "params": _fields_dict(model.params),
         "mu0": _fields_dict(model.mu0_cfg),
         "stages": [
             {**_fields_dict(st, skip=("spec",)), **_fields_dict(st.spec)}
@@ -590,9 +588,7 @@ def model_from_dict(d: dict) -> MeanFieldModel:
         )
         for sd in d["stages"]
     ]
-    return _from_fields(
-        MeanFieldModel, d, params=params, mu0_cfg=mu0_cfg, stages=stages
-    )
+    return _from_fields(MeanFieldModel, d, mu0_cfg=mu0_cfg, stages=stages)
 
 
 def save_model(model: MeanFieldModel, path, config_sha256: str = "") -> None:

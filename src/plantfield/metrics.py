@@ -107,25 +107,21 @@ def w1_matching(a: PopulationState, b: PopulationState, w: ZMetricWeights) -> fl
 
 
 def flow_gap(
-    params: ModelParams,
     background: Trajectory,
     model: MeanFieldModel,
     t: float,
-    s0,
-    x,
-    S,
-    gamma,
+    probes: PopulationState,
     solver_cfg: SolverConfig | None = None,
 ) -> float:
     """Mean absolute gap at time t between probe growth and the surrogate flow.
 
-    The K probes (s0, x, S, gamma) are grown together against the frozen
-    background to t, with the tolerances of ``solver_cfg``, and compared
-    with the model flow at the same initial data.
+    The K probes are grown together against the frozen background to t,
+    with the tolerances of ``solver_cfg``, and compared with the model
+    flow at the same initial data.
     """
     cfg = replace(solver_cfg or SolverConfig(t_end=t), t_end=t)
-    probes = empirical_flow(params, background, s0, x, S, gamma, cfg)[-1]
-    return float(np.mean(np.abs(probes - flow_eval_many(model, t, s0, x, S, gamma))))
+    grown = empirical_flow(background, probes, cfg)[-1]
+    return float(np.mean(np.abs(grown - flow_eval_many(model, t, probes))))
 
 
 @dataclass
@@ -220,14 +216,13 @@ def convergence_experiment(
         state0 = samples_to_state(sample_mu0(mu0_cfg.with_seed(seed), n))
         traj = integrate(params, state0, solver)
         sim_sizes = traj.sizes  # (T, n)
-        atoms = (state0.sizes, state0.positions, state0.caps, state0.rates)
 
         if self_comparison:
             mf_sizes = sim_sizes
         else:
-            sv = _stage_values(model.stages, *atoms)  # one evaluation for every t
+            sv = _stage_values(model.stages, state0)  # one evaluation for every t
             mf_sizes = np.stack([
-                _flow(params, model.dt, _horizon_time(model, t), sv, *atoms)
+                _flow(params, model.dt, _horizon_time(model, t), sv, state0)
                 for t in t_grid
             ])
 

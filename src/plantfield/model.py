@@ -159,23 +159,20 @@ def _raise_first_offender(kind: str, checks) -> None:
         raise ValueError(f"inadmissible {kind} {i}: {reason}")
 
 
-def validate_initial_config(params: ModelParams, caps, rates, sizes0) -> None:
+def validate_initial_config(params: ModelParams, state) -> None:
     """Check the admissibility hypotheses guaranteeing a global solution.
 
-    Every individual must satisfy ``s_m < S_i < s_m * exp(R_M)``,
-    ``gamma_i > 0`` and ``s_m < s0_i < S_i``.  Under these conditions the
-    coupled system has a unique global solution with
-    ``s_m < s_i(t) < S_i`` and competition indices in ``[0, 1]`` for all
-    time.  Raises ``ValueError`` naming the first violating plant and its
-    first violated condition in the order above, and on a length mismatch
-    or a population smaller than 2 (the competition index divides by
-    ``N - 1``).
+    Every plant of ``state`` (a ``population.PopulationState``, whose
+    columns are already well shaped) must satisfy
+    ``s_m < S_i < s_m * exp(R_M)``, ``gamma_i > 0`` and
+    ``s_m < s0_i < S_i``.  Under these conditions the coupled system has
+    a unique global solution with ``s_m < s_i(t) < S_i`` and competition
+    indices in ``[0, 1]`` for all time.  Raises ``ValueError`` naming the
+    first violating plant and its first violated condition in the order
+    above, and on a population smaller than 2 (the competition index
+    divides by ``N - 1``).
     """
-    caps = np.asarray(caps, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    sizes0 = np.asarray(sizes0, dtype=float)
-    if not caps.shape == rates.shape == sizes0.shape or caps.ndim != 1:
-        raise ValueError("caps, rates and initial sizes differ in length or shape")
+    caps, rates, sizes0 = state.caps, state.rates, state.sizes
     if caps.shape[0] < 2:
         raise ValueError("population must contain at least 2 individuals")
     s_m = params.s_m

@@ -12,7 +12,7 @@ later serve as the background environment for a batch of probe plants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -53,6 +53,9 @@ _EXP_WINDOW = 700.0
 # output would not fit in memory.
 _MAX_SNAPSHOTS = 1_000_000
 
+# The columns of a PopulationState, in field order.
+_COLUMNS = ("sizes", "positions", "caps", "rates")
+
 
 class IntegrationDivergedError(RuntimeError):
     """A size invariant was violated beyond roundoff during integration."""
@@ -73,8 +76,14 @@ class KernelRangeError(FloatingPointError):
 
 @dataclass
 class PopulationState:
-    """Sizes (N,) of all plants at one instant, plus their fixed traits as
-    columns: positions (N, 2), asymptotic sizes ``caps`` and rates (N,)."""
+    """Plants as columns, one row each: sizes (n,), positions (n, 2),
+    asymptotic sizes ``caps`` (n,) and rates (n,).
+
+    The one record of plant columns: a population at one instant, the
+    atoms of a measure, or a batch of probes.  It holds n >= 1 rows with
+    caps > 0 and rates >= 0 (NaN fails both) and names the first row that
+    breaks either rule; the rules of a run are ``validate_initial_config``'s.
+    """
 
     sizes: np.ndarray
     positions: np.ndarray
@@ -82,22 +91,19 @@ class PopulationState:
     rates: np.ndarray
 
     def __post_init__(self):
-        for name in ("sizes", "positions", "caps", "rates"):
+        for name in _COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.sizes.ndim != 1:
-            raise ValueError("sizes must be a 1-D array")
-        n = self.sizes.shape[0]
-        shapes = (self.positions.shape, self.caps.shape, self.rates.shape)
-        if shapes != ((n, 2), (n,), (n,)):
+        shapes = tuple(getattr(self, name).shape for name in _COLUMNS)
+        n = shapes[0]
+        if len(n) != 1 or shapes != (n, n + (2,), n, n) or n == (0,):
             raise ValueError(
-                f"positions, caps and rates {shapes} must have one row per size ({n})"
+                f"plant columns sizes, positions, caps, rates have shapes {shapes}; "
+                "they must be (n,), (n, 2), (n,) and (n,) with n >= 1"
             )
-        if n < 2:
-            raise ValueError("a population needs at least two plants")
-        if not np.all(self.caps > 0.0):
-            raise ValueError("asymptotic sizes S must be strictly positive")
-        if np.any(self.rates < 0.0):
-            raise ValueError("growth rates gamma must be nonnegative")
+        _raise_first_offender("plant", [
+            ("asymptotic size not strictly positive", self.caps > 0.0),
+            ("growth rate not nonnegative", self.rates >= 0.0),
+        ])
 
     @property
     def n(self) -> int:
@@ -342,7 +348,7 @@ def integrate(
     that tolerance.  An inadmissible ``initial`` raises ``ValueError``
     naming the first offending plant (``validate_initial_config``).
     """
-    validate_initial_config(params, initial.caps, initial.rates, initial.sizes)
+    validate_initial_config(params, initial)
 
     caps_log = np.log(initial.caps / params.s_m)
     kernel = _spatial_kernel(initial.positions, params.sigma_x)
@@ -380,52 +386,41 @@ def integrate(
 
 
 def empirical_flow(
-    params: ModelParams,
     background: Trajectory,
-    s0,
-    x,
-    S,
-    gamma,
+    probes: PopulationState,
     cfg: SolverConfig,
 ) -> np.ndarray:
     """Grow K probe plants inside a frozen population run, as one solve.
 
-    Probe k starts at size ``s0[k]`` with position ``x[k]`` (K, 2), cap
-    ``S[k]`` and rate ``gamma[k]``.  Each probe feels the mean potential
-    of the recorded population (interpolated from the dense background),
-    with the self term C(s, s, 0) removed so that a probe that
-    duplicates a recorded plant reproduces that plant's trajectory.
-    Probes do not feel one another.  Returns the probe sizes on
-    ``cfg.snapshot_times``, shape (n_snapshots, K).
+    Probe k starts at size ``probes.sizes[k]`` with its position, cap and
+    rate.  Each probe feels the mean potential of the recorded population
+    (interpolated from the dense background, under its ``params``), with
+    the self term C(s, s, 0) removed so that a probe that duplicates a
+    recorded plant reproduces that plant's trajectory.  Probes do not
+    feel one another.  Returns the probe sizes on ``cfg.snapshot_times``,
+    shape (n_snapshots, K).
     """
     if cfg.t_end > background.t_end + 1e-12:
         raise ValueError(
             f"probe horizon {cfg.t_end} exceeds background range "
             f"[{background.dense.t0}, {background.t_end}]"
         )
-    s0, x, S, gamma = (np.asarray(v, dtype=float) for v in (s0, x, S, gamma))
-    shapes = (s0.shape, x.shape, S.shape, gamma.shape)
-    k = s0.shape[:1]
-    if s0.ndim != 1 or shapes[1:] != (k + (2,), k, k):
-        raise ValueError(
-            f"probe columns s0, x, S, gamma have shapes {shapes}; they must "
-            "be (K,), (K, 2), (K,) and (K,)"
-        )
-    if not s0.size:
-        raise ValueError("need at least one probe")
+    params = background.params
+    s0, S = probes.sizes, probes.caps
     _raise_first_offender("probe", [
         ("initial size not above s_m", s0 > params.s_m),
         ("asymptotic size outside (s_m, s_m*exp(R_M))",
          (params.s_m < S) & (S < params.max_size)),
-        ("growth rate not nonnegative", gamma >= 0.0),
     ])
 
-    probe_kernel = _spatial_kernel(x, params.sigma_x, background.initial.positions)
+    probe_kernel = _spatial_kernel(
+        probes.positions, params.sigma_x, background.initial.positions
+    )
     _, r_mat = _grow(
         cfg,
         np.log(s0 / params.s_m),
         np.log(S / params.s_m),
-        gamma,
+        probes.rates,
         lambda t, r: _competition_all(params, r, probe_kernel, background.dense(t)),
     )
     return params.s_m * np.exp(r_mat)
@@ -433,12 +428,7 @@ def empirical_flow(
 
 def snapshot_measure(state: PopulationState) -> PopulationState:
     """A copy of one snapshot: its uniformly weighted atoms (s, x, S, gamma)."""
-    return PopulationState(
-        sizes=state.sizes.copy(),
-        positions=state.positions.copy(),
-        caps=state.caps.copy(),
-        rates=state.rates.copy(),
-    )
+    return replace(state, **{name: getattr(state, name).copy() for name in _COLUMNS})
 
 
 def export_trajectory_csv(

@@ -63,7 +63,6 @@ def trained_model(exp_config, mu0_uniform):
     tic = time.perf_counter()
     model = pf.train(
         mu0_uniform,
-        exp_config.params,
         dt=1.0,
         T=10.0,
         N=1000,
@@ -77,11 +76,9 @@ def trained_model(exp_config, mu0_uniform):
 
 
 @pytest.fixture(scope="session")
-def tiny_model(params, mu0_uniform):
+def tiny_model(mu0_uniform):
     """A cheap 3-stage model for structural tests."""
-    return pf.train(
-        mu0_uniform, params, dt=1.0, T=3.0, N=200, K=200, d3=3, d5=2, seed=7
-    )
+    return pf.train(mu0_uniform, dt=1.0, T=3.0, N=200, K=200, d3=3, d5=2, seed=7)
 
 
 @pytest.fixture()

@@ -95,8 +95,12 @@ def test_criterion_04_probe_reproduces_members(exp_config, default_run):
     rng = np.random.default_rng(42)
     members = rng.choice(state0.n, size=5, replace=False)
     probes = pf.empirical_flow(
-        exp_config.params, traj, state0.sizes[members], state0.positions[members],
-        state0.caps[members], state0.rates[members], exp_config.solver,
+        traj,
+        pf.PopulationState(
+            state0.sizes[members], state0.positions[members],
+            state0.caps[members], state0.rates[members],
+        ),
+        exp_config.solver,
     )
     member = traj.sizes[:, members]
     worst = float(np.max(np.abs(probes - member) / member))
@@ -188,8 +192,8 @@ def test_criterion_07_matching_agrees_with_brute_force(rng):
 
 
 def _one_atom(rng, gamma_lo):
-    """One random atom as the columns s0 (1,), x (1, 2), S (1,), gamma (1,)."""
-    return (
+    """One random atom as a record of one row."""
+    return pf.PopulationState(
         rng.uniform(0.08, 0.45, 1), rng.normal(size=(1, 2)),
         rng.uniform(0.55, 0.95, 1), rng.uniform(gamma_lo, 2.0, 1),
     )
@@ -204,8 +208,8 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
     for _ in range(500):
         t = rng.uniform(0.0, model.T)
         atom = _one_atom(rng, 0.1)
-        gamma = atom[3][0]
-        vals = _stage_values(model.stages, *atom)[:, 0]
+        gamma = atom.rates[0]
+        vals = _stage_values(model.stages, atom)[:, 0]
 
         def step(tau):
             return vals[min(int(tau / dt), m - 1)]
@@ -215,7 +219,7 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
             lambda u: gamma * math.exp(gamma * (u - t)) * step(u),
             0.0, t, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13,
         )
-        (got,) = pf.reconstructed_potential_integral(model, t, *atom)
+        (got,) = pf.reconstructed_potential_integral(model, t, atom)
         worst_int = max(worst_int, abs(got - quad))
 
     zero = pf.MeanFieldModel(
@@ -228,14 +232,14 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
             for st in model.stages
         ],
         dt=model.dt, T=model.T, mu0_cfg=model.mu0_cfg,
-        n_cloud=model.n_cloud, seed=model.seed, params=p,
+        n_cloud=model.n_cloud, seed=model.seed,
     )
     worst_flow = 0.0
     for _ in range(500):
         t = rng.uniform(0.0, model.T)
-        s0, x, S, gamma = _one_atom(rng, 0.05)
-        (got,) = pf.flow_eval_many(zero, t, s0, x, S, gamma)
-        (ref,) = pf.gompertz_closed_form(p, s0, S, gamma, t)
+        atom = _one_atom(rng, 0.05)
+        (got,) = pf.flow_eval_many(zero, t, atom)
+        (ref,) = pf.gompertz_closed_form(p, atom.sizes, atom.caps, atom.rates, t)
         worst_flow = max(worst_flow, abs(got - ref) / ref)
 
     ok = worst_int < 1e-9 and worst_flow < 1e-10
@@ -309,7 +313,7 @@ def test_criterion_11_surrogate_respects_cap_surface(trained_model):
     S_bar = pf.surface_eval(mu0.S_surface, pts)
     g_bar = pf.surface_eval(mu0.gamma_surface, pts)
     s0 = np.full(pts.shape[0], mu0.s0_mid)
-    s_inf = pf.flow_eval_many(model, model.T, s0, pts, S_bar, g_bar)
+    s_inf = pf.flow_eval_many(model, model.T, pf.PopulationState(s0, pts, S_bar, g_bar))
     frac = float(np.mean(s_inf[inside] < S_bar[inside]))
     ok = frac >= 0.9
     _report(

@@ -430,12 +430,52 @@ def _dump_edited_model(trained_dir, tmp_path, edit):
         lambda d: d["mu0"].pop("delta_S"),
         lambda d: d["mu0"]["gamma_surface"].pop("curvature_trough"),
         lambda d: d["stages"][-1].pop("r2_test"),
+        lambda d: d["stages"][-1].update(dt="1.0"),
+        lambda d: d["stages"][-1].update(degree=2.5),
     ],
-    ids=["mu0", "surface", "stage"],
+    ids=["mu0", "surface", "stage", "stage-dt-string", "stage-degree-float"],
 )
 def test_exit_code_model_missing_key(edit, trained_dir, tmp_path, capsys):
     assert _dump_edited_model(trained_dir, tmp_path, edit) == 2
     assert "invalid model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "surface, key, value",
+    [
+        ("S_surface", "trough_value", -0.2),
+        ("S_surface", "trough_value", 0.0),
+        ("S_surface", "peak_value", 1.5),
+        ("gamma_surface", "trough_value", -0.5),
+    ],
+    ids=["cap-negative", "cap-below-s_m", "cap-above-max", "rate-negative"],
+)
+def test_exit_code_potential_dump_inadmissible_surface(
+    surface, key, value, trained_dir, tmp_path, capsys
+):
+    # Grid points whose mean cap lies outside (s_m, s_m e^{R_M}) or whose mean
+    # rate is negative are outside the flow's domain; the dump names the first
+    # such point and writes nothing, where it would write NaN or sizes below s_m.
+    doc = json.loads((trained_dir / "model.json").read_text())
+    doc["mu0"][surface][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "d"
+    rc = run("potential-dump", "--model", str(path), "--grid", "-2,2,-2,2,9", "--out", str(out))
+    assert rc == 2
+    axis = np.linspace(-2.0, 2.0, 9)
+    pts = np.array([(a, b) for a in axis for b in axis])
+    model = pf.load_model(path)
+    caps = pf.surface_eval(model.mu0_cfg.S_surface, pts)
+    caps_ok = (model.params.s_m < caps) & (caps < model.params.max_size)
+    rates_ok = pf.surface_eval(model.mu0_cfg.gamma_surface, pts) >= 0.0
+    first = int(np.flatnonzero(~(caps_ok & rates_ok))[0])
+    reason = (
+        "growth rate not nonnegative" if caps_ok[first]
+        else "asymptotic size outside (s_m, s_m*exp(R_M))"
+    )
+    assert f"inadmissible grid point {first}: {reason}" in capsys.readouterr().err
+    assert not (out / "potential_surface.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -545,6 +585,18 @@ def test_simulate_zero_horizon(tmp_path):
     assert {r["s"] for r in rows} == {"0.1"}  # the point initial law
     doc = json.loads((out / "diagnostics.json").read_text())
     assert doc["n_accepted_steps"] == 0 and len(doc["snapshots"]) == 1
+
+
+def test_simulate_caps_far_above_their_mean(tmp_path):
+    # A cap trough of -1 lies 15 sd below mu0.S_lower, where the normal CDF
+    # at S_lower rounds to 1; the caps come from the mirrored tail instead.
+    cfg = tmp_path / "trough.cfg"
+    cfg.write_text("mu0.S_surface.trough = -1.0\n")
+    out = tmp_path / "o"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    ec = pf.build_experiment_config(pf.resolve_config({}))
+    caps = np.array([float(r["S"]) for r in _read_rows(out / "trajectory.csv")])
+    assert np.all((ec.mu0.S_lower < caps) & (caps < ec.params.max_size))
 
 
 def test_potential_dump_one_point_grid(trained_dir, tmp_path):

@@ -1,6 +1,7 @@
 """Flat key-value configs: parsing, validation, canonical hashing."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -176,6 +177,16 @@ def test_every_float_setting_refuses_non_finite_values(key, value):
     # Whether or not the chosen s0 law reads it, a non-finite setting is a
     # configuration error that names its field.
     with pytest.raises(pf.ConfigError, match=_field_name(key)):
+        pf.build_experiment_config(pf.resolve_config({key: value}))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mu0.S_lower", 0.01), ("mu0.S_lower", 2.0), ("mu0.s0", 0.01), ("mu0.s0", 0.6)],
+)
+def test_initial_law_range_errors_name_key_and_value(key, value):
+    # Finite but out of range: the message names the setting and its value.
+    with pytest.raises(pf.ConfigError, match=re.escape(f"{key} = {value!r}")):
         pf.build_experiment_config(pf.resolve_config({key: value}))
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 import plantfield as pf
 from plantfield.initial import _truncnorm_ppf, export_samples_csv
@@ -96,6 +97,23 @@ def test_truncnorm_half_normal_mean(rng):
     got = _truncnorm_ppf(rng.random(n), 0.0, 1.0, 0.0, 30.0)
     se = got.std() / math.sqrt(n)
     assert abs(got.mean() - HALF_NORMAL_MEAN) < 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "mean, sd, lo, hi",
+    [
+        (-1.0, 0.1, 0.5, 1.0),  # 15 sd below lo: the CDF at lo rounds to 1
+        (-0.5, 0.1, 0.0, 2.0),  # a rate trough below zero
+        (0.6, 0.25, 0.5, 1.0),  # lo below the mean: the lower-tail form
+        (0.3, 0.1, 0.5, 1.0),
+    ],
+)
+def test_truncnorm_ppf_matches_scipy_in_either_tail(mean, sd, lo, hi):
+    u = np.array([1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9])
+    want = truncnorm.ppf(u, (lo - mean) / sd, (hi - mean) / sd, loc=mean, scale=sd)
+    got = _truncnorm_ppf(u, mean, sd, lo, hi)
+    assert np.all((lo < got) & (got < hi))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_position_moments(mu0_point):

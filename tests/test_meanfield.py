@@ -69,15 +69,15 @@ def _spec3(p, degree=2, center=(0.0, 0.0), lx=1.0, ly=1.0):
 
 
 def _one(s0, x, S, gamma):
-    """One atom as the columns (1,), (1, 2), (1,), (1,)."""
-    return np.array([s0]), np.reshape(x, (1, 2)), np.array([S]), np.array([gamma])
+    """One atom as a record of one row."""
+    return pf.PopulationState([s0], np.reshape(x, (1, 2)), [S], [gamma])
 
 
 def _with_traits(s, x, S=0.8, gamma=1.0):
     """Sizes and positions plus constant S and gamma columns (arity-3 fits
     ignore them)."""
     n = len(s)
-    return s, x, np.full(n, S), np.full(n, gamma)
+    return pf.PopulationState(s, x, np.full(n, S), np.full(n, gamma))
 
 
 def _spec5(p, degree=1):
@@ -91,7 +91,7 @@ def test_feature_map_at_center(p):
     # At the center both arctans vanish and the damping factor is 1, so
     # the features reduce to powers of log(s/s_m).
     spec = _spec3(p, degree=2)
-    (got,) = pf.feature_map(spec, *_one(0.1, np.zeros(2), 0.8, 1.0))
+    (got,) = pf.feature_map(spec, _one(0.1, np.zeros(2), 0.8, 1.0))
     r = math.log(0.1 / 0.05)
     # variable order (r, ax, ay): exponent tuples (0,0,0),(1,0,0),(2,0,0),...
     assert got[0] == pytest.approx(1.0, abs=1e-15)
@@ -103,7 +103,7 @@ def test_feature_map_at_center(p):
 def test_feature_map_damping_off_center(p):
     spec = _spec3(p, degree=0)
     x = np.array([0.5, 0.0])
-    (got,) = pf.feature_map(spec, *_one(0.1, x, 0.8, 1.0))
+    (got,) = pf.feature_map(spec, _one(0.1, x, 0.8, 1.0))
     expected = 1.0 / (1.0 + 0.25 / p.sigma_x**2)
     assert got == pytest.approx(np.array([expected]), rel=1e-14)
 
@@ -112,7 +112,7 @@ def test_feature_map_arity_five_variables(p):
     spec = _spec5(p, degree=1)
     s, S, gamma = 0.1, 0.8, 0.6
     x = np.array([0.2, -0.4])
-    (got,) = pf.feature_map(spec, *_one(s, x, S, gamma))
+    (got,) = pf.feature_map(spec, _one(s, x, S, gamma))
     damp = 1.0 / (1.0 + (0.04 + 0.16) / p.sigma_x**2)
     expected_vars = [
         math.log(s / p.s_m),
@@ -130,8 +130,11 @@ def test_feature_map_arity_five_variables(p):
 def test_feature_map_arity_three_ignores_cap_and_rate(p, rng):
     s, x = rng.uniform(0.06, 0.9, 7), rng.normal(size=(7, 2))
     spec = _spec3(p, degree=3)
-    a = pf.feature_map(spec, *_with_traits(s, x, S=0.8, gamma=0.6))
-    b = pf.feature_map(spec, s, x, rng.uniform(0.55, 0.95, 7), rng.uniform(0.1, 2.0, 7))
+    a = pf.feature_map(spec, _with_traits(s, x, S=0.8, gamma=0.6))
+    other = pf.PopulationState(
+        s, x, rng.uniform(0.55, 0.95, 7), rng.uniform(0.1, 2.0, 7)
+    )
+    b = pf.feature_map(spec, other)
     assert np.array_equal(a, b)
 
 
@@ -226,7 +229,7 @@ def test_fit_recovers_clean_polynomial(p, rng):
     beta_true = np.array([0.3, 0.05, 0.01, -0.02, 0.015, 0.004, -0.01, 0.02, 0.005, 0.002])
     s = rng.uniform(0.06, 0.9, 400)
     x = rng.normal(size=(400, 2))
-    F = pf.feature_map(spec, *_with_traits(s, x))
+    F = pf.feature_map(spec, _with_traits(s, x))
     y = F @ beta_true
     assert np.all((y > 0.0) & (y < 1.0))  # clamping never active
     stage = pf.fit_stage(spec, (F, y), stage_index=0)
@@ -242,9 +245,9 @@ def test_fit_handles_rank_deficient_design(p):
     s = np.full(20, 0.1)
     x = np.zeros((20, 2))
     y = np.full(20, 0.4)
-    F = pf.feature_map(spec, *_with_traits(s, x))
+    F = pf.feature_map(spec, _with_traits(s, x))
     stage = pf.fit_stage(spec, (F, y), stage_index=0)
-    (pred,) = pf.stage_potential_eval(stage, *_one(0.1, np.zeros(2), 0.8, 1.0))
+    (pred,) = pf.stage_potential_eval(stage, _one(0.1, np.zeros(2), 0.8, 1.0))
     assert pred == pytest.approx(0.4, rel=1e-10)
     assert math.isnan(stage.r2_train)  # constant targets carry no variance
 
@@ -254,7 +257,7 @@ def test_fit_residuals_orthogonal_to_features(p, rng):
     s = rng.uniform(0.06, 0.9, 300)
     x = rng.normal(size=(300, 2))
     y = rng.uniform(0.0, 1.0, 300)
-    F = pf.feature_map(spec, *_with_traits(s, x))
+    F = pf.feature_map(spec, _with_traits(s, x))
     stage = pf.fit_stage(spec, (F, y), stage_index=0)
     resid = y - F @ stage.beta
     gram_scale = float(np.abs(F.T @ F).max())
@@ -272,7 +275,7 @@ def test_fit_quality_improves_with_degree(p, rng):
     r2 = []
     for degree in (0, 1, 2, 3):
         spec = _spec3(p, degree=degree)
-        F = pf.feature_map(spec, *_with_traits(s, x))
+        F = pf.feature_map(spec, _with_traits(s, x))
         stage = pf.fit_stage(spec, (F, y))
         raw = F @ stage.beta
         assert np.all((raw > 0.0) & (raw < 1.0))
@@ -287,12 +290,12 @@ def test_stage_eval_clamps_into_unit_interval(p):
         r2_test=float("nan"), stage_index=0,
     )
     atom = _one(0.1, np.zeros(2), 0.8, 1.0)
-    assert np.array_equal(pf.stage_potential_eval(stage, *atom), [1.0])
+    assert np.array_equal(pf.stage_potential_eval(stage, atom), [1.0])
     stage_neg = pf.PotentialStage(
         beta=np.array([-5.0]), spec=spec, r2_train=float("nan"),
         r2_test=float("nan"), stage_index=0,
     )
-    assert np.array_equal(pf.stage_potential_eval(stage_neg, *atom), [0.0])
+    assert np.array_equal(pf.stage_potential_eval(stage_neg, atom), [0.0])
 
 
 def test_stage_weights_telescope():
@@ -350,8 +353,8 @@ def test_stage_weights_broadcast():
 
 
 def _random_atoms(rng, n, gamma_lo=0.1):
-    """n atoms as columns, in the ranges of the training law."""
-    return (
+    """n atoms in the ranges of the training law."""
+    return pf.PopulationState(
         rng.uniform(0.08, 0.45, n), rng.normal(size=(n, 2)),
         rng.uniform(0.55, 0.95, n), rng.uniform(gamma_lo, 2.0, n),
     )
@@ -359,9 +362,9 @@ def _random_atoms(rng, n, gamma_lo=0.1):
 
 def test_integral_zero_at_start_and_zero_rate(tiny_model):
     atom = _one(0.2, np.zeros(2), 0.75, 1.05)
-    assert pf.reconstructed_potential_integral(tiny_model, 0.0, *atom) == 0.0
+    assert pf.reconstructed_potential_integral(tiny_model, 0.0, atom) == 0.0
     frozen = _one(0.2, np.zeros(2), 0.75, 0.0)
-    assert pf.reconstructed_potential_integral(tiny_model, 2.0, *frozen) == 0.0
+    assert pf.reconstructed_potential_integral(tiny_model, 2.0, frozen) == 0.0
 
 
 def test_integral_single_stage_closed_form(tiny_model):
@@ -369,17 +372,17 @@ def test_integral_single_stage_closed_form(tiny_model):
     # chat(t) = C_0 * (1 - e^{-gamma t}).
     x = np.array([0.3, -0.1])
     atom = _one(0.2, x, 0.8, 0.9)
-    (c0,) = pf.stage_potential_eval(tiny_model.stages[0], *atom)
-    (got,) = pf.reconstructed_potential_integral(tiny_model, 0.6, *atom)
+    (c0,) = pf.stage_potential_eval(tiny_model.stages[0], atom)
+    (got,) = pf.reconstructed_potential_integral(tiny_model, 0.6, atom)
     assert got == pytest.approx(c0 * (1.0 - math.exp(-0.9 * 0.6)), rel=1e-12)
 
 
 def test_integral_monotone_and_bounded(tiny_model):
     atom = _one(0.15, np.array([0.1, 0.4]), 0.8, 1.1)
     ts = np.linspace(0.0, tiny_model.T, 40)
-    vals = [pf.reconstructed_potential_integral(tiny_model, t, *atom)[0] for t in ts]
+    vals = [pf.reconstructed_potential_integral(tiny_model, t, atom)[0] for t in ts]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-    stage_vals = _stage_values(tiny_model.stages, *atom)[:, 0]
+    stage_vals = _stage_values(tiny_model.stages, atom)[:, 0]
     cap = stage_vals.max() * (1.0 - math.exp(-1.1 * tiny_model.T))
     assert vals[-1] <= cap + 1e-14
 
@@ -389,7 +392,7 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
     for _ in range(25):
         t = rng.uniform(0.0, tiny_model.T)
         atoms = _random_atoms(rng, 1)
-        vals, gamma = _stage_values(tiny_model.stages, *atoms)[:, 0], atoms[3][0]
+        vals, gamma = _stage_values(tiny_model.stages, atoms)[:, 0], atoms.rates[0]
 
         def step(tau):
             k = min(int(tau / dt), m - 1)
@@ -400,7 +403,7 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
             lambda u: gamma * math.exp(gamma * (u - t)) * step(u),
             0.0, t, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13,
         )
-        (got,) = pf.reconstructed_potential_integral(tiny_model, t, *atoms)
+        (got,) = pf.reconstructed_potential_integral(tiny_model, t, atoms)
         assert abs(got - quad) < 1e-10
 
 
@@ -431,11 +434,11 @@ def test_stage_values_match_each_stage_eval(tiny_model, rng, tmp_path):
             for k, spec in enumerate(mixed_specs)
         ],
         dt=1.0, T=5.0, mu0_cfg=tiny_model.mu0_cfg, n_cloud=tiny_model.n_cloud,
-        seed=tiny_model.seed, params=tiny_model.params,
+        seed=tiny_model.seed,
     )
     for model in (tiny_model, loaded, mixed):
-        want = [pf.stage_potential_eval(st, *atoms) for st in model.stages]
-        got = _stage_values(model.stages, *atoms)
+        want = [pf.stage_potential_eval(st, atoms) for st in model.stages]
+        got = _stage_values(model.stages, atoms)
         assert got.shape == (model.n_stages, 40)
         assert np.array_equal(got, np.stack(want))
 
@@ -443,13 +446,13 @@ def test_stage_values_match_each_stage_eval(tiny_model, rng, tmp_path):
 def test_integral_rejects_times_outside_horizon(tiny_model):
     atom = _one(0.2, np.zeros(2), 0.75, 1.0)
     with pytest.raises(ValueError):
-        pf.reconstructed_potential_integral(tiny_model, tiny_model.T + 0.5, *atom)
+        pf.reconstructed_potential_integral(tiny_model, tiny_model.T + 0.5, atom)
     with pytest.raises(ValueError):
-        pf.reconstructed_potential_integral(tiny_model, -0.5, *atom)
+        pf.reconstructed_potential_integral(tiny_model, -0.5, atom)
 
 
 def test_flow_identity_at_time_zero(tiny_model):
-    (got,) = pf.flow_eval_many(tiny_model, 0.0, *_one(0.2, np.zeros(2), 0.75, 1.05))
+    (got,) = pf.flow_eval_many(tiny_model, 0.0, _one(0.2, np.zeros(2), 0.75, 1.05))
     assert got == pytest.approx(0.2, rel=1e-14)
 
 
@@ -464,7 +467,7 @@ def _zeroed(model):
             for st in model.stages
         ],
         dt=model.dt, T=model.T, mu0_cfg=model.mu0_cfg,
-        n_cloud=model.n_cloud, seed=model.seed, params=model.params,
+        n_cloud=model.n_cloud, seed=model.seed,
     )
 
 
@@ -474,9 +477,8 @@ def test_flow_without_competition_is_isolated_growth(tiny_model, rng):
     for _ in range(50):
         t = rng.uniform(0.0, zero.T)
         atoms = _random_atoms(rng, 1, gamma_lo=0.05)
-        got = pf.flow_eval_many(zero, t, *atoms)
-        s0, _, S, gamma = atoms
-        ref = pf.gompertz_closed_form(p, s0, S, gamma, t)
+        got = pf.flow_eval_many(zero, t, atoms)
+        ref = pf.gompertz_closed_form(p, atoms.sizes, atoms.caps, atoms.rates, t)
         assert np.all(np.abs(got - ref) / ref < 1e-10)
 
 
@@ -485,87 +487,94 @@ def test_flow_stays_in_admissible_band(tiny_model, rng):
     hi = p.s_m * math.exp(2.0 * p.R_M)
     for _ in range(200):
         t = rng.uniform(0.0, tiny_model.T)
-        got = pf.flow_eval_many(
-            tiny_model, t, rng.uniform(0.06, 0.49, 1), rng.normal(size=(1, 2)) * 2.0,
+        got = pf.flow_eval_many(tiny_model, t, pf.PopulationState(
+            rng.uniform(0.06, 0.49, 1), rng.normal(size=(1, 2)) * 2.0,
             rng.uniform(0.51, 1.0, 1), rng.uniform(0.01, 2.0, 1),
-        )
+        ))
         assert np.all((p.s_m < got) & (got < hi))
 
 
 def test_flow_eval_many_matches_scalar(tiny_model, rng):
     # One batch of 20 atoms equals 20 one-atom batches.
     n = 20
-    s0, x, S, g = _random_atoms(rng, n)
-    many = pf.flow_eval_many(tiny_model, 2.3, s0, x, S, g)
+    atoms = _random_atoms(rng, n)
+    many = pf.flow_eval_many(tiny_model, 2.3, atoms)
     for i in range(n):
-        (one,) = pf.flow_eval_many(tiny_model, 2.3, *_one(s0[i], x[i], S[i], g[i]))
+        (one,) = pf.flow_eval_many(tiny_model, 2.3, _one(
+            atoms.sizes[i], atoms.positions[i], atoms.caps[i], atoms.rates[i]
+        ))
         assert many[i] == pytest.approx(one, rel=1e-13)
 
 
 def test_flow_rejects_bad_inputs(tiny_model):
     with pytest.raises(ValueError):
-        pf.flow_eval_many(tiny_model, 0.5, *_one(0.04, np.zeros(2), 0.75, 1.0))
+        pf.flow_eval_many(tiny_model, 0.5, _one(0.04, np.zeros(2), 0.75, 1.0))
     atom = _one(0.2, np.zeros(2), 0.75, 1.0)
     with pytest.raises(ValueError):
-        pf.flow_eval_many(tiny_model, tiny_model.T + 1.0, *atom)
+        pf.flow_eval_many(tiny_model, tiny_model.T + 1.0, atom)
 
 
-def test_training_is_deterministic(params, mu0_uniform):
-    a = pf.train(mu0_uniform, params, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=3)
-    b = pf.train(mu0_uniform, params, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=3)
+def test_training_is_deterministic(mu0_uniform):
+    a = pf.train(mu0_uniform, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=3)
+    b = pf.train(mu0_uniform, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=3)
     for sa, sb in zip(a.stages, b.stages):
         assert np.array_equal(sa.beta, sb.beta)
         assert sa.r2_train == sb.r2_train and sa.r2_test == sb.r2_test
-    c = pf.train(mu0_uniform, params, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=4)
+    c = pf.train(mu0_uniform, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=4)
     assert not np.array_equal(a.stages[0].beta, c.stages[0].beta)
 
 
-def _train_by_rebuilding(mu0, p, dt, T, N, K, d3, d5, seed):
+def _train_by_rebuilding(mu0, dt, T, N, K, d3, d5, seed):
     """The forward recursion rebuilt from public pieces, one call per use:
     each stage wraps the stages so far in a partial model whose flow
     advances the cloud and the probes, and fits freshly built features."""
-    cloud = pf.sample_mu0(mu0.with_seed(_child_seed(seed, _SET_CLOUD, 0)), N)
-    spread = float(np.std(cloud.x))
+    p = mu0.params
+
+    def draw(tag, k, n):
+        return pf.samples_to_state(
+            pf.sample_mu0(mu0.with_seed(_child_seed(seed, tag, k)), n)
+        )
+
+    cloud = draw(_SET_CLOUD, 0, N)
+    spread = float(np.std(cloud.positions))
     stages = []
     for k in range(round(T / dt)):
         spec = pf.FeatureSpec(
             arity=5 if k else 3, degree=d5 if k else d3,
-            center=cloud.x.mean(axis=0), length_x=spread, length_y=spread,
+            center=cloud.positions.mean(axis=0), length_x=spread, length_y=spread,
             dt=dt, params=p,
         )
         if k:
             partial = pf.MeanFieldModel(
                 stages=list(stages), dt=dt, T=k * dt, mu0_cfg=mu0, n_cloud=N,
-                seed=seed, params=p,
+                seed=seed,
             )
-            advance = lambda *cols: pf.flow_eval_many(partial, k * dt, *cols)
+            advance = lambda atoms: pf.flow_eval_many(partial, k * dt, atoms)
         else:
-            advance = lambda s0, *traits: s0
-        sizes_cloud = advance(cloud.s0, cloud.x, cloud.S, cloud.gamma)
+            advance = lambda atoms: atoms.sizes
+        sizes_cloud = advance(cloud)
         sets = []
         for tag in (_SET_TRAIN, _SET_TEST):
-            d = pf.sample_mu0(mu0.with_seed(_child_seed(seed, tag, k)), K)
-            cols = (d.s0, d.x, d.S, d.gamma)
-            y = pf.mc_potential(p, advance(*cols), d.x, sizes_cloud, cloud.x)
-            sets.append((pf.feature_map(spec, *cols), y))
+            d = draw(tag, k, K)
+            y = pf.mc_potential(p, advance(d), d.positions, sizes_cloud, cloud.positions)
+            sets.append((pf.feature_map(spec, d), y))
         stages.append(pf.fit_stage(spec, *sets, stage_index=k))
     return pf.MeanFieldModel(
         stages=stages, dt=dt, T=float(T), mu0_cfg=mu0, n_cloud=N, seed=seed,
-        params=p,
     )
 
 
 @pytest.mark.parametrize("dt, T", [(1.0, 3.0), (0.3, 0.9)])
-def test_training_matches_the_rebuilt_recursion(params, mu0_uniform, dt, T):
+def test_training_matches_the_rebuilt_recursion(mu0_uniform, dt, T):
     # Training shares one feature matrix per probe set and spec between the
     # flow, the stage values and the fit; the model must not change by a bit.
-    args = (mu0_uniform, params, dt, T, 60, 60, 3, 2, 5)
+    args = (mu0_uniform, dt, T, 60, 60, 3, 2, 5)
     want = model_to_dict(_train_by_rebuilding(*args))
     assert model_to_dict(pf.train(*args)) == want
 
 
 def test_training_builds_one_feature_matrix_per_set_and_spec(
-    params, mu0_uniform, monkeypatch
+    mu0_uniform, monkeypatch
 ):
     # The cloud is built once per spec (2); stage 0's training and testing
     # sets once each (2); every later stage's sets once per spec (2 x 2).
@@ -573,12 +582,12 @@ def test_training_builds_one_feature_matrix_per_set_and_spec(
     build = meanfield.feature_map
     calls = []
 
-    def counted(spec, *cols):
+    def counted(spec, atoms):
         calls.append(spec.arity)
-        return build(spec, *cols)
+        return build(spec, atoms)
 
     monkeypatch.setattr(meanfield, "feature_map", counted)
-    pf.train(mu0_uniform, params, dt=1.0, T=3.0, N=20, K=20, d3=2, d5=1, seed=0)
+    pf.train(mu0_uniform, dt=1.0, T=3.0, N=20, K=20, d3=2, d5=1, seed=0)
     assert len(calls) == 12
     assert (calls.count(3), calls.count(5)) == (7, 5)
 
@@ -592,31 +601,29 @@ def test_training_stage_structure(tiny_model):
     assert [st.stage_index for st in tiny_model.stages] == [0, 1, 2]
 
 
-def test_training_validates_horizon(params, mu0_uniform):
+def test_training_validates_horizon(mu0_uniform):
     with pytest.raises(ValueError):
-        pf.train(mu0_uniform, params, dt=0.7, T=2.0, N=50, K=50, d3=1, d5=1, seed=0)
+        pf.train(mu0_uniform, dt=0.7, T=2.0, N=50, K=50, d3=1, d5=1, seed=0)
     with pytest.raises(ValueError):
-        pf.train(mu0_uniform, params, dt=1.0, T=0.0, N=50, K=50, d3=1, d5=1, seed=0)
+        pf.train(mu0_uniform, dt=1.0, T=0.0, N=50, K=50, d3=1, d5=1, seed=0)
 
 
-def test_training_stores_requested_horizon(params, mu0_uniform, tmp_path):
+def test_training_stores_requested_horizon(mu0_uniform, tmp_path):
     # 3 * 0.3 is 0.8999999999999999 in floating point; the model keeps the
     # horizon it was asked for, so grids built from model.T end on it.
-    model = pf.train(mu0_uniform, params, dt=0.3, T=0.9, N=30, K=30, d3=1, d5=1, seed=0)
+    model = pf.train(mu0_uniform, dt=0.3, T=0.9, N=30, K=30, d3=1, d5=1, seed=0)
     assert model.n_stages == 3
     assert model.T == 0.9
     pf.save_model(model, tmp_path / "m.json")
     assert pf.load_model(tmp_path / "m.json").T == 0.9
 
 
-def test_training_with_degree_zero(params, mu0_uniform):
-    model = pf.train(
-        mu0_uniform, params, dt=1.0, T=2.0, N=60, K=60, d3=0, d5=0, seed=1
-    )
+def test_training_with_degree_zero(mu0_uniform):
+    model = pf.train(mu0_uniform, dt=1.0, T=2.0, N=60, K=60, d3=0, d5=0, seed=1)
     # Degree zero still regresses on the damping factor (one feature),
     # which is a weighted, not plain, average of the targets.
     assert all(st.beta.shape == (1,) for st in model.stages)
-    (val,) = pf.flow_eval_many(model, 2.0, *_one(0.2, np.zeros(2), 0.75, 1.0))
+    (val,) = pf.flow_eval_many(model, 2.0, _one(0.2, np.zeros(2), 0.75, 1.0))
     assert model.params.s_m < val < model.params.max_size
 
 

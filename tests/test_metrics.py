@@ -196,14 +196,9 @@ def test_bound_requires_two_plants(params, mu0_uniform, rng):
         pf.bound_coefficients(params, mu0_uniform, _measure(rng, 5), 1)
 
 
-def _columns(sample, n):
-    """The first n drawn plants as columns (s0, x, S, gamma)."""
-    return sample.s0[:n], sample.x[:n], sample.S[:n], sample.gamma[:n]
-
-
 def _cloud_measure(sample, n):
     """The first n drawn plants as a uniformly weighted measure."""
-    return pf.PopulationState(*_columns(sample, n))
+    return pf.PopulationState(sample.s0[:n], sample.x[:n], sample.S[:n], sample.gamma[:n])
 
 
 def test_drive_functional_against_direct_average(params, mu0_uniform):
@@ -236,13 +231,13 @@ def test_flow_gap_zero_at_start(params, mu0_uniform, tiny_model):
     state0 = pf.samples_to_state(sample)
     cfg = pf.SolverConfig(t_end=1.0)
     traj = pf.integrate(params, state0, cfg)
-    probes = _columns(sample, 4)
-    gap0 = pf.flow_gap(params, traj, tiny_model, 0.0, *probes, solver_cfg=cfg)
+    probes = _cloud_measure(sample, 4)
+    gap0 = pf.flow_gap(traj, tiny_model, 0.0, probes, solver_cfg=cfg)
     assert gap0 == pytest.approx(0.0, abs=1e-14)
-    gap1 = pf.flow_gap(params, traj, tiny_model, 1.0, *probes, solver_cfg=cfg)
+    gap1 = pf.flow_gap(traj, tiny_model, 1.0, probes, solver_cfg=cfg)
     assert gap1 >= 0.0
     with pytest.raises(ValueError):
-        pf.flow_gap(params, traj, tiny_model, 1.0, *_columns(sample, 0), solver_cfg=cfg)
+        pf.flow_gap(traj, tiny_model, 1.0, _cloud_measure(sample, 0), solver_cfg=cfg)
 
 
 def _grid(t_end, snapshot_dt):
@@ -292,9 +287,9 @@ def test_convergence_flow_gap_equals_member_probe_gap(
     )
     sample = pf.sample_mu0(mu0_uniform.with_seed(seed), n)
     traj = pf.integrate(params, pf.samples_to_state(sample), cfg)
-    members = _columns(sample, n)
-    probes = pf.empirical_flow(params, traj, *members, cfg)
-    mf = np.stack([pf.flow_eval_many(tiny_model, t, *members) for t in t_grid])
+    members = _cloud_measure(sample, n)
+    probes = pf.empirical_flow(traj, members, cfg)
+    mf = np.stack([pf.flow_eval_many(tiny_model, t, members) for t in t_grid])
     probe_gaps = np.abs(probes - mf)
     assert np.all(report.flow_gap[1:] > 0.0)
     np.testing.assert_allclose(
@@ -336,9 +331,8 @@ def test_full_w1_equals_matching_at_each_time(
         sample = pf.sample_mu0(tiny_model.mu0_cfg.with_seed(seed), rep.N)
         state0 = pf.samples_to_state(sample)
         sim = pf.integrate(tiny_model.params, state0, cfg).sizes
-        members = _columns(sample, rep.N)
         for k, t in enumerate(cfg.snapshot_times):
-            mf = pf.flow_eval_many(tiny_model, t, *members)
+            mf = pf.flow_eval_many(tiny_model, t, state0)
             expected = pf.w1_matching(
                 replace(state0, sizes=sim[k]), replace(state0, sizes=mf), w
             )
@@ -422,7 +416,7 @@ def test_surrogate_tracks_large_population(params, mu0_uniform, trained_model):
     state0 = pf.samples_to_state(sample)
     cfg = pf.SolverConfig(t_end=10.0, rel_tol=1e-6, abs_tol=1e-9)
     traj = pf.integrate(params, state0, cfg)
-    members = _columns(sample, 40)
-    probe = pf.empirical_flow(params, traj, *members, cfg)[-1]
-    surro = pf.flow_eval_many(model, 10.0, *members)
+    members = _cloud_measure(sample, 40)
+    probe = pf.empirical_flow(traj, members, cfg)[-1]
+    surro = pf.flow_eval_many(model, 10.0, members)
     assert float(np.mean(np.abs(probe - surro) / probe)) < 0.05

@@ -144,23 +144,36 @@ def test_growth_stays_between_start_and_cap(s0, S, gamma, t):
     assert lo - 1e-12 <= s <= hi + 1e-12
 
 
+def _validate(p, caps, rates, sizes0):
+    """``validate_initial_config`` of the plants with these columns, all at
+    the origin; the record refuses a negative or NaN rate itself."""
+    state = pf.PopulationState(sizes0, np.zeros((len(caps), 2)), caps, rates)
+    return pf.validate_initial_config(p, state)
+
+
 def test_admissibility_accepts_valid_population(p):
-    assert pf.validate_initial_config(p, [0.75, 0.9], [1.0, 1.0], [0.1, 0.2]) is None
+    assert _validate(p, [0.75, 0.9], [1.0, 1.0], [0.1, 0.2]) is None
 
 
 def test_admissibility_flags_each_violation(p):
     with pytest.raises(ValueError, match=r"plant 1: asymptotic"):
-        pf.validate_initial_config(p, [0.75, 1.5], [1.0, 1.0], [0.1, 0.1])
+        _validate(p, [0.75, 1.5], [1.0, 1.0], [0.1, 0.1])
     with pytest.raises(ValueError, match=r"plant 0: growth rate"):
-        pf.validate_initial_config(p, [0.75, 0.75], [0.0, 1.0], [0.1, 0.1])
+        _validate(p, [0.75, 0.75], [0.0, 1.0], [0.1, 0.1])
     with pytest.raises(ValueError, match=r"plant 1: initial size"):
-        pf.validate_initial_config(p, [0.75, 0.75], [1.0, 1.0], [0.1, 0.8])
+        _validate(p, [0.75, 0.75], [1.0, 1.0], [0.1, 0.8])
     with pytest.raises(ValueError, match=r"plant 0: "):
-        pf.validate_initial_config(p, [0.75, 0.75], [1.0, 1.0], [0.05, 0.1])
+        _validate(p, [0.75, 0.75], [1.0, 1.0], [0.05, 0.1])
 
 
 def _first_violation(p, caps, rates, sizes0):
-    """Per-plant reference: (index, reason keyword) of the first breach."""
+    """Per-plant reference: (index, reason keyword) of the first breach.
+
+    A rate that is negative or NaN breaks the record's own rule, which is
+    checked over all plants before the run's conditions."""
+    for i, g in enumerate(rates):
+        if not g >= 0.0:
+            return i, "growth rate"
     for i, (S, g, s0) in enumerate(zip(caps, rates, sizes0)):
         if not p.s_m < S < p.max_size:
             return i, "asymptotic"
@@ -175,13 +188,13 @@ def test_admissibility_reports_first_offender_and_reason(p, rng):
     # Plant 1 breaks the rate and the size condition, plant 2 the cap: the
     # error names plant 1 and the rate, the earlier of its two breaches.
     with pytest.raises(ValueError, match=r"plant 1: growth rate"):
-        pf.validate_initial_config(
+        _validate(
             p, [0.75, 0.75, 1.5], [1.0, 0.0, 1.0], [0.1, 0.9, 0.1]
         )
-    with pytest.raises(ValueError, match=r"plant 1: asymptotic"):
-        pf.validate_initial_config(p, [0.75, 1.5], [1.0, -1.0], [0.1, 2.0])
+    with pytest.raises(ValueError, match=r"plant 1: growth rate not nonnegative"):
+        _validate(p, [0.75, 1.5], [1.0, -1.0], [0.1, 2.0])
     with pytest.raises(ValueError, match=r"plant 1: growth rate"):
-        pf.validate_initial_config(p, [0.75, 0.75], [1.0, math.nan], [0.1, 0.1])
+        _validate(p, [0.75, 0.75], [1.0, math.nan], [0.1, 0.1])
     # Random populations in which every condition fails now and then.
     for _ in range(300):
         n = int(rng.integers(2, 6))
@@ -190,17 +203,17 @@ def test_admissibility_reports_first_offender_and_reason(p, rng):
         sizes0 = rng.uniform(0.0, 1.0, n)
         index, keyword = _first_violation(p, caps, rates, sizes0)
         if index is None:
-            assert pf.validate_initial_config(p, caps, rates, sizes0) is None
+            assert _validate(p, caps, rates, sizes0) is None
         else:
             with pytest.raises(ValueError, match=rf"plant {index}: {keyword}"):
-                pf.validate_initial_config(p, caps, rates, sizes0)
+                _validate(p, caps, rates, sizes0)
 
 
 def test_admissibility_raises_on_malformed_input(p):
-    with pytest.raises(ValueError):
-        pf.validate_initial_config(p, [0.75], [1.0], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        pf.validate_initial_config(p, [0.75], [1.0], [0.1])
+    with pytest.raises(ValueError, match="must be"):
+        _validate(p, [0.75], [1.0], [0.1, 0.2])
+    with pytest.raises(ValueError, match="at least 2 individuals"):
+        _validate(p, [0.75], [1.0], [0.1])
 
 
 def test_params_validation():

@@ -28,8 +28,10 @@ def p():
 
 
 def _members(state, idx):
-    """Plants ``idx`` of a population as probe columns (s0, x, S, gamma)."""
-    return state.sizes[idx], state.positions[idx], state.caps[idx], state.rates[idx]
+    """Plants ``idx`` of a population as a batch of probes."""
+    return pf.PopulationState(
+        state.sizes[idx], state.positions[idx], state.caps[idx], state.rates[idx]
+    )
 
 
 def _random_state(p, n, rng):
@@ -356,7 +358,7 @@ def test_probe_reproduces_population_member(p, rng):
     cfg = pf.SolverConfig(t_end=5.0)
     bg = pf.integrate(p, state, cfg)
     members = [0, 3, 7]
-    probes = pf.empirical_flow(p, bg, *_members(state, members), cfg)
+    probes = pf.empirical_flow(bg, _members(state, members), cfg)
     assert probes.shape == (len(cfg.snapshot_times), 3)
     member = bg.sizes[:, members]
     assert np.max(np.abs(probes - member) / member) < 1e-7
@@ -373,11 +375,10 @@ def test_probe_batch_matches_one_probe_batches(p, rng):
     x = rng.normal(size=(6, 2))
     S = rng.uniform(0.55, 0.95, 6)
     gamma = rng.uniform(0.2, 1.8, 6)
-    batch = pf.empirical_flow(p, bg, s0, x, S, gamma, cfg)
+    probes = pf.PopulationState(s0, x, S, gamma)
+    batch = pf.empirical_flow(bg, probes, cfg)
     for k in range(6):
-        one = pf.empirical_flow(
-            p, bg, s0[k:k + 1], x[k:k + 1], S[k:k + 1], gamma[k:k + 1], cfg
-        )
+        one = pf.empirical_flow(bg, _members(probes, [k]), cfg)
         assert one.shape == (len(cfg.snapshot_times), 1)
         assert np.max(np.abs(batch[:, k] - one[:, 0]) / one[:, 0]) < 1e-7
 
@@ -386,7 +387,9 @@ def test_probe_with_zero_rate_stays_put(p, rng):
     state = _random_state(p, 5, rng)
     cfg = pf.SolverConfig(t_end=4.0)
     bg = pf.integrate(p, state, cfg)
-    probe = pf.empirical_flow(p, bg, [0.2], np.zeros((1, 2)), [0.75], [0.0], cfg)
+    probe = pf.empirical_flow(
+        bg, pf.PopulationState([0.2], np.zeros((1, 2)), [0.75], [0.0]), cfg
+    )
     assert np.max(np.abs(probe - 0.2)) < 1e-12
 
 
@@ -407,7 +410,7 @@ def test_probe_respects_coarse_size_bounds(p, rng):
         for _ in range(10)
     ])
     probes = pf.empirical_flow(
-        p, bg, draws[:, 0], draws[:, 1:3], draws[:, 3], draws[:, 4], cfg
+        bg, pf.PopulationState(draws[:, 0], draws[:, 1:3], draws[:, 3], draws[:, 4]), cfg
     )
     assert np.all(probes > lo)
     assert np.all(probes < hi)
@@ -417,36 +420,30 @@ def test_probe_horizon_cannot_exceed_background(p, rng):
     state = _random_state(p, 4, rng)
     bg = pf.integrate(p, state, pf.SolverConfig(t_end=2.0))
     with pytest.raises(ValueError, match="horizon"):
-        pf.empirical_flow(p, bg, *_members(state, [0]), pf.SolverConfig(t_end=3.0))
+        pf.empirical_flow(bg, _members(state, [0]), pf.SolverConfig(t_end=3.0))
 
 
 def test_probe_rejects_bad_initial_data(p, rng):
-    # The first inadmissible probe of a batch is named by its index.
+    # The first inadmissible probe of a batch is named by its index; a
+    # negative or NaN rate is refused by the record itself.
     state = _random_state(p, 4, rng)
     bg = pf.integrate(p, state, pf.SolverConfig(t_end=2.0))
     cfg = pf.SolverConfig(t_end=1.0)
-    members = [0, 1, 2]
+    members = _members(state, [0, 1, 2])
     cases = [
         ("sizes", 1, 0.04, "probe 1: initial size"),
         ("sizes", 2, p.s_m, "probe 2: initial size"),
         ("caps", 0, 1.5, "probe 0: asymptotic size"),
         ("caps", 2, p.s_m, "probe 2: asymptotic size"),
         ("caps", 1, p.max_size, "probe 1: asymptotic size"),
-        ("rates", 1, -0.5, "probe 1: growth rate not nonnegative"),
-        ("rates", 0, np.nan, "probe 0: growth rate not nonnegative"),
+        ("rates", 1, -0.5, "plant 1: growth rate not nonnegative"),
+        ("rates", 0, np.nan, "plant 0: growth rate not nonnegative"),
     ]
     for column, k, value, message in cases:
-        s0, x, S, gamma = (c.copy() for c in _members(state, members))
-        {"sizes": s0, "caps": S, "rates": gamma}[column][k] = value
+        bad = getattr(members, column).copy()
+        bad[k] = value
         with pytest.raises(ValueError, match=message):
-            pf.empirical_flow(p, bg, s0, x, S, gamma, cfg)
-    s0, x, S, gamma = _members(state, members)
-    with pytest.raises(ValueError, match="must be"):
-        pf.empirical_flow(p, bg, s0, x[:, :1], S, gamma, cfg)
-    with pytest.raises(ValueError, match="must be"):
-        pf.empirical_flow(p, bg, s0, x, S[:2], gamma, cfg)
-    with pytest.raises(ValueError, match="at least one probe"):
-        pf.empirical_flow(p, bg, s0[:0], x[:0], S[:0], gamma[:0], cfg)
+            pf.empirical_flow(bg, replace(members, **{column: bad}), cfg)
 
 
 def test_snapshot_grid_default_and_explicit(p, rng):
@@ -631,19 +628,27 @@ def test_population_state_rejects_malformed_columns(p, rng):
     cols = dict(
         sizes=good.sizes, positions=good.positions, caps=good.caps, rates=good.rates
     )
-    one_plant = {name: col[:1] for name, col in cols.items()}
     cases = [
-        (dict(cols, sizes=good.sizes[:2]), "one row per size"),
-        (one_plant, "at least two"),
-        (dict(cols, positions=np.zeros((3, 3))), "one row per size"),
-        (dict(cols, caps=np.array([0.7, 0.0, 0.8])), "strictly positive"),
-        (dict(cols, rates=np.array([1.0, -0.1, 1.0])), "nonnegative"),
+        (dict(cols, sizes=good.sizes[:2]), "must be"),
+        (dict(cols, sizes=good.sizes[0]), "must be"),
+        (dict(cols, positions=np.zeros((3, 3))), "must be"),
+        (dict(cols, positions=np.zeros((3, 1))), "must be"),
+        (dict(cols, caps=good.caps[:2]), "must be"),
+        ({name: col[:0] for name, col in cols.items()}, "n >= 1"),
+        (dict(cols, caps=np.array([0.7, 0.0, 0.8])), "plant 1: asymptotic size not"),
+        (dict(cols, rates=np.array([1.0, -0.1, 1.0])), "plant 1: growth rate not"),
+        (dict(cols, rates=np.array([1.0, 1.0, np.nan])), "plant 2: growth rate not"),
     ]
     for kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
             pf.PopulationState(**kwargs)
     frozen = pf.PopulationState(**dict(cols, rates=np.zeros(3)))
     assert frozen.n == 3
+    # One plant is a record (a probe batch of one), but not a population.
+    one_plant = pf.PopulationState(**{name: col[:1] for name, col in cols.items()})
+    assert one_plant.n == 1
+    with pytest.raises(ValueError, match="at least 2 individuals"):
+        pf.integrate(p, one_plant, pf.SolverConfig(t_end=1.0))
 
 
 def test_trajectory_csv_layout(p, rng, tmp_path):

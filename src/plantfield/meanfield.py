@@ -27,7 +27,7 @@ import numpy as np
 
 from .initial import Mu0Config, SurfaceParams, sample_mu0, samples_to_state
 from .model import ModelParams, _require_positive
-from .population import PopulationState, _pair_row_sums, _spatial_kernel
+from .population import PopulationState, _kernel_block, _kernel_blocks, _pair_row_sums
 from .textio import format_row, write_csv, write_json
 
 __all__ = [
@@ -174,7 +174,7 @@ def feature_map(spec: FeatureSpec, atoms: PopulationState) -> np.ndarray:
         vars_.append(np.exp(-atoms.rates * spec.dt))
     V = np.stack(vars_, axis=1)
     feats = polynomial_features(V, spec.degree)
-    cauchy = _spatial_kernel(x, p.sigma_x, center)[:, 0]
+    cauchy = _kernel_block(x, center, p.sigma_x, np.empty((x.shape[0], 1)))[:, 0]
     return feats * cauchy[:, None]
 
 
@@ -189,8 +189,9 @@ def mc_potential(
 
     Returns (1/N) sum_j C(s, s'_j, |x - x'_j|) where the primes run
     over the cloud atoms; shape (n,).  The (n, N) spatial kernel is never
-    stored: ``_pair_row_sums`` builds it one row block at a time into a
-    reused buffer, with the values ``_spatial_kernel`` would hold.
+    stored: ``_kernel_blocks`` makes it one C-contiguous row block at a
+    time in a reused buffer, and ``_pair_row_sums`` consumes each block
+    before the next is made, so the sums equal those over stored blocks.
     """
     cloud_sizes = np.asarray(cloud_sizes, dtype=float)
     cloud_positions = np.asarray(cloud_positions, dtype=float)
@@ -208,7 +209,9 @@ def mc_potential(
         raise ValueError("sizes must be strictly positive")
     p = params
     row = _pair_row_sums(
-        np.log(s / p.s_m), (x, cloud_positions, p.sigma_x), p.sigma_r,
+        np.log(s / p.s_m),
+        _kernel_blocks(x, p.sigma_x, cloud_positions, reuse=True),
+        p.sigma_r,
         np.log(cloud_sizes / p.s_m),
     )
     return row / (2.0 * p.R_M * cloud_sizes.shape[0])

@@ -53,7 +53,10 @@ class ModelParams:
         Spatial decay scale of the competition potential.
     sigma_r:
         Relative-size sensitivity scale of the competition potential;
-        at least ``R_M / 600`` (see ``population._pair_row_sums``).
+        at least ``R_M / 600``, so the exponents exp(2 (r - c)/sigma_r)
+        of ``population._pair_row_sums`` stay finite.  That kernel forms
+        each e_i + e'_j as an exact rank-2 product over half-stored,
+        C-contiguous kernel blocks, bit-identical at any BLAS thread count.
     """
 
     s_m: float
@@ -116,7 +119,12 @@ def log_potential(params: ModelParams, r, r_prime, dist):
     and the training targets sum it over whole populations with the
     array kernel ``population._pair_row_sums``, which evaluates the tanh
     factor through the exact identity 1 + tanh((r' - r)/sigma_r) =
-    2 e' / (e + e') with e = exp(2 r / sigma_r).
+    2 e' / (e + e') with e = exp(2 r / sigma_r).  It reads the spatial
+    factor as C-contiguous row blocks (a population stores only the
+    columns j >= i0 of block [i0, i1), about half the matrix) and forms
+    e + e' as the rank-2 product [e, 1] [1; e']: both products are exact
+    and the sum is rounded once, so the result does not depend on the
+    BLAS library or its thread count.
     """
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)

@@ -213,41 +213,55 @@ def _kernel_block(x, sources, sigma_x: float, out: np.ndarray) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _spatial_kernel(
-    positions: np.ndarray,
-    sigma_x: float,
-    sources: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Factor 1 / (1 + |x_i - x'_j|^2 / sigma_x^2), (T, S); sources default to x."""
-    src = positions if sources is None else sources
-    return _kernel_block(
-        positions, src, sigma_x, np.empty((positions.shape[0], src.shape[0]))
-    )
+def _kernel_blocks(x, sigma_x: float, sources=None, reuse: bool = False):
+    """Yield the spatial kernel of targets x (T, 2) against ``sources``
+    (S, 2) as C-contiguous row blocks [i0, i0 + _BLOCK).
+
+    With no ``sources`` the targets are their own sources, the kernel is
+    symmetric, and block [i0, i1) holds only the columns j >= i0: about
+    half the T x T matrix.  With ``reuse`` every block is written into one
+    buffer, so a block is valid only until the next is made.  No single
+    T x S array is made either way.
+    """
+    sym = sources is None
+    src = x if sym else sources
+    n_t, n_s = x.shape[0], src.shape[0]
+    buf = np.empty(min(_BLOCK, n_t) * n_s) if reuse else None
+    for i0 in range(0, n_t, _BLOCK):
+        i1 = min(i0 + _BLOCK, n_t)
+        c0 = i0 if sym else 0
+        size = (i1 - i0) * (n_s - c0)
+        out = np.empty(size) if buf is None else buf[:size]
+        yield _kernel_block(
+            x[i0:i1], src[c0:], sigma_x, out.reshape(i1 - i0, n_s - c0)
+        )
 
 
 def _pair_row_sums(
     r: np.ndarray,
-    kernel: np.ndarray | tuple,
+    blocks,
     sigma_r: float,
     r_sources: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Row sums of r'_j * kernel_ij * (1 + tanh((r'_j - r_i)/sigma_r)).
 
-    Targets r (T,) meet sources r' (S,) through the kernel (T, S); each
-    term is ``model.log_potential`` times 2 R_M.  With e = exp(2 (r - c)/
-    sigma_r), exactly 1 + tanh((r'_j - r_i)/sigma_r) = 2 e'_j/(e_i + e'_j),
-    so a row sum is sum_j W_ij v_j, W_ij = kernel_ij/(e_i + e'_j) and
-    v = 2 e' r'.  The shift c (midpoint of the log-sizes) cancels; a spread
-    over ``_EXP_WINDOW * sigma_r`` would overflow and raises instead.  With
-    no ``r_sources`` the targets are their own sources, kernel and W are
-    symmetric, and row block [i0, i1) forms only the columns j >= i0 and
-    adds its transpose to the rows below.  ``einsum`` sums in one thread
-    and a fixed order, where BLAS may spread them over threads.
+    Targets r (T,) meet sources r' (S,) through the kernel, given as the
+    row blocks ``_kernel_blocks`` yields; each term is
+    ``model.log_potential`` times 2 R_M.  With e = exp(2 (r - c)/sigma_r),
+    exactly 1 + tanh((r'_j - r_i)/sigma_r) = 2 e'_j/(e_i + e'_j), so a row
+    sum is sum_j W_ij v_j, W_ij = kernel_ij/(e_i + e'_j) and v = 2 e' r'.
+    The shift c (midpoint of the log-sizes) cancels; a spread over
+    ``_EXP_WINDOW * sigma_r`` would overflow and raises instead.  With no
+    ``r_sources`` the targets are their own sources, W is symmetric, and
+    row block [i0, i1) holds only the columns j >= i0: its transpose is
+    added to the rows below.
 
-    ``kernel`` is either the stored (T, S) array, read block by block, or
-    the positions and scale ``(x, x', sigma_x)`` it is made from: then
-    ``_kernel_block`` builds each block into one reused buffer, the same
-    values the stored array holds, and no T x S array is made.
+    Each block's e_i + e'_j is the rank-2 product [e_i, 1] [1; e'_j]:
+    both products are exact (a multiply by 1) and their sum is rounded
+    once, so every entry equals ``np.add``'s bit for bit, whatever the
+    BLAS or its thread count.  The reductions are ``einsum``, which sums
+    in one thread and a fixed order, where BLAS may spread them over
+    threads.
     """
     sym = r_sources is None
     src = r if sym else r_sources
@@ -265,30 +279,28 @@ def _pair_row_sums(
         )
     scale = 2.0 / sigma_r
     mid = 0.5 * (lo + hi)
-    e = np.exp((r - mid) * scale)
-    e_src = e if sym else np.exp((src - mid) * scale)
-    v = 2.0 * e_src * src
-    stored = isinstance(kernel, np.ndarray)
-    if stored:
-        n_t, n_s = kernel.shape
+    n_t, n_s = r.shape[0], src.shape[0]
+    # Rows [1; e; 1]: [e, 1] is the left factor and [1; e'] the right one;
+    # with sources of their own, [1; e'] has its own two rows.
+    q = np.empty((3, n_t))
+    q.fill(1.0)  # cheaper than np.ones at small N
+    e = np.exp((r - mid) * scale, out=q[1])
+    left = q[1:].T
+    if sym:
+        right = q[:2]
+        e_src = e
     else:
-        x, x_src, sigma_x = kernel
-        n_t, n_s = x.shape[0], x_src.shape[0]
+        right = np.empty((2, n_s))
+        right.fill(1.0)
+        e_src = np.exp((src - mid) * scale, out=right[1])
+    v = 2.0 * e_src * src
     out = np.zeros(n_t)
     buf = np.empty(min(_BLOCK, n_t) * n_s)
-    k_buf = None if stored else np.empty_like(buf)
-    e_col = e[:, None]
-    for i0 in range(0, n_t, _BLOCK):
-        i1 = min(i0 + _BLOCK, n_t)
+    for i0, k in zip(range(0, n_t, _BLOCK), blocks):
+        i1 = i0 + k.shape[0]
         c0 = i0 if sym else 0
-        shape = (i1 - i0, n_s - c0)
-        w = buf[: shape[0] * shape[1]].reshape(shape)
-        np.add(e_col[i0:i1], e_src[c0:], out=w)
-        if stored:
-            k = kernel[i0:i1, c0:]
-        else:
-            k = k_buf[: w.size].reshape(shape)
-            _kernel_block(x[i0:i1], x_src[c0:], sigma_x, out=k)
+        w = buf[: k.size].reshape(k.shape)
+        np.matmul(left[i0:i1], right[:, c0:], out=w)
         np.divide(k, w, out=w)
         out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
         if sym and i1 < n_t:
@@ -299,10 +311,11 @@ def _pair_row_sums(
 def _competition_all(
     params: ModelParams,
     r: np.ndarray,
-    kernel: np.ndarray,
+    blocks,
     r_sources: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Mean neighbour potential on every target, from log-sizes.
+    """Mean neighbour potential on every target, from log-sizes and the
+    kernel's row ``blocks``.
 
     Sources default to the targets.  Each row drops the self term r_i
     (unit kernel, tanh 0) and averages over N - 1 of the N sources, so
@@ -310,8 +323,9 @@ def _competition_all(
     Where the other terms are negligible, row - r is roundoff and may dip
     below 0; it is raised to 0, the least load there is.
     """
-    row = _pair_row_sums(r, kernel, params.sigma_r, r_sources)
-    c = (row - r) / (2.0 * params.R_M * (kernel.shape[1] - 1))
+    row = _pair_row_sums(r, blocks, params.sigma_r, r_sources)
+    n_sources = (r if r_sources is None else r_sources).shape[0]
+    c = (row - r) / (2.0 * params.R_M * (n_sources - 1))
     return np.maximum(c, 0.0, out=c)
 
 
@@ -351,7 +365,7 @@ def integrate(
     validate_initial_config(params, initial)
 
     caps_log = np.log(initial.caps / params.s_m)
-    kernel = _spatial_kernel(initial.positions, params.sigma_x)
+    blocks = list(_kernel_blocks(initial.positions, params.sigma_x))
     r0 = np.log(initial.sizes / params.s_m)
     clamp_count = 0
 
@@ -364,7 +378,7 @@ def integrate(
 
     dense, r_mat = _grow(
         cfg, r0, caps_log, initial.rates,
-        lambda t, r: _competition_all(params, r, kernel),
+        lambda t, r: _competition_all(params, r, blocks),
         lambda t, r, step_index: hold(r, _BREACH_TOLERANCE, step_index),
     )
     # Each snapshot row is checked under the index of the step whose
@@ -373,7 +387,7 @@ def integrate(
     steps = np.maximum(np.searchsorted(dense.ts, cfg.snapshot_times) - 1, 0)
     r_mat = np.stack([hold(r_t, interp_tol, int(k)) for r_t, k in zip(r_mat, steps)])
     sizes_mat = params.s_m * np.exp(r_mat)
-    c_mat = np.stack([_competition_all(params, r_t, kernel) for r_t in r_mat])
+    c_mat = np.stack([_competition_all(params, r_t, blocks) for r_t in r_mat])
     return Trajectory(
         times=cfg.snapshot_times,
         initial=initial,
@@ -413,15 +427,15 @@ def empirical_flow(
          (params.s_m < S) & (S < params.max_size)),
     ])
 
-    probe_kernel = _spatial_kernel(
+    probe_blocks = list(_kernel_blocks(
         probes.positions, params.sigma_x, background.initial.positions
-    )
+    ))
     _, r_mat = _grow(
         cfg,
         np.log(s0 / params.s_m),
         np.log(S / params.s_m),
         probes.rates,
-        lambda t, r: _competition_all(params, r, probe_kernel, background.dense(t)),
+        lambda t, r: _competition_all(params, r, probe_blocks, background.dense(t)),
     )
     return params.s_m * np.exp(r_mat)
 

@@ -14,9 +14,11 @@ from conftest import one_plus_tanh
 from plantfield import population
 from plantfield.population import (
     _BLOCK,
+    _EXP_WINDOW,
     _competition_all,
+    _kernel_block,
+    _kernel_blocks,
     _pair_row_sums,
-    _spatial_kernel,
     export_trajectory_csv,
 )
 from plantfield.textio import format_value
@@ -81,6 +83,38 @@ def _fsum_row_sums(r, kernel, sigma_r, r_sources):
     ])
 
 
+def _full_kernel(x, sigma_x, sources=None):
+    """The whole (T, S) kernel matrix, as an oracle; sources default to x."""
+    src = x if sources is None else sources
+    return _kernel_block(x, src, sigma_x, np.empty((x.shape[0], src.shape[0])))
+
+
+def _broadcast_row_sums(r, kernel, sigma_r, r_sources=None):
+    """The row sums over a whole kernel matrix with e_i + e'_j formed by a
+    broadcast ``np.add``, block by block and in the same order as
+    ``_pair_row_sums``: its results must match bit for bit."""
+    sym = r_sources is None
+    src = r if sym else r_sources
+    lo = min(r.min(initial=np.inf), src.min())
+    hi = max(r.max(initial=-np.inf), src.max())
+    scale = 2.0 / sigma_r
+    mid = 0.5 * (float(lo) + float(hi))
+    e = np.exp((r - mid) * scale)
+    e_src = e if sym else np.exp((src - mid) * scale)
+    v = 2.0 * e_src * src
+    n_t = kernel.shape[0]
+    out = np.zeros(n_t)
+    for i0 in range(0, n_t, _BLOCK):
+        i1 = min(i0 + _BLOCK, n_t)
+        c0 = i0 if sym else 0
+        w = np.add(e[i0:i1, None], e_src[c0:])
+        np.divide(kernel[i0:i1, c0:], w, out=w)
+        out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
+        if sym and i1 < n_t:
+            out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])
+    return out
+
+
 # The admissible range of sigma_r for R_M = 3, from R_M/600 (the smallest
 # ModelParams accepts) to well above the default 1.32.
 _SIGMA_R_RANGE = [3.0 / 600, 0.02, 0.1, 0.3, 1.32, 10.0]
@@ -95,11 +129,12 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
     # every path of the half-matrix (antisymmetric) evaluation runs.
     for n in (2, _BLOCK - 1, _BLOCK + 1, 700):
         r = rng.uniform(0.01, 2.99, n)
-        kernel = _spatial_kernel(rng.normal(size=(n, 2)), 0.5)
-        got = _pair_row_sums(r, kernel, sigma_r)
-        want = _fsum_row_sums(r, kernel, sigma_r, r)
+        x = rng.normal(size=(n, 2))
+        blocks = list(_kernel_blocks(x, 0.5))
+        got = _pair_row_sums(r, blocks, sigma_r)
+        want = _fsum_row_sums(r, _full_kernel(x, 0.5), sigma_r, r)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert np.array_equal(_pair_row_sums(r, kernel, sigma_r), got)
+        assert np.array_equal(_pair_row_sums(r, blocks, sigma_r), got)
 
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
@@ -111,30 +146,32 @@ def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
     for t_n in (40, _BLOCK + 22):
         r = rng.uniform(0.01, 2.99, t_n)
         r_src = rng.uniform(0.01, 2.99, s_n)
-        kernel = _spatial_kernel(
-            rng.normal(size=(t_n, 2)), 0.5, rng.normal(size=(s_n, 2))
-        )
-        assert kernel.shape == (t_n, s_n)
-        got = _pair_row_sums(r, kernel, sigma_r, r_src)
-        want = _fsum_row_sums(r, kernel, sigma_r, r_src)
+        x, x_src = rng.normal(size=(t_n, 2)), rng.normal(size=(s_n, 2))
+        blocks = list(_kernel_blocks(x, 0.5, x_src))
+        assert sum(k.shape[0] for k in blocks) == t_n
+        assert all(k.shape[1] == s_n for k in blocks)
+        got = _pair_row_sums(r, blocks, sigma_r, r_src)
+        want = _fsum_row_sums(r, _full_kernel(x, 0.5, x_src), sigma_r, r_src)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert np.array_equal(_pair_row_sums(r, kernel, sigma_r, r_src), got)
+        assert np.array_equal(_pair_row_sums(r, blocks, sigma_r, r_src), got)
 
 
 def test_pair_row_sums_raise_outside_exp_window(rng):
     # A log-size spread over 700 sigma_r would overflow exp; the kernel
     # names the problem instead of returning inf or NaN.
     r = np.array([0.0, 1.5, 3.0])
-    kernel = _spatial_kernel(rng.normal(size=(3, 2)), 0.5)
+    blocks = list(_kernel_blocks(rng.normal(size=(3, 2)), 0.5))
     with pytest.raises(pf.KernelRangeError, match=r"spread 3 exceeds 700 \* sigma_r \(sigma_r=0\.004\)"):
-        _pair_row_sums(r, kernel, 0.004)
+        _pair_row_sums(r, blocks, 0.004)
     # The cross case spans targets and sources together; either side alone
     # would fit the window.
-    cross = _spatial_kernel(rng.normal(size=(2, 2)), 0.5, rng.normal(size=(1, 2)))
+    cross = list(
+        _kernel_blocks(rng.normal(size=(2, 2)), 0.5, rng.normal(size=(1, 2)))
+    )
     with pytest.raises(pf.KernelRangeError):
         _pair_row_sums(r[:2], cross, 0.004, r[2:])
     # At the edge of the window the same data gives finite sums.
-    assert np.all(np.isfinite(_pair_row_sums(r, kernel, 3.0 / 700)))
+    assert np.all(np.isfinite(_pair_row_sums(r, blocks, 3.0 / 700)))
     assert np.all(np.isfinite(_pair_row_sums(r[:2], cross, 3.0 / 700, r[2:])))
     # mc_potential, which builds its kernel blocks as it goes, checks the
     # same window over probes and cloud together.
@@ -166,17 +203,40 @@ def test_spatial_kernel_matches_definition(rng):
     x[5:7] = y[1:3]
     center = np.array([[0.3, -0.2]])
     for sigma_x in (1e-6, 0.7, 1e6):
-        got = _spatial_kernel(x, sigma_x, y)
+        got = _full_kernel(x, sigma_x, y)
         assert got.shape == (7, 4)
         assert np.array_equal(got, _kernel_by_definition(x, y, sigma_x))
         assert got[5, 1] == got[6, 2] == 1.0
-        sym = _spatial_kernel(x, sigma_x)
+        sym = _full_kernel(x, sigma_x)
         assert np.array_equal(sym, _kernel_by_definition(x, x, sigma_x))
         assert np.array_equal(sym, sym.T)
         assert np.array_equal(np.diag(sym), np.ones(7))
         # The one-source call that feature_map makes for its spatial damping.
-        one = _spatial_kernel(x, sigma_x, center)
+        one = _full_kernel(x, sigma_x, center)
         assert np.array_equal(one, _kernel_by_definition(x, center, sigma_x))
+        # Row blocks hold the same values as the whole matrix.
+        (block,) = _kernel_blocks(x, sigma_x, y)
+        assert np.array_equal(block, got)
+        (half,) = _kernel_blocks(x, sigma_x)
+        assert np.array_equal(half, sym)
+
+
+def test_population_kernel_blocks_are_contiguous_and_half_stored(rng):
+    # A population stores about half its kernel: block [i0, i1) holds the
+    # columns j >= i0 only, as one C-contiguous array, so a full N x N
+    # kernel cannot come back unnoticed.  Probe blocks hold every column.
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 700):
+        x = rng.normal(size=(n, 2))
+        full = _full_kernel(x, 0.5)
+        blocks = list(_kernel_blocks(x, 0.5))
+        assert sum(k.size for k in blocks) <= n * (n + _BLOCK) / 2
+        for i0, k in zip(range(0, n, _BLOCK), blocks, strict=True):
+            assert k.flags.c_contiguous
+            assert np.array_equal(k, full[i0 : i0 + _BLOCK, i0:])
+        probes = rng.normal(size=(n, 2))
+        cross = list(_kernel_blocks(probes, 0.5, x[:90]))
+        assert all(k.flags.c_contiguous for k in cross)
+        assert np.array_equal(np.concatenate(cross), _full_kernel(probes, 0.5, x[:90]))
 
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
@@ -194,11 +254,68 @@ def test_mc_potential_streams_the_stored_kernel(sigma_r, rng):
         x = rng.normal(size=(k, 2))
         got = pf.mc_potential(q, s, x, cloud_s, cloud_x)
         row = _pair_row_sums(
-            np.log(s / q.s_m), _spatial_kernel(x, q.sigma_x, cloud_x), sigma_r,
+            np.log(s / q.s_m), list(_kernel_blocks(x, q.sigma_x, cloud_x)), sigma_r,
             np.log(cloud_s / q.s_m),
         )
         assert got.shape == (k,)
         assert np.array_equal(got, row / (2.0 * q.R_M * n_cloud))
+
+
+@pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
+def test_pair_row_sums_equal_broadcast_add_oracle(sigma_r, rng):
+    # e_i + e'_j as the exact rank-2 product gives the bits of a broadcast
+    # np.add: the row sums over stored blocks equal the oracle's exactly,
+    # for a population of one block, a block and a row either side of it
+    # and a ragged sixth block, and for probes against other sources.
+    for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 700):
+        r = rng.uniform(0.01, 2.99, n)
+        x = rng.normal(size=(n, 2))
+        got = _pair_row_sums(r, list(_kernel_blocks(x, 0.5)), sigma_r)
+        want = _broadcast_row_sums(r, _full_kernel(x, 0.5), sigma_r)
+        assert np.array_equal(got, want)
+    for t_n in (40, _BLOCK + 22):
+        r, r_src = rng.uniform(0.01, 2.99, t_n), rng.uniform(0.01, 2.99, 90)
+        x, x_src = rng.normal(size=(t_n, 2)), rng.normal(size=(90, 2))
+        got = _pair_row_sums(r, list(_kernel_blocks(x, 0.5, x_src)), sigma_r, r_src)
+        want = _broadcast_row_sums(r, _full_kernel(x, 0.5, x_src), sigma_r, r_src)
+        assert np.array_equal(got, want)
+    # A spread at the edge of the window, where e reaches about 1e+-304.
+    n = _BLOCK + 1
+    half = 0.5 * _EXP_WINDOW * sigma_r * (1.0 - 1e-12)
+    r = 1.0 + rng.uniform(-half, half, n)
+    r[:2] = 1.0 - half, 1.0 + half
+    x = rng.normal(size=(n, 2))
+    got = _pair_row_sums(r, list(_kernel_blocks(x, 0.5)), sigma_r)
+    assert np.all(np.isfinite(got))
+    want = _broadcast_row_sums(r, _full_kernel(x, 0.5), sigma_r)
+    assert np.array_equal(got, want)
+    t, s = slice(None, 40), slice(40, None)
+    cross = list(_kernel_blocks(x[t], 0.5, x[s]))
+    got = _pair_row_sums(r[t], cross, sigma_r, r[s])
+    want = _broadcast_row_sums(r[t], _full_kernel(x[t], 0.5, x[s]), sigma_r, r[s])
+    assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    u=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40),
+    u_src=st.lists(st.floats(-700.0, 700.0), min_size=41, max_size=80),
+    flip=st.booleans(),
+)
+def test_rank2_product_equals_add_bit_for_bit(u, u_src, flip):
+    # [e_i, 1] [1; e'_j] makes two exact products (a multiply by 1) and one
+    # rounded sum, so it equals e_i + e'_j exactly for any exponent the
+    # window admits, laid out as _pair_row_sums lays it out (T != S).
+    if flip:
+        u, u_src = u_src, u
+    q = np.empty((3, len(u)))
+    q.fill(1.0)
+    e = np.exp(np.array(u), out=q[1])
+    right = np.empty((2, len(u_src)))
+    right.fill(1.0)
+    e_src = np.exp(np.array(u_src), out=right[1])
+    got = np.matmul(q[1:].T, right)
+    assert np.array_equal(got, np.add(e[:, None], e_src))
 
 
 def _direct_row_sums(r, kernel, sigma_r, r_sources=None):
@@ -221,7 +338,15 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
         state0 = pf.samples_to_state(pf.sample_mu0(exp_config.mu0, n))
         cfg = pf.SolverConfig(t_end=4.0)
         traj = pf.integrate(exp_config.params, state0, cfg)
-    monkeypatch.setattr(population, "_pair_row_sums", _direct_row_sums)
+    # The oracle ignores the blocks it is handed and rebuilds the whole
+    # kernel from the positions.
+    kernel = _full_kernel(state0.positions, exp_config.params.sigma_x)
+    monkeypatch.setattr(
+        population, "_pair_row_sums",
+        lambda r, blocks, sigma_r, r_sources: _direct_row_sums(
+            r, kernel, sigma_r, r_sources
+        ),
+    )
     direct = pf.integrate(exp_config.params, state0, cfg)
     for got, want in zip(traj.sizes, direct.sizes):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .initial import Mu0Config, SurfaceParams, sample_mu0, samples_to_state
 from .model import ModelParams, _require_positive
-from .population import PopulationState, _kernel_block, _kernel_blocks, _pair_row_sums
+from .population import PopulationState, _cross_kernel, _kernel_block
 from .textio import format_row, write_csv, write_json
 
 __all__ = [
@@ -92,29 +92,35 @@ def monomial_exponents(k: int, d: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _exponent_rows(k: int, d: int) -> np.ndarray:
+    """``monomial_exponents(k, d)`` as a read-only (k, n_monomials) array."""
+    rows = np.array(monomial_exponents(k, d)).T
+    rows.flags.writeable = False
+    return rows
+
+
 def polynomial_features(values, d: int) -> np.ndarray:
     """All monomials of total degree <= d of the given variables.
 
     ``values`` is a batch (n, k); the result is (n, n_monomials), columns
-    in ``monomial_exponents`` order.
+    in ``monomial_exponents`` order.  Powers are repeated products, so
+    x^e carries at most e - 1 roundings.
     """
     pts = np.asarray(values, dtype=float)
     if pts.ndim != 2:
         raise ValueError("values must have shape (n, k)")
-    k = pts.shape[1]
-    exps = monomial_exponents(k, d)
-    # Power tables: pow_tab[j][:, e] = pts[:, j] ** e
-    pow_tab = [
-        pts[:, j][:, None] ** np.arange(d + 1)[None, :] for j in range(k)
-    ]
-    cols = np.empty((pts.shape[0], len(exps)))
-    for c, alpha in enumerate(exps):
-        acc = pow_tab[0][:, alpha[0]].copy()
-        for j in range(1, k):
-            if alpha[j]:
-                acc *= pow_tab[j][:, alpha[j]]
-        cols[:, c] = acc
-    return cols
+    n, k = pts.shape
+    exps = _exponent_rows(k, d)
+    # Power tables: pows[j, e] = pts[:, j] ** e, each a contiguous row.
+    pows = np.empty((k, d + 1, n))
+    pows[:, 0] = 1.0
+    for e in range(1, d + 1):
+        np.multiply(pows[:, e - 1], pts.T, out=pows[:, e])
+    cols = pows[0, exps[0]]
+    for j in range(1, k):
+        cols *= pows[j, exps[j]]
+    return np.ascontiguousarray(cols.T)
 
 
 @dataclass(frozen=True)
@@ -188,31 +194,29 @@ def mc_potential(
     """Cloud-averaged competition potential on probes s (n,) at x (n, 2).
 
     Returns (1/N) sum_j C(s, s'_j, |x - x'_j|) where the primes run
-    over the cloud atoms; shape (n,).  The (n, N) spatial kernel is never
-    stored: ``_kernel_blocks`` makes it one C-contiguous row block at a
-    time in a reused buffer, and ``_pair_row_sums`` consumes each block
-    before the next is made, so the sums equal those over stored blocks.
+    over the cloud atoms; shape (n,), from ``population._cross_kernel``,
+    which builds no (n, N) kernel.  Every column must be finite and the
+    sizes strictly positive; a non-finite column raises naming it.
     """
-    cloud_sizes = np.asarray(cloud_sizes, dtype=float)
-    cloud_positions = np.asarray(cloud_positions, dtype=float)
+    columns = s, x, cloud_sizes, cloud_positions = [
+        np.asarray(col, dtype=float) for col in (s, x, cloud_sizes, cloud_positions)
+    ]
     if cloud_sizes.size == 0:
         raise ValueError("cloud must be nonempty")
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
     if (
         s.ndim != 1
         or x.shape != (s.shape[0], 2)
         or cloud_positions.shape != (cloud_sizes.size, 2)
     ):
         raise ValueError("positions must have shape (n, 2) matching sizes")
+    for name, col in zip(("s", "x", "cloud_sizes", "cloud_positions"), columns):
+        if not np.isfinite(col).all():
+            raise ValueError(f"{name} must be finite")
     if np.any(s <= 0.0) or np.any(cloud_sizes <= 0.0):
         raise ValueError("sizes must be strictly positive")
     p = params
-    row = _pair_row_sums(
-        np.log(s / p.s_m),
-        _kernel_blocks(x, p.sigma_x, cloud_positions, reuse=True),
-        p.sigma_r,
-        np.log(cloud_sizes / p.s_m),
+    row = _cross_kernel(x, cloud_positions, p.sigma_x)(
+        np.log(s / p.s_m), np.log(cloud_sizes / p.s_m), p.sigma_r
     )
     return row / (2.0 * p.R_M * cloud_sizes.shape[0])
 

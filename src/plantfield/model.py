@@ -54,9 +54,7 @@ class ModelParams:
     sigma_r:
         Relative-size sensitivity scale of the competition potential;
         at least ``R_M / 600``, so the exponents exp(2 (r - c)/sigma_r)
-        of ``population._pair_row_sums`` stay finite.  That kernel forms
-        each e_i + e'_j as an exact rank-2 product over half-stored,
-        C-contiguous kernel blocks, bit-identical at any BLAS thread count.
+        of the array kernels in ``population`` stay finite.
     """
 
     s_m: float
@@ -115,16 +113,16 @@ def log_potential(params: ModelParams, r, r_prime, dist):
         C_r(r, r', d) = r' / (2 R_M (1 + d^2 / sigma_x^2))
                         * (1 + tanh((r' - r) / sigma_r))
 
-    This is the reference definition of the potential; the integrator
-    and the training targets sum it over whole populations with the
-    array kernel ``population._pair_row_sums``, which evaluates the tanh
-    factor through the exact identity 1 + tanh((r' - r)/sigma_r) =
-    2 e' / (e + e') with e = exp(2 r / sigma_r).  It reads the spatial
-    factor as C-contiguous row blocks (a population stores only the
-    columns j >= i0 of block [i0, i1), about half the matrix) and forms
-    e + e' as the rank-2 product [e, 1] [1; e']: both products are exact
-    and the sum is rounded once, so the result does not depend on the
-    BLAS library or its thread count.
+    This is the reference definition of the potential.  Whole populations
+    sum it with two array kernels in ``population``, both through the
+    exact identity 1 + tanh((r' - r)/sigma_r) = 2 e'/(e + e'), e =
+    exp(2 r/sigma_r).  ``_pair_row_sums`` (a population against itself)
+    reads half-stored kernel blocks and forms e + e' as an exact rank-2
+    product, bit-identical at any BLAS thread count.  ``_cross_kernel``
+    (probes and training targets against other sources) builds no block:
+    it forms each denominator as a rank-8 product of centred positions,
+    within about eps (1 + 4 max|u|^2) relative of the exact sums, 4e-13
+    at the reach past which it takes the exact blocks.
     """
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)

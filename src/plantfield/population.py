@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -44,6 +44,11 @@ _BREACH_TOLERANCE = 1e-9
 # Row-block size of the pairwise reductions: one (block, N) buffer is
 # reused by every block, so a call allocates no N x N temporary.
 _BLOCK = 128
+
+# Largest |x - c|/sigma_x, c the centre of the bounding box, at which
+# ``_cross_kernel`` uses its rank-8 form: row sums err by <= 0.55 eps
+# (1 + 4 U^2) = 4e-13 (measured); terms stay below (1 + 4 U^2) 2 e^700.
+_RANK8_REACH = 32.0
 
 # Widest log-size spread of one kernel call over sigma_r, so |exponent| <= 700
 # (ModelParams admits R_M/sigma_r <= 600; the margin covers RK overshoot).
@@ -213,63 +218,23 @@ def _kernel_block(x, sources, sigma_x: float, out: np.ndarray) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _kernel_blocks(x, sigma_x: float, sources=None, reuse: bool = False):
-    """Yield the spatial kernel of targets x (T, 2) against ``sources``
-    (S, 2) as C-contiguous row blocks [i0, i0 + _BLOCK).
-
-    With no ``sources`` the targets are their own sources, the kernel is
-    symmetric, and block [i0, i1) holds only the columns j >= i0: about
-    half the T x T matrix.  With ``reuse`` every block is written into one
-    buffer, so a block is valid only until the next is made.  No single
-    T x S array is made either way.
-    """
-    sym = sources is None
-    src = x if sym else sources
-    n_t, n_s = x.shape[0], src.shape[0]
-    buf = np.empty(min(_BLOCK, n_t) * n_s) if reuse else None
-    for i0 in range(0, n_t, _BLOCK):
-        i1 = min(i0 + _BLOCK, n_t)
-        c0 = i0 if sym else 0
-        size = (i1 - i0) * (n_s - c0)
-        out = np.empty(size) if buf is None else buf[:size]
-        yield _kernel_block(
-            x[i0:i1], src[c0:], sigma_x, out.reshape(i1 - i0, n_s - c0)
-        )
+def _kernel_blocks(x, sigma_x: float):
+    """Yield the symmetric kernel of a population at x (N, 2) as C-contiguous
+    row blocks [i0, i0 + _BLOCK) of the columns j >= i0: about half of it."""
+    n = x.shape[0]
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        yield _kernel_block(x[i0:i1], x[i0:], sigma_x, np.empty((i1 - i0, n - i0)))
 
 
-def _pair_row_sums(
-    r: np.ndarray,
-    blocks,
-    sigma_r: float,
-    r_sources: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row sums of r'_j * kernel_ij * (1 + tanh((r'_j - r_i)/sigma_r)).
-
-    Targets r (T,) meet sources r' (S,) through the kernel, given as the
-    row blocks ``_kernel_blocks`` yields; each term is
-    ``model.log_potential`` times 2 R_M.  With e = exp(2 (r - c)/sigma_r),
-    exactly 1 + tanh((r'_j - r_i)/sigma_r) = 2 e'_j/(e_i + e'_j), so a row
-    sum is sum_j W_ij v_j, W_ij = kernel_ij/(e_i + e'_j) and v = 2 e' r'.
-    The shift c (midpoint of the log-sizes) cancels; a spread over
-    ``_EXP_WINDOW * sigma_r`` would overflow and raises instead.  With no
-    ``r_sources`` the targets are their own sources, W is symmetric, and
-    row block [i0, i1) holds only the columns j >= i0: its transpose is
-    added to the rows below.
-
-    Each block's e_i + e'_j is the rank-2 product [e_i, 1] [1; e'_j]:
-    both products are exact (a multiply by 1) and their sum is rounded
-    once, so every entry equals ``np.add``'s bit for bit, whatever the
-    BLAS or its thread count.  The reductions are ``einsum``, which sums
-    in one thread and a fixed order, where BLAS may spread them over
-    threads.
-    """
-    sym = r_sources is None
-    src = r if sym else r_sources
-    lo = np.minimum.reduce(r, initial=np.inf)
-    hi = np.maximum.reduce(r, initial=-np.inf)
-    if not sym:
-        lo = np.minimum.reduce(src, initial=lo)
-        hi = np.maximum.reduce(src, initial=hi)
+def _exp_shift(sigma_r: float, *logs) -> float:
+    """The midpoint of the log-size arrays ``logs`` together, which
+    ``exp(2 (r - mid)/sigma_r)`` shifts by; a spread over
+    ``_EXP_WINDOW * sigma_r`` would overflow and raises instead."""
+    lo, hi = np.inf, -np.inf
+    for r in logs:
+        lo = np.minimum.reduce(r, initial=lo)
+        hi = np.maximum.reduce(r, initial=hi)
     # Python floats: scalar arithmetic on NumPy scalars costs more per call.
     lo, hi = float(lo), float(hi)
     if hi - lo > _EXP_WINDOW * sigma_r:
@@ -277,54 +242,103 @@ def _pair_row_sums(
             f"log-size spread {hi - lo:.6g} exceeds {_EXP_WINDOW:g} * sigma_r "
             f"(sigma_r={sigma_r!r}); the competition kernel would overflow"
         )
-    scale = 2.0 / sigma_r
-    mid = 0.5 * (lo + hi)
-    n_t, n_s = r.shape[0], src.shape[0]
-    # Rows [1; e; 1]: [e, 1] is the left factor and [1; e'] the right one;
-    # with sources of their own, [1; e'] has its own two rows.
-    q = np.empty((3, n_t))
+    return 0.5 * (lo + hi)
+
+
+def _pair_row_sums(r: np.ndarray, blocks, sigma_r: float) -> np.ndarray:
+    """Row sums of r_j * kernel_ij * (1 + tanh((r_j - r_i)/sigma_r)) over
+    a population with log-sizes r (N,) and ``_kernel_blocks`` ``blocks``;
+    each term is ``model.log_potential`` times 2 R_M.  With c from
+    ``_exp_shift`` and e = exp(2 (r - c)/sigma_r), the tanh factor is
+    2 e_j/(e_i + e_j), so a row sum is sum_j W_ij v_j with W_ij =
+    kernel_ij/(e_i + e_j) and v = 2 e r.  W is symmetric: each block's
+    transpose adds to the rows below.  Each e_i + e_j is the rank-2
+    product [e_i, 1] [1; e_j], two exact products and one rounded sum, so
+    it equals ``np.add``'s bit for bit at any BLAS thread count; the
+    reductions are single-threaded ``einsum`` in a fixed order.
+    """
+    scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, r)
+    n = r.shape[0]
+    # Rows [1; e; 1]: [e, 1] is the left factor and [1; e] the right one.
+    q = np.empty((3, n))
     q.fill(1.0)  # cheaper than np.ones at small N
     e = np.exp((r - mid) * scale, out=q[1])
-    left = q[1:].T
-    if sym:
-        right = q[:2]
-        e_src = e
-    else:
-        right = np.empty((2, n_s))
-        right.fill(1.0)
-        e_src = np.exp((src - mid) * scale, out=right[1])
-    v = 2.0 * e_src * src
-    out = np.zeros(n_t)
-    buf = np.empty(min(_BLOCK, n_t) * n_s)
-    for i0, k in zip(range(0, n_t, _BLOCK), blocks):
+    left, right = q[1:].T, q[:2]
+    v = 2.0 * e * r
+    out = np.zeros(n)
+    buf = np.empty(min(_BLOCK, n) * n)
+    for i0, k in zip(range(0, n, _BLOCK), blocks):
         i1 = i0 + k.shape[0]
-        c0 = i0 if sym else 0
         w = buf[: k.size].reshape(k.shape)
-        np.matmul(left[i0:i1], right[:, c0:], out=w)
+        np.matmul(left[i0:i1], right[:, i0:], out=w)
         np.divide(k, w, out=w)
-        out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
-        if sym and i1 < n_t:
+        out[i0:i1] += np.einsum("ij,j->i", w, v[i0:])
+        if i1 < n:
             out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])
     return out
 
 
-def _competition_all(
-    params: ModelParams,
-    r: np.ndarray,
-    blocks,
-    r_sources: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Mean neighbour potential on every target, from log-sizes and the
-    kernel's row ``blocks``.
+def _cross_kernel(x, x_src, sigma_x: float):
+    """``row_sums(r, r_src, sigma_r)``: the ``_pair_row_sums`` terms of
+    targets (log-sizes r (T,), positions x (T, 2)) against other sources
+    (r' (S,), x' (S, 2)), summed over each row.
 
-    Sources default to the targets.  Each row drops the self term r_i
-    (unit kernel, tanh 0) and averages over N - 1 of the N sources, so
-    a probe that duplicates a source feels exactly what that source feels.
-    Where the other terms are negligible, row - r is roundoff and may dip
-    below 0; it is raised to 0, the least load there is.
+    With u = (x - c)/sigma_x, w = (x' - c)/sigma_x and c the centre of
+    the bounding box, each denominator (1 + |u_i - w_j|^2)(e_i + e'_j)
+    is an entry of the rank-8 product of the rows [1 + |u|^2, 1, -2u] x
+    [e, 1] and [1, |w|^2, w] x [1, e']: a row block costs one ``matmul``,
+    ``reciprocal`` and ``einsum``, and builds no kernel.  A block with a
+    |u|, or any |w|, past ``_RANK8_REACH`` keeps its exact kernel over
+    the rank-2 e + e' instead.  Calls refill the factors, so they must
+    not overlap.  BLAS rounds each rank-8 sum in one thread: the bits do
+    not depend on the thread count, but may on the CPU.
     """
-    row = _pair_row_sums(r, blocks, params.sigma_r, r_sources)
-    n_sources = (r if r_sources is None else r_sources).shape[0]
+    pts = np.concatenate([x, x_src])
+    c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    u, w = (x - c) / sigma_x, (x_src - c) / sigma_x
+    uu, ww = np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", w, w)
+    n_t, n_s = x.shape[0], x_src.shape[0]
+    # Calls fill in the factors times e and e'; then lhs[:, 2:4] is [e, 1]
+    # and rhs[:2] is [1; e'].
+    left, right = np.empty((n_t, 4, 2)), np.empty((4, 2, n_s))
+    left[:, :, 1] = np.column_stack([1.0 + uu, np.ones(n_t), -2.0 * u])
+    right[:, 0] = np.vstack([np.ones(n_s), ww, w.T])
+    lhs, rhs = left.reshape(n_t, 8), right.reshape(8, n_s)
+    reach, exact = _RANK8_REACH**2, []  # per row block: None, or its kernel
+    far = not ww.max() <= reach  # also true for NaN
+    for i0 in range(0, n_t, _BLOCK):
+        xb = x[i0 : i0 + _BLOCK]
+        near = not far and uu[i0 : i0 + _BLOCK].max() <= reach
+        exact.append(None if near else _kernel_block(
+            xb, x_src, sigma_x, np.empty((len(xb), n_s))
+        ))
+    buf = np.empty(min(_BLOCK, n_t) * n_s)
+
+    def row_sums(r, r_src, sigma_r: float) -> np.ndarray:
+        scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, r, r_src)
+        e, e_src = np.exp((r - mid) * scale), np.exp((r_src - mid) * scale)
+        np.multiply(left[:, :, 1], e[:, None], out=left[:, :, 0])
+        np.multiply(right[:, 0], e_src, out=right[:, 1])
+        v = 2.0 * e_src * r_src
+        out = np.empty(n_t)
+        for i0, k in zip(range(0, n_t, _BLOCK), exact):
+            i1 = min(i0 + _BLOCK, n_t)
+            d = buf[: (i1 - i0) * n_s].reshape(i1 - i0, n_s)
+            if k is None:
+                np.reciprocal(np.matmul(lhs[i0:i1], rhs, out=d), out=d)
+            else:
+                np.divide(k, lhs[i0:i1, 2:4] @ rhs[:2], out=d)
+            out[i0:i1] = np.einsum("ij,j->i", d, v)
+        return out
+
+    return row_sums
+
+
+def _competition_all(params: ModelParams, r: np.ndarray, row, n_sources: int):
+    """Mean neighbour potential on targets with pair row sums ``row``:
+    the self term r_i (unit kernel, tanh 0) is dropped and the rest
+    averaged over n_sources - 1, so a probe that duplicates a source
+    feels what it feels.  Roundoff below 0 is raised to 0."""
     c = (row - r) / (2.0 * params.R_M * (n_sources - 1))
     return np.maximum(c, 0.0, out=c)
 
@@ -369,6 +383,10 @@ def integrate(
     r0 = np.log(initial.sizes / params.s_m)
     clamp_count = 0
 
+    def load(t, r):
+        row = _pair_row_sums(r, blocks, params.sigma_r)
+        return _competition_all(params, r, row, len(r))
+
     def hold(r, tol, step_index):
         nonlocal clamp_count
         fixed = _hold_in_band(r, caps_log, tol, step_index)
@@ -378,7 +396,7 @@ def integrate(
 
     dense, r_mat = _grow(
         cfg, r0, caps_log, initial.rates,
-        lambda t, r: _competition_all(params, r, blocks),
+        load,
         lambda t, r, step_index: hold(r, _BREACH_TOLERANCE, step_index),
     )
     # Each snapshot row is checked under the index of the step whose
@@ -387,7 +405,7 @@ def integrate(
     steps = np.maximum(np.searchsorted(dense.ts, cfg.snapshot_times) - 1, 0)
     r_mat = np.stack([hold(r_t, interp_tol, int(k)) for r_t, k in zip(r_mat, steps)])
     sizes_mat = params.s_m * np.exp(r_mat)
-    c_mat = np.stack([_competition_all(params, r_t, blocks) for r_t in r_mat])
+    c_mat = np.stack([load(t, r_t) for t, r_t in zip(cfg.snapshot_times, r_mat)])
     return Trajectory(
         times=cfg.snapshot_times,
         initial=initial,
@@ -410,9 +428,9 @@ def empirical_flow(
     rate.  Each probe feels the mean potential of the recorded population
     (interpolated from the dense background, under its ``params``), with
     the self term C(s, s, 0) removed so that a probe that duplicates a
-    recorded plant reproduces that plant's trajectory.  Probes do not
-    feel one another.  Returns the probe sizes on ``cfg.snapshot_times``,
-    shape (n_snapshots, K).
+    recorded plant reproduces that plant's trajectory, up to the roundoff
+    of ``_cross_kernel``.  Probes do not feel one another.  Returns the
+    probe sizes on ``cfg.snapshot_times``, shape (n_snapshots, K).
     """
     if cfg.t_end > background.t_end + 1e-12:
         raise ValueError(
@@ -427,15 +445,15 @@ def empirical_flow(
          (params.s_m < S) & (S < params.max_size)),
     ])
 
-    probe_blocks = list(_kernel_blocks(
-        probes.positions, params.sigma_x, background.initial.positions
-    ))
+    x_bg = background.initial.positions
+    row_sums = _cross_kernel(probes.positions, x_bg, params.sigma_x)
+
+    def load(t, r):
+        row = row_sums(r, background.dense(t), params.sigma_r)
+        return _competition_all(params, r, row, background.n)
+
     _, r_mat = _grow(
-        cfg,
-        np.log(s0 / params.s_m),
-        np.log(S / params.s_m),
-        probes.rates,
-        lambda t, r: _competition_all(params, r, probe_blocks, background.dense(t)),
+        cfg, np.log(s0 / params.s_m), np.log(S / params.s_m), probes.rates, load
     )
     return params.s_m * np.exp(r_mat)
 

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,7 +361,7 @@ def test_exit_code_diverged_integration(tmp_path, monkeypatch, capsys):
     # accepted step crosses the cap by far more than roundoff.
     monkeypatch.setattr(
         "plantfield.population._competition_all",
-        lambda params, r, kernel, r_sources=None: -np.ones_like(r),
+        lambda params, r, row, n_sources: -np.ones_like(r),
     )
     rc = run("simulate", "--n", "4", "--out", str(tmp_path / "o"))
     assert rc == 3
@@ -650,6 +652,32 @@ def test_degree_zero_training_runs(tmp_path):
     assert run("train-meanfield", "--config", str(cfg), "--out", str(out)) == 0
     model = pf.load_model(out / "model.json")
     assert all(st.beta.shape == (1,) for st in model.stages)
+
+
+def test_train_meanfield_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The training targets' rank-8 cross sums are rounded inside the BLAS
+    # kernel; one and two BLAS threads must still write the same model and
+    # R^2 table byte for byte.
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("train.T = 2.0\ntrain.N = 300\ntrain.K = 300\n")
+    src = str(Path(pf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {
+            **os.environ, "PYTHONPATH": path,
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "plantfield", "train-meanfield",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("model.json", "r2.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_module_execution():

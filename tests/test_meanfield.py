@@ -52,6 +52,23 @@ def test_polynomial_features_hand_values():
     assert np.array_equal(batch[1], np.ones(6))
 
 
+@pytest.mark.parametrize("k, d", [(3, 5), (5, 3), (2, 0), (1, 7)])
+def test_polynomial_features_match_power_oracle(k, d, rng):
+    # Powers are repeated products, so a monomial of degree <= d carries
+    # at most d - 1 roundings from its powers and k - 1 from the product
+    # over variables; the oracle's ``**`` and product add up to 2k - 1.
+    values = rng.uniform(-2.0, 2.0, (40, k))
+    got = pf.polynomial_features(values, d)
+    assert got.shape == (40, pf.n_monomials(k, d)) and got.flags.c_contiguous
+    exps = pf.monomial_exponents(k, d)
+    want = np.array([
+        [math.prod(v**a for v, a in zip(row, alpha)) for alpha in exps]
+        for row in values.tolist()
+    ])
+    eps = np.finfo(float).eps
+    assert got == pytest.approx(want, rel=2.0 * (d + 2 * k) * eps, abs=0.0)
+
+
 def test_polynomial_features_degree_zero():
     assert np.array_equal(pf.polynomial_features(np.array([[5.0, -1.0]]), 0), [[1.0]])
 
@@ -179,6 +196,22 @@ def test_mc_potential_rejects_mismatched_positions(p):
         pf.mc_potential(p, one, np.zeros((1, 2)), cloud_s, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="positions"):
         pf.mc_potential(p, one, np.zeros((1, 2)), cloud_s, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", ["s", "x", "cloud_sizes", "cloud_positions"])
+def test_mc_potential_rejects_non_finite_columns(column, bad, p):
+    # A NaN size would turn every target into NaN, and an infinite position
+    # would read as a kernel of 0; both are refused, naming the column.
+    cols = {
+        "s": np.array([0.1, 0.2]),
+        "x": np.zeros((2, 2)),
+        "cloud_sizes": np.array([0.2, 0.3, 0.25]),
+        "cloud_positions": np.ones((3, 2)),
+    }
+    cols[column].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{column} must be finite"):
+        pf.mc_potential(p, *cols.values())
 
 
 def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):

@@ -15,7 +15,8 @@ from plantfield import population
 from plantfield.population import (
     _BLOCK,
     _EXP_WINDOW,
-    _competition_all,
+    _RANK8_REACH,
+    _cross_kernel,
     _kernel_block,
     _kernel_blocks,
     _pair_row_sums,
@@ -92,7 +93,8 @@ def _full_kernel(x, sigma_x, sources=None):
 def _broadcast_row_sums(r, kernel, sigma_r, r_sources=None):
     """The row sums over a whole kernel matrix with e_i + e'_j formed by a
     broadcast ``np.add``, block by block and in the same order as
-    ``_pair_row_sums``: its results must match bit for bit."""
+    ``_pair_row_sums``: its results must match bit for bit, as must the
+    rows of a ``_cross_kernel`` block that takes the exact kernel."""
     sym = r_sources is None
     src = r if sym else r_sources
     lo = min(r.min(initial=np.inf), src.min())
@@ -113,6 +115,17 @@ def _broadcast_row_sums(r, kernel, sigma_r, r_sources=None):
         if sym and i1 < n_t:
             out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])
     return out
+
+
+def _cross_bound(x, x_src, sigma_x):
+    """Relative bound on rank-8 cross sums against exact ones: 4 eps
+    (1 + 4 m^2), m the largest |x - c|/sigma_x about the centre c of the
+    bounding box of targets and sources, plus 4 eps for the oracle's own
+    rounding.  The measured worst is about 1.3 eps (1 + 4 m^2)."""
+    pts = np.concatenate([x, x_src])
+    c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    m2 = np.max(np.sum(((pts - c) / sigma_x) ** 2, axis=1))
+    return 4.0 * np.finfo(float).eps * (2.0 + 4.0 * m2)
 
 
 # The admissible range of sigma_r for R_M = 3, from R_M/600 (the smallest
@@ -141,19 +154,21 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
 def test_pair_row_sums_cross_case_match_double_loop(sigma_r, rng):
     # Targets against a different set of sources (T != S; T within one
     # block, or spanning a ragged second block), as the probes and the
-    # training targets use.
+    # training targets use.  The cross sums form their denominators as a
+    # rank-8 product; at sigma_x = 0.5 and normal positions (max |u| about
+    # 9) that costs far less than the fsum tolerance.
     s_n = 90
     for t_n in (40, _BLOCK + 22):
         r = rng.uniform(0.01, 2.99, t_n)
         r_src = rng.uniform(0.01, 2.99, s_n)
         x, x_src = rng.normal(size=(t_n, 2)), rng.normal(size=(s_n, 2))
-        blocks = list(_kernel_blocks(x, 0.5, x_src))
-        assert sum(k.shape[0] for k in blocks) == t_n
-        assert all(k.shape[1] == s_n for k in blocks)
-        got = _pair_row_sums(r, blocks, sigma_r, r_src)
-        want = _fsum_row_sums(r, _full_kernel(x, 0.5, x_src), sigma_r, r_src)
+        got = _cross_kernel(x, x_src, 0.5)(r, r_src, sigma_r)
+        kernel = _full_kernel(x, 0.5, x_src)
+        want = _fsum_row_sums(r, kernel, sigma_r, r_src)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert np.array_equal(_pair_row_sums(r, blocks, sigma_r, r_src), got)
+        want = _broadcast_row_sums(r, kernel, sigma_r, r_src)
+        assert got == pytest.approx(want, rel=_cross_bound(x, x_src, 0.5), abs=0.0)
+        assert np.array_equal(_cross_kernel(x, x_src, 0.5)(r, r_src, sigma_r), got)
 
 
 def test_pair_row_sums_raise_outside_exp_window(rng):
@@ -165,16 +180,13 @@ def test_pair_row_sums_raise_outside_exp_window(rng):
         _pair_row_sums(r, blocks, 0.004)
     # The cross case spans targets and sources together; either side alone
     # would fit the window.
-    cross = list(
-        _kernel_blocks(rng.normal(size=(2, 2)), 0.5, rng.normal(size=(1, 2)))
-    )
+    x, x_src = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
     with pytest.raises(pf.KernelRangeError):
-        _pair_row_sums(r[:2], cross, 0.004, r[2:])
+        _cross_kernel(x, x_src, 0.5)(r[:2], r[2:], 0.004)
     # At the edge of the window the same data gives finite sums.
     assert np.all(np.isfinite(_pair_row_sums(r, blocks, 3.0 / 700)))
-    assert np.all(np.isfinite(_pair_row_sums(r[:2], cross, 3.0 / 700, r[2:])))
-    # mc_potential, which builds its kernel blocks as it goes, checks the
-    # same window over probes and cloud together.
+    assert np.all(np.isfinite(_cross_kernel(x, x_src, 0.5)(r[:2], r[2:], 3.0 / 700)))
+    # mc_potential checks the same window over probes and cloud together.
     q = pf.ModelParams(s_m=0.05, R_M=2.4, sigma_x=0.5, sigma_r=0.004)
     s, x = q.s_m * np.exp(r), rng.normal(size=(3, 2))
     with pytest.raises(pf.KernelRangeError, match=r"spread 3 exceeds 700"):
@@ -215,8 +227,6 @@ def test_spatial_kernel_matches_definition(rng):
         one = _full_kernel(x, sigma_x, center)
         assert np.array_equal(one, _kernel_by_definition(x, center, sigma_x))
         # Row blocks hold the same values as the whole matrix.
-        (block,) = _kernel_blocks(x, sigma_x, y)
-        assert np.array_equal(block, got)
         (half,) = _kernel_blocks(x, sigma_x)
         assert np.array_equal(half, sym)
 
@@ -224,7 +234,7 @@ def test_spatial_kernel_matches_definition(rng):
 def test_population_kernel_blocks_are_contiguous_and_half_stored(rng):
     # A population stores about half its kernel: block [i0, i1) holds the
     # columns j >= i0 only, as one C-contiguous array, so a full N x N
-    # kernel cannot come back unnoticed.  Probe blocks hold every column.
+    # kernel cannot come back unnoticed.
     for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 700):
         x = rng.normal(size=(n, 2))
         full = _full_kernel(x, 0.5)
@@ -233,32 +243,32 @@ def test_population_kernel_blocks_are_contiguous_and_half_stored(rng):
         for i0, k in zip(range(0, n, _BLOCK), blocks, strict=True):
             assert k.flags.c_contiguous
             assert np.array_equal(k, full[i0 : i0 + _BLOCK, i0:])
-        probes = rng.normal(size=(n, 2))
-        cross = list(_kernel_blocks(probes, 0.5, x[:90]))
-        assert all(k.flags.c_contiguous for k in cross)
-        assert np.array_equal(np.concatenate(cross), _full_kernel(probes, 0.5, x[:90]))
 
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
 def test_mc_potential_streams_the_stored_kernel(sigma_r, rng):
-    # mc_potential builds its (K, N) kernel block by block in a reused
-    # buffer; the averages must equal the row sums over the stored kernel
-    # bit for bit, for no probe, one, a block and a row either side of it,
-    # and a ragged third block.
+    # mc_potential builds no kernel block: its cloud averages must match
+    # the double loop and the row sums over the stored whole kernel, for
+    # no probe, one, a block and a row either side of it, and a ragged
+    # third block.
     q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=sigma_r)
     n_cloud = 150
     cloud_s = q.s_m * np.exp(rng.uniform(0.01, 2.99, n_cloud))
     cloud_x = rng.normal(size=(n_cloud, 2))
+    r_cloud = np.log(cloud_s / q.s_m)
     for k in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300):
         s = q.s_m * np.exp(rng.uniform(0.01, 2.99, k))
         x = rng.normal(size=(k, 2))
         got = pf.mc_potential(q, s, x, cloud_s, cloud_x)
-        row = _pair_row_sums(
-            np.log(s / q.s_m), list(_kernel_blocks(x, q.sigma_x, cloud_x)), sigma_r,
-            np.log(cloud_s / q.s_m),
-        )
+        r = np.log(s / q.s_m)
         assert got.shape == (k,)
-        assert np.array_equal(got, row / (2.0 * q.R_M * n_cloud))
+        kernel = _full_kernel(x, q.sigma_x, cloud_x)
+        norm = 2.0 * q.R_M * n_cloud
+        want = _broadcast_row_sums(r, kernel, sigma_r, r_cloud) / norm
+        bound = _cross_bound(x, cloud_x, q.sigma_x)
+        assert got == pytest.approx(want, rel=bound, abs=0.0)
+        want = _fsum_row_sums(r[:40], kernel[:40], sigma_r, r_cloud) / norm
+        assert got[:40] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
@@ -266,7 +276,8 @@ def test_pair_row_sums_equal_broadcast_add_oracle(sigma_r, rng):
     # e_i + e'_j as the exact rank-2 product gives the bits of a broadcast
     # np.add: the row sums over stored blocks equal the oracle's exactly,
     # for a population of one block, a block and a row either side of it
-    # and a ragged sixth block, and for probes against other sources.
+    # and a ragged sixth block.  Probes against other sources take the
+    # rank-8 cross sums, which match the oracle within _cross_bound.
     for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 700):
         r = rng.uniform(0.01, 2.99, n)
         x = rng.normal(size=(n, 2))
@@ -276,9 +287,9 @@ def test_pair_row_sums_equal_broadcast_add_oracle(sigma_r, rng):
     for t_n in (40, _BLOCK + 22):
         r, r_src = rng.uniform(0.01, 2.99, t_n), rng.uniform(0.01, 2.99, 90)
         x, x_src = rng.normal(size=(t_n, 2)), rng.normal(size=(90, 2))
-        got = _pair_row_sums(r, list(_kernel_blocks(x, 0.5, x_src)), sigma_r, r_src)
+        got = _cross_kernel(x, x_src, 0.5)(r, r_src, sigma_r)
         want = _broadcast_row_sums(r, _full_kernel(x, 0.5, x_src), sigma_r, r_src)
-        assert np.array_equal(got, want)
+        assert got == pytest.approx(want, rel=_cross_bound(x, x_src, 0.5), abs=0.0)
     # A spread at the edge of the window, where e reaches about 1e+-304.
     n = _BLOCK + 1
     half = 0.5 * _EXP_WINDOW * sigma_r * (1.0 - 1e-12)
@@ -290,10 +301,100 @@ def test_pair_row_sums_equal_broadcast_add_oracle(sigma_r, rng):
     want = _broadcast_row_sums(r, _full_kernel(x, 0.5), sigma_r)
     assert np.array_equal(got, want)
     t, s = slice(None, 40), slice(40, None)
-    cross = list(_kernel_blocks(x[t], 0.5, x[s]))
-    got = _pair_row_sums(r[t], cross, sigma_r, r[s])
+    got = _cross_kernel(x[t], x[s], 0.5)(r[t], r[s], sigma_r)
+    assert np.all(np.isfinite(got))
     want = _broadcast_row_sums(r[t], _full_kernel(x[t], 0.5, x[s]), sigma_r, r[s])
-    assert np.array_equal(got, want)
+    # Rows below 1e-300 are sums of underflowed terms, with no digits to keep.
+    assert got == pytest.approx(want, rel=_cross_bound(x[t], x[s], 0.5), abs=1e-300)
+
+
+def _cloud(rng, n, centre, radius):
+    """n points uniform in the square of half-diagonal ``radius`` about ``centre``."""
+    return centre + rng.uniform(-1.0, 1.0, (n, 2)) * (radius / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("sigma_x", [1e-6, 1e-4, 1e-2, 0.5, 1e2])
+@pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
+def test_cross_row_sums_match_exact_kernel_across_scales(sigma_r, sigma_x, rng):
+    # Positions reach half, just under and twice _RANK8_REACH sigma_x from
+    # the centre of their bounding box, far from the origin so the centring
+    # matters.  Within the reach the rank-8 sums must meet _cross_bound;
+    # past it every block takes the exact kernel and equals the oracle bit
+    # for bit.  The first five targets duplicate sources (d = 0), and the
+    # target counts cover no block, one row, a block and a row either side
+    # of it, and a ragged third block.  The just-under reach also puts the
+    # log-sizes at the edge of the exp window, where the rank-8 terms are
+    # largest, up to (1 + 4 U^2) 2 e^700.
+    centre = np.array([7.3, -2.1])
+    for reach, spread in (
+        (0.5, 2.0), (1.0 - 1e-9, _EXP_WINDOW * sigma_r * (1.0 - 1e-12)), (2.0, 2.0)
+    ):
+        radius = reach * _RANK8_REACH * sigma_x
+        x_src = _cloud(rng, 90, centre, radius)
+        x_src[:2] = centre - radius / math.sqrt(2.0), centre + radius / math.sqrt(2.0)
+        base = 0.01 + 0.5 * spread
+        r_src = base + rng.uniform(-0.5, 0.5, 90) * spread
+        r_src[:2] = base - 0.5 * spread, base + 0.5 * spread
+        for t_n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300):
+            x = _cloud(rng, t_n, centre, radius)
+            r = base + rng.uniform(-0.5, 0.5, t_n) * spread
+            x[:5], r[:5] = x_src[:t_n][:5], r_src[:t_n][:5]
+            got = _cross_kernel(x, x_src, sigma_x)(r, r_src, sigma_r)
+            kernel = _full_kernel(x, sigma_x, x_src)
+            want = _broadcast_row_sums(r, kernel, sigma_r, r_src)
+            if reach > 1.0:
+                assert np.array_equal(got, want)
+                continue
+            bound = _cross_bound(x, x_src, sigma_x)
+            assert bound < 4.0 * np.finfo(float).eps * (2.0 + 4.0 * _RANK8_REACH**2)
+            assert got == pytest.approx(want, rel=bound, abs=1e-300)
+            # The rank-8 branch ran: its last bits differ from the oracle's.
+            assert t_n < 300 or not np.array_equal(got, want)
+            want = _fsum_row_sums(r[:5], kernel[:5], sigma_r, r_src)
+            assert got[:5] == pytest.approx(want, rel=bound + 1e-14, abs=1e-300)
+
+
+def test_cross_row_sums_take_the_exact_kernel_per_block(rng):
+    # Two targets of the third block lie 1.5 reaches out on either side, so
+    # the bounding box keeps its centre: blocks 0 and 1 stay rank-8 and
+    # block 2 alone takes the exact kernel, bit for bit.
+    sigma_x, sigma_r = 0.5, 1.32
+    radius = 0.5 * _RANK8_REACH * sigma_x
+    x_src, x = _cloud(rng, 90, 0.0, radius), _cloud(rng, 300, 0.0, radius)
+    x[[2 * _BLOCK, 2 * _BLOCK + 1], 0] = -3.0 * radius, 3.0 * radius
+    r, r_src = rng.uniform(0.01, 2.99, 300), rng.uniform(0.01, 2.99, 90)
+    got = _cross_kernel(x, x_src, sigma_x)(r, r_src, sigma_r)
+    want = _broadcast_row_sums(r, _full_kernel(x, sigma_x, x_src), sigma_r, r_src)
+    assert np.array_equal(got[2 * _BLOCK :], want[2 * _BLOCK :])
+    assert not np.array_equal(got[: 2 * _BLOCK], want[: 2 * _BLOCK])
+    assert got == pytest.approx(want, rel=_cross_bound(x, x_src, sigma_x), abs=0.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    sigma_x=st.floats(1e-6, 1e2),
+    reach=st.floats(0.0, 1.0),
+    sigma_r=st.floats(3.0 / 600, 10.0),
+    spread=st.floats(0.0, 1.0),
+    t_n=st.integers(1, _BLOCK + 12),
+    s_n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_row_sums_within_cancellation_bound(
+    sigma_x, reach, sigma_r, spread, t_n, s_n, seed
+):
+    # Any positions within the reach, any scales and log-sizes inside the
+    # exp window: the rank-8 sums meet eps (1 + 4 max|u|^2) up to a constant.
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=2) * 10.0 * sigma_x
+    radius = reach * _RANK8_REACH * sigma_x
+    x, x_src = _cloud(rng, t_n, centre, radius), _cloud(rng, s_n, centre, radius)
+    half = 0.5 * spread * _EXP_WINDOW * sigma_r * (1.0 - 1e-12)
+    r = 0.01 + half + rng.uniform(-half, half, t_n)
+    r_src = 0.01 + half + rng.uniform(-half, half, s_n)
+    got = _cross_kernel(x, x_src, sigma_x)(r, r_src, sigma_r)
+    want = _broadcast_row_sums(r, _full_kernel(x, sigma_x, x_src), sigma_r, r_src)
+    assert got == pytest.approx(want, rel=_cross_bound(x, x_src, sigma_x), abs=1e-300)
 
 
 @settings(deadline=None, max_examples=60)
@@ -318,11 +419,10 @@ def test_rank2_product_equals_add_bit_for_bit(u, u_src, flip):
     assert np.array_equal(got, np.add(e[:, None], e_src))
 
 
-def _direct_row_sums(r, kernel, sigma_r, r_sources=None):
+def _direct_row_sums(r, kernel, sigma_r):
     """The full-matrix kernel formula, without blocks or antisymmetry."""
-    src = r if r_sources is None else r_sources
-    tanh = np.tanh((src[None, :] - r[:, None]) / sigma_r)
-    return (src[None, :] * kernel * (1.0 + tanh)).sum(axis=1)
+    tanh = np.tanh((r[None, :] - r[:, None]) / sigma_r)
+    return (r[None, :] * kernel * (1.0 + tanh)).sum(axis=1)
 
 
 @pytest.mark.parametrize("n", [None, 300])
@@ -343,9 +443,7 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
     kernel = _full_kernel(state0.positions, exp_config.params.sigma_x)
     monkeypatch.setattr(
         population, "_pair_row_sums",
-        lambda r, blocks, sigma_r, r_sources: _direct_row_sums(
-            r, kernel, sigma_r, r_sources
-        ),
+        lambda r, blocks, sigma_r: _direct_row_sums(r, kernel, sigma_r),
     )
     direct = pf.integrate(exp_config.params, state0, cfg)
     for got, want in zip(traj.sizes, direct.sizes):

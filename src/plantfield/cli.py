@@ -39,7 +39,7 @@ from .meanfield import (
     train,
 )
 from .metrics import convergence_experiment, export_distances_csv
-from .model import _raise_first_offender
+from .model import _domain_checks, _raise_first_offender
 from .population import (
     IntegrationDivergedError,
     PopulationState,
@@ -228,8 +228,7 @@ def cmd_potential_dump(args) -> int:
     # The flow's domain: a cap at or below s_m grows an atom below s_m.
     try:
         _raise_first_offender("grid point", [
-            ("asymptotic size outside (s_m, s_m*exp(R_M))",
-             (params.s_m < caps) & (caps < params.max_size)),
+            *_domain_checks(params, asymptotic_size=caps),
             ("growth rate not nonnegative", rates >= 0.0),
         ])
     except ValueError as exc:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .initial import Mu0Config, SurfaceParams, sample_mu0, samples_to_state
-from .model import ModelParams, _require_positive
+from .model import ModelParams, _domain_checks, _raise_first_offender, _require_positive
 from .population import PopulationState, _cross_kernel, _kernel_block
 from .textio import format_row, write_csv, write_json
 
@@ -195,8 +195,8 @@ def mc_potential(
 
     Returns (1/N) sum_j C(s, s'_j, |x - x'_j|) where the primes run
     over the cloud atoms; shape (n,), from ``population._cross_kernel``,
-    which builds no (n, N) kernel.  Every column must be finite and the
-    sizes strictly positive; a non-finite column raises naming it.
+    which builds no (n, N) kernel.  A non-finite column, then a size outside
+    the model's domain, raises ``ValueError`` naming its first bad row.
     """
     columns = s, x, cloud_sizes, cloud_positions = [
         np.asarray(col, dtype=float) for col in (s, x, cloud_sizes, cloud_positions)
@@ -210,10 +210,11 @@ def mc_potential(
     ):
         raise ValueError("positions must have shape (n, 2) matching sizes")
     for name, col in zip(("s", "x", "cloud_sizes", "cloud_positions"), columns):
-        if not np.isfinite(col).all():
-            raise ValueError(f"{name} must be finite")
-    if np.any(s <= 0.0) or np.any(cloud_sizes <= 0.0):
-        raise ValueError("sizes must be strictly positive")
+        bad = np.argwhere(~np.isfinite(col))
+        if bad.size:
+            raise ValueError(f"{name} must be finite; row {bad[0, 0]} is not")
+    _raise_first_offender("probe", _domain_checks(params, size=s))
+    _raise_first_offender("cloud atom", _domain_checks(params, size=cloud_sizes))
     p = params
     row = _cross_kernel(x, cloud_positions, p.sigma_x)(
         np.log(s / p.s_m), np.log(cloud_sizes / p.s_m), p.sigma_r
@@ -420,9 +421,11 @@ def flow_eval_many(model: MeanFieldModel, t: float, atoms: PopulationState) -> n
     """The surrogate flow of many atoms sharing one evaluation time.
 
     Grows each atom's initial size, with its position, cap and rate, to time t.
+    ``ValueError`` names an atom outside the model's domain.
     """
-    if np.any(atoms.sizes <= model.params.s_m):
-        raise ValueError("initial size must exceed the minimal size")
+    _raise_first_offender("atom", _domain_checks(
+        model.params, initial_size=atoms.sizes, asymptotic_size=atoms.caps
+    ))
     t = _horizon_time(model, t)
     stage_vals = _stage_values(model.stages, atoms)
     return _flow(model.params, model.dt, t, stage_vals, atoms)

@@ -20,7 +20,7 @@ from .initial import Mu0Config, sample_mu0, samples_to_state
 from .meanfield import (
     MeanFieldModel, _flow, _horizon_time, _stage_values, flow_eval_many
 )
-from .model import ModelParams, _require_positive
+from .model import _require_positive
 from .population import (
     PopulationState,
     SolverConfig,
@@ -140,7 +140,6 @@ class BoundCoefficients:
 
 
 def bound_coefficients(
-    params: ModelParams,
     mu0_cfg: Mu0Config,
     cloud: PopulationState,
     N: int,
@@ -148,11 +147,11 @@ def bound_coefficients(
     """Evaluate the drive constants on an initial empirical cloud.
 
     The drive is s0_max e^{R_M} R_M; the A functional is a Monte-Carlo
-    average over the cloud atoms.
+    average over the cloud atoms.  The parameters are ``mu0_cfg.params``.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    p = params
+    p = mu0_cfg.params
     drive = mu0_cfg.s0_support_max * math.exp(p.R_M) * p.R_M
     s, S, g = cloud.sizes, cloud.caps, cloud.rates
     a_terms = g * S * (s / p.s_m) * np.log(s / p.s_m) + drive * g * np.log(S / p.s_m)
@@ -228,7 +227,7 @@ def convergence_experiment(
 
         # Both runs share the initial traits; only the sizes differ.
         measure0 = snapshot_measure(state0)
-        coeffs = bound_coefficients(params, mu0_cfg, measure0, n)
+        coeffs = bound_coefficients(mu0_cfg, measure0, n)
         w1_size = np.array(
             [w1_sorted_1d(sim_sizes[k], mf_sizes[k]) for k in range(t_grid.size)]
         )

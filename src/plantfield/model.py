@@ -2,8 +2,8 @@
 
 Defines the global model constants, the pairwise competition potential in
 size- and log-space, the exact solution of the isolated (no-competition)
-growth law, and the admissibility check that the simulator requires before
-integrating a population.
+growth law, the domain rule of plant rows, and the admissibility check that
+the simulator requires before integrating a population.
 
 Sizes live in ``(s_m, s_m * exp(R_M))``; the log-size ``r = log(s / s_m)``
 maps that interval onto ``(0, R_M)``.  Both parameterizations are exposed
@@ -165,11 +165,22 @@ def _raise_first_offender(kind: str, checks) -> None:
         raise ValueError(f"inadmissible {kind} {i}: {reason}")
 
 
+def _domain_checks(params: ModelParams, **columns) -> list:
+    """The model's domain of plant rows: per column (name=values), the
+    ``_raise_first_offender`` check that its values lie in (s_m, s_m*exp(R_M)).
+    Every entry point that takes plants applies it to their sizes and caps."""
+    lo, hi = params.s_m, params.max_size
+    return [
+        (f"{name.replace('_', ' ')} outside (s_m, s_m*exp(R_M))", (lo < v) & (v < hi))
+        for name, v in columns.items()
+    ]
+
+
 def validate_initial_config(params: ModelParams, state) -> None:
     """Check the admissibility hypotheses guaranteeing a global solution.
 
     Every plant of ``state`` (a ``population.PopulationState``, whose
-    columns are already well shaped) must satisfy
+    columns are already well shaped and finite) must satisfy
     ``s_m < S_i < s_m * exp(R_M)``, ``gamma_i > 0`` and
     ``s_m < s0_i < S_i``.  Under these conditions the coupled system has
     a unique global solution with ``s_m < s_i(t) < S_i`` and competition
@@ -181,10 +192,10 @@ def validate_initial_config(params: ModelParams, state) -> None:
     caps, rates, sizes0 = state.caps, state.rates, state.sizes
     if caps.shape[0] < 2:
         raise ValueError("population must contain at least 2 individuals")
-    s_m = params.s_m
+    cap_ok, size_ok = _domain_checks(params, asymptotic_size=caps, initial_size=sizes0)
     _raise_first_offender("plant", [
-        ("asymptotic size outside (s_m, s_m*exp(R_M))",
-         (s_m < caps) & (caps < params.max_size)),
+        cap_ok,
         ("growth rate not strictly positive", rates > 0.0),
-        ("initial size outside (s_m, S)", (s_m < sizes0) & (sizes0 < caps)),
+        size_ok,
+        ("initial size outside (s_m, S)", sizes0 < caps),
     ])

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .model import (
-    ModelParams, _raise_first_offender, _require_positive, validate_initial_config
+    ModelParams, _domain_checks, _raise_first_offender, _require_positive,
+    validate_initial_config,
 )
 from .solver import DenseSolution, solve_ode
 from .textio import format_floats, format_row, format_value, write_csv
@@ -86,8 +87,8 @@ class PopulationState:
 
     The one record of plant columns: a population at one instant, the
     atoms of a measure, or a batch of probes.  It holds n >= 1 rows with
-    caps > 0 and rates >= 0 (NaN fails both) and names the first row that
-    breaks either rule; the rules of a run are ``validate_initial_config``'s.
+    finite sizes, positions and rates, caps > 0 and rates >= 0, and names
+    the first row that breaks a rule; entry points add ``_domain_checks``.
     """
 
     sizes: np.ndarray
@@ -106,8 +107,11 @@ class PopulationState:
                 "they must be (n,), (n, 2), (n,) and (n,) with n >= 1"
             )
         _raise_first_offender("plant", [
+            ("size not finite", np.isfinite(self.sizes)),
+            ("position not finite", np.isfinite(self.positions).all(axis=1)),
             ("asymptotic size not strictly positive", self.caps > 0.0),
-            ("growth rate not nonnegative", self.rates >= 0.0),
+            ("growth rate not nonnegative", self.rates >= 0.0),  # NaN fails both
+            ("growth rate not finite", self.rates < math.inf),
         ])
 
     @property
@@ -431,6 +435,7 @@ def empirical_flow(
     recorded plant reproduces that plant's trajectory, up to the roundoff
     of ``_cross_kernel``.  Probes do not feel one another.  Returns the
     probe sizes on ``cfg.snapshot_times``, shape (n_snapshots, K).
+    ``ValueError`` names a probe outside the model's domain.
     """
     if cfg.t_end > background.t_end + 1e-12:
         raise ValueError(
@@ -439,11 +444,9 @@ def empirical_flow(
         )
     params = background.params
     s0, S = probes.sizes, probes.caps
-    _raise_first_offender("probe", [
-        ("initial size not above s_m", s0 > params.s_m),
-        ("asymptotic size outside (s_m, s_m*exp(R_M))",
-         (params.s_m < S) & (S < params.max_size)),
-    ])
+    _raise_first_offender(
+        "probe", _domain_checks(params, initial_size=s0, asymptotic_size=S)
+    )
 
     x_bg = background.initial.positions
     row_sums = _cross_kernel(probes.positions, x_bg, params.sigma_x)

@@ -214,6 +214,15 @@ def test_mc_potential_rejects_non_finite_columns(column, bad, p):
         pf.mc_potential(p, *cols.values())
 
 
+def test_mc_potential_rejects_sizes_outside_the_domain(p):
+    # A cloud size below s_m has a negative log-size, which would pull the
+    # cloud average below 0; the first such atom is named.
+    with pytest.raises(ValueError, match=r"inadmissible cloud atom 0: size outside"):
+        pf.mc_potential(p, [0.1], [[0, 0]], [0.01, 0.02], [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match=r"inadmissible probe 1: size outside"):
+        pf.mc_potential(p, [0.1, p.max_size], np.zeros((2, 2)), [0.2], [[1, 1]])
+
+
 def test_mc_potential_matches_double_loop_at_small_sigma_r(rng):
     # sigma_r = 0.02 saturates the tanh term; 150 probes span a ragged
     # second row block of the kernel.

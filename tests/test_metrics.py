@@ -181,9 +181,9 @@ def test_matching_refuses_oversized_and_mismatched(w, rng):
         pf.w1_matching(a, _measure(rng, 5), w)
 
 
-def test_bound_constants_frozen_values(params, mu0_uniform, rng):
+def test_bound_constants_frozen_values(mu0_uniform, rng):
     cloud = _measure(rng, 40)
-    c = pf.bound_coefficients(params, mu0_uniform, cloud, 100)
+    c = pf.bound_coefficients(mu0_uniform, cloud, 100)
     assert c.drive_constant == pytest.approx(DRIVE_CONSTANT, rel=1e-12)
     assert c.N == 100
     assert c.drive_term(2.0) == pytest.approx(
@@ -191,9 +191,9 @@ def test_bound_constants_frozen_values(params, mu0_uniform, rng):
     )
 
 
-def test_bound_requires_two_plants(params, mu0_uniform, rng):
+def test_bound_requires_two_plants(mu0_uniform, rng):
     with pytest.raises(ValueError):
-        pf.bound_coefficients(params, mu0_uniform, _measure(rng, 5), 1)
+        pf.bound_coefficients(mu0_uniform, _measure(rng, 5), 1)
 
 
 def _cloud_measure(sample, n):
@@ -219,8 +219,8 @@ def test_drive_functional_against_direct_average(params, mu0_uniform):
         * np.log(m_big.caps / p.s_m)
     ) / (2.0 * p.R_M)
 
-    a_big = pf.bound_coefficients(params, mu0_uniform, m_big, 100).A_mu
-    a_small = pf.bound_coefficients(params, mu0_uniform, m_small, 100).A_mu
+    a_big = pf.bound_coefficients(mu0_uniform, m_big, 100).A_mu
+    a_small = pf.bound_coefficients(mu0_uniform, m_small, 100).A_mu
     assert a_big == pytest.approx(terms.mean(), rel=1e-12)
     se_small = terms.std() / math.sqrt(10_000)
     assert abs(a_small - a_big) < 5.0 * se_small
@@ -268,7 +268,7 @@ def test_bound_value_is_the_drive_term_of_the_draw(tiny_model, exp_config):
     )
     mu0 = tiny_model.mu0_cfg
     cloud = _cloud_measure(pf.sample_mu0(mu0.with_seed(seed), 2 * n), n)
-    c = pf.bound_coefficients(tiny_model.params, mu0, cloud, n)
+    c = pf.bound_coefficients(mu0, cloud, n)
     expected = [(c.drive_constant + t * c.A_mu) / (n - 1) for t in cfg.snapshot_times]
     assert report.bound_value.tolist() == expected
 

@@ -247,3 +247,103 @@ def test_params_reject_sigma_x_with_unrepresentable_square():
     for sigma_x in (1.5e-154, 1e-6, 1e6, 1.3e154):
         pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=sigma_x, sigma_r=1.32)
 
+
+# Three plants inside the domain; the tests below spoil row 1.
+_GOOD = {
+    "sizes": [0.1, 0.2, 0.15],
+    "positions": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    "caps": [0.75, 0.9, 0.8],
+    "rates": [1.0, 0.5, 1.5],
+}
+
+_BAD_VALUES = {
+    "nan": lambda q: math.nan,
+    "inf": lambda q: math.inf,
+    "-inf": lambda q: -math.inf,
+    "0": lambda q: 0.0,
+    "below s_m": lambda q: q.s_m / 5.0,
+    "s_m": lambda q: q.s_m,
+    "s_m e^R_M": lambda q: q.max_size,
+}
+
+
+def _spoiled(column, value):
+    """The columns of ``_GOOD`` with ``value`` in row 1 of ``column`` (in
+    the second coordinate, for positions)."""
+    cols = {name: np.array(col, dtype=float) for name, col in _GOOD.items()}
+    cols[column][1, ...].flat[-1] = value
+    return cols
+
+
+@pytest.fixture(scope="module")
+def entry_points(tiny_model):
+    """Each entry point that takes plant rows, keyed by name: a call on the
+    columns and the kind of row its errors name."""
+    q = tiny_model.params
+    cfg = pf.SolverConfig(t_end=1.0)
+    bg = pf.integrate(q, pf.PopulationState(**_GOOD), cfg)
+
+    def mc(targets, cloud):
+        return pf.mc_potential(
+            q, targets["sizes"], targets["positions"], cloud["sizes"], cloud["positions"]
+        )
+
+    return {
+        "integrate": (lambda c: pf.integrate(q, pf.PopulationState(**c), cfg), "plant"),
+        "empirical_flow": (
+            lambda c: pf.empirical_flow(bg, pf.PopulationState(**c), cfg), "probe"
+        ),
+        "flow_eval_many": (
+            lambda c: pf.flow_eval_many(tiny_model, 1.0, pf.PopulationState(**c)), "atom"
+        ),
+        "mc_potential targets": (lambda c: mc(c, _GOOD), "probe"),
+        "mc_potential cloud": (lambda c: mc(_GOOD, c), "cloud atom"),
+    }
+
+
+_ENTRY_POINTS = [
+    "integrate", "empirical_flow", "flow_eval_many", "mc_potential targets",
+    "mc_potential cloud",
+]
+
+
+def _entry_cases():
+    for entry in _ENTRY_POINTS:
+        for column in ("sizes", "caps", "positions"):
+            if column == "caps" and entry.startswith("mc_potential"):
+                continue  # it takes no caps
+            for value in _BAD_VALUES:
+                if column == "positions" and value not in ("nan", "inf", "-inf"):
+                    continue  # any finite position lies in the domain
+                yield pytest.param(entry, column, value, id=f"{entry}-{column}-{value}")
+
+
+def test_entry_points_accept_the_unspoiled_rows(entry_points):
+    # The cases below fail by their bad value alone.
+    for call, _ in entry_points.values():
+        call(_GOOD)
+
+
+@pytest.mark.parametrize("entry, column, value", _entry_cases())
+def test_entry_points_name_the_row_outside_the_domain(
+    entry, column, value, entry_points, tiny_model
+):
+    # One bad value in row 1: every entry point refuses it and names the
+    # row.  The record refuses non-finite sizes and positions and caps <= 0
+    # itself, as a plant, before any entry point that takes a record sees
+    # them; mc_potential names a non-finite column and its row.
+    call, kind = entry_points[entry]
+    bad = _BAD_VALUES[value](tiny_model.params)
+    record_rule = not bad > 0.0 if column == "caps" else not math.isfinite(bad)
+    if record_rule:
+        kind = "row" if entry.startswith("mc_potential") else "plant"
+    with pytest.raises(ValueError, match=rf"\b{kind} 1\b"):
+        call(_spoiled(column, bad))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["sizes", "positions", "rates"])
+def test_record_refuses_non_finite_rows(column, value):
+    # An infinite cap is left to the domain rule of each entry point.
+    with pytest.raises(ValueError, match=r"inadmissible plant 1: "):
+        pf.PopulationState(**_spoiled(column, value))

@@ -186,13 +186,15 @@ def test_pair_row_sums_raise_outside_exp_window(rng):
     # At the edge of the window the same data gives finite sums.
     assert np.all(np.isfinite(_pair_row_sums(r, blocks, 3.0 / 700)))
     assert np.all(np.isfinite(_cross_kernel(x, x_src, 0.5)(r[:2], r[2:], 3.0 / 700)))
-    # mc_potential checks the same window over probes and cloud together.
+    # mc_potential cannot reach the window: it refuses sizes outside
+    # (s_m, s_m e^{R_M}), whose log-sizes spread by less than R_M <= 600 sigma_r.
+    # Here r = 0 is s_m itself and r = 3 lies above R_M = 2.4.
     q = pf.ModelParams(s_m=0.05, R_M=2.4, sigma_x=0.5, sigma_r=0.004)
     s, x = q.s_m * np.exp(r), rng.normal(size=(3, 2))
-    with pytest.raises(pf.KernelRangeError, match=r"spread 3 exceeds 700"):
+    with pytest.raises(ValueError, match=r"inadmissible probe 0: size outside"):
         pf.mc_potential(q, s[:2], x[:2], s[2:], x[2:])
-    edge = replace(q, sigma_r=3.0 / 700)
-    assert np.all(np.isfinite(pf.mc_potential(edge, s[:2], x[:2], s[2:], x[2:])))
+    with pytest.raises(ValueError, match=r"inadmissible cloud atom 0: size outside"):
+        pf.mc_potential(q, s[1:2], x[1:2], s[2:], x[2:])
 
 
 def _kernel_by_definition(x, y, sigma_x):

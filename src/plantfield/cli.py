@@ -38,7 +38,7 @@ from .meanfield import (
     save_model,
     train,
 )
-from .metrics import convergence_experiment, export_distances_csv
+from .metrics import _n_ladder, convergence_experiment, export_distances_csv
 from .model import _domain_checks, _raise_first_offender
 from .population import (
     IntegrationDivergedError,
@@ -50,6 +50,8 @@ from .solver import NonFiniteStateError, StepSizeUnderflowError
 from .textio import format_row, write_csv, write_json
 
 __all__ = ["main"]
+
+_MAX_GRID_STEPS = 1000  # steps^2 points, each ~1.5 KB while the grid is built
 
 
 def _experiment(args) -> ExperimentConfig:
@@ -119,16 +121,7 @@ def cmd_train_meanfield(args) -> int:
     out = _out_dir(args)
     header = _stamp(ec.sha256, ec.seed)
 
-    model = train(
-        ec.mu0_train,
-        dt=ec.train.dt,
-        T=ec.train.T,
-        N=ec.train.N,
-        K=ec.train.K,
-        d3=ec.train.d3,
-        d5=ec.train.d5,
-        seed=ec.seed,
-    )
+    model = train(ec.mu0_train, ec.train, ec.seed)
     save_model(model, out / "model.json", config_sha256=ec.sha256)
     export_r2_csv(model, out / "r2.csv", comments=[header])
     return 0
@@ -141,11 +134,10 @@ def _parse_n_list(text: str) -> list:
         raise ConfigError(f"invalid n-list {text!r}") from exc
     if not values:
         raise ConfigError("n-list is empty")
-    if any(n < 2 for n in values):
-        raise ConfigError("population sizes must be at least 2")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("n-list must be strictly increasing")
-    return values
+    try:
+        return _n_ladder(values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_model_checked(path):
@@ -200,8 +192,8 @@ def _parse_grid(text: str):
         raise ConfigError(f"invalid grid {text!r}") from exc
     if not np.all(np.isfinite(bounds)):
         raise ConfigError(f"grid bounds must be finite, got {text!r}")
-    if steps < 0:
-        raise ConfigError("grid steps must be nonnegative")
+    if not 0 <= steps <= _MAX_GRID_STEPS:
+        raise ConfigError(f"grid steps must lie in [0, {_MAX_GRID_STEPS}], got {steps}")
     if x1min > x1max or x2min > x2max:
         raise ConfigError("grid bounds must satisfy min <= max")
     return x1min, x1max, x2min, x2max, steps

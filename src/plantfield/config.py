@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .initial import Mu0Config, SurfaceParams
-from .meanfield import _from_fields, _stage_count
+from .meanfield import TrainConfig, _from_fields
 from .metrics import ZMetricWeights
-from .model import ModelParams
+from .model import ModelParams, _require_population
 from .population import SolverConfig
 from .textio import sha256_hex
 
@@ -22,7 +22,6 @@ __all__ = [
     "ConfigError",
     "DEFAULTS",
     "ExperimentConfig",
-    "TrainConfig",
     "build_experiment_config",
     "canonical_config_text",
     "config_sha256",
@@ -174,21 +173,6 @@ def config_sha256(flat: dict) -> str:
 
 
 @dataclass
-class TrainConfig:
-    dt: float
-    T: float
-    N: int
-    K: int
-    d3: int
-    d5: int
-    s0_min: float
-    s0_max: float
-
-    def __post_init__(self):
-        _stage_count(self.dt, self.T, self.N, self.K, self.d3, self.d5)
-
-
-@dataclass
 class ExperimentConfig:
     """Typed view of one resolved configuration."""
 
@@ -232,7 +216,8 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
     Each record reads its section by field name (``model.*`` gives
     ``ModelParams``, ``mu0.*`` ``Mu0Config``, ``solver.*``
     ``SolverConfig``, ``train.*`` ``TrainConfig``, ``metric.*``
-    ``ZMetricWeights``); the fields no key names are passed in.
+    ``ZMetricWeights``); the fields no key names are passed in, and
+    ``train.s0_min`` and ``train.s0_max`` bound ``mu0_train``'s s0.
     """
     try:
         params = _from_fields(ModelParams, _section(flat, "model"))
@@ -243,22 +228,17 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
         )
         solver = _from_fields(SolverConfig, _section(flat, "solver"))
         train = _from_fields(TrainConfig, _section(flat, "train"))
+        lo, hi = flat["train.s0_min"], flat["train.s0_max"]
         try:
-            mu0_train = replace(
-                mu0, s0_law="uniform", s0_min=train.s0_min, s0_max=train.s0_max
-            )
+            mu0_train = replace(mu0, s0_law="uniform", s0_min=lo, s0_max=hi)
         except ValueError as exc:
             raise ConfigError(
-                f"train.s0_min = {train.s0_min!r}, train.s0_max = "
-                f"{train.s0_max!r}: {exc}"
+                f"train.s0_min = {lo!r}, train.s0_max = {hi!r}: {exc}"
             ) from exc
         weights = _from_fields(
             ZMetricWeights, _section(flat, "metric"), s_m=params.s_m
         )
-        seed = flat["seed"]
-        n = flat["sim.n"]
-        if n < 2:
-            raise ConfigError("sim.n must be at least 2")
+        _require_population("sim.n", flat["sim.n"])
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
@@ -270,7 +250,7 @@ def build_experiment_config(flat: dict) -> ExperimentConfig:
         solver=solver,
         train=train,
         weights=weights,
-        seed=int(seed),
-        n=int(n),
+        seed=int(flat["seed"]),
+        n=int(flat["sim.n"]),
         sha256=config_sha256(flat),
     )

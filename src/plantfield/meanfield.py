@@ -34,6 +34,7 @@ __all__ = [
     "FeatureSpec",
     "MeanFieldModel",
     "PotentialStage",
+    "TrainConfig",
     "export_r2_csv",
     "feature_map",
     "fit_stage",
@@ -45,7 +46,6 @@ __all__ = [
     "monomial_exponents",
     "n_monomials",
     "polynomial_features",
-    "reconstructed_potential_integral",
     "save_model",
     "stage_potential_eval",
     "train",
@@ -402,21 +402,6 @@ def _flow(p: ModelParams, dt: float, t: float, stage_vals, atoms: PopulationStat
     )
 
 
-def reconstructed_potential_integral(
-    model: MeanFieldModel, t: float, atoms: PopulationState
-) -> np.ndarray:
-    """Exponentially weighted sum of the stage potentials up to time t.
-
-    Equals gamma * integral_0^t e^{gamma (tau - t)} C_stage(tau) dtau
-    evaluated in closed form, where C_stage is the piecewise-constant
-    potential at each atom's initial data; shape (n,).  Zero at t = 0
-    and for gamma = 0 (the weight density vanishes identically).
-    """
-    t = _horizon_time(model, t)
-    stage_vals = _stage_values(model.stages, atoms)
-    return _potential_integral(model.dt, t, stage_vals, atoms.rates)
-
-
 def flow_eval_many(model: MeanFieldModel, t: float, atoms: PopulationState) -> np.ndarray:
     """The surrogate flow of many atoms sharing one evaluation time.
 
@@ -437,47 +422,49 @@ def _child_seed(seed: int, tag: int, k: int) -> int:
     return (int(words[0]) << 32) | int(words[1])
 
 
-def _stage_count(dt: float, T: float, N: int, K: int, d3: int, d5: int) -> int:
-    """The number of stages T / dt, once the training settings are checked."""
-    _require_positive(dt=dt, T=T)
-    ratio = T / dt
-    if not ratio < _MAX_STAGES + 0.5:  # also false for inf and NaN
-        raise ValueError(
-            f"T / dt = {ratio!r} stages; at most {_MAX_STAGES} are allowed"
-        )
-    m_stages = round(ratio)
-    if m_stages < 1 or abs(m_stages * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("the horizon T must be an integral number of stages")
-    if d3 < 0 or d5 < 0:
-        raise ValueError("degrees must be nonnegative")
-    if N < 1 or K < 1:
-        raise ValueError("sample sizes must be at least 1")
-    return m_stages
+@dataclass
+class TrainConfig:
+    """The training settings: stage length ``dt``, horizon ``T`` (``n_stages``
+    whole stages, derived, not a field), cloud size ``N``, probes per set and
+    stage ``K``, and the degrees ``d3`` (stage 0) and ``d5`` (later stages)."""
+
+    dt: float
+    T: float
+    N: int
+    K: int
+    d3: int
+    d5: int
+
+    def __post_init__(self):
+        dt, T = self.dt, self.T
+        _require_positive(dt=dt, T=T)
+        ratio = T / dt
+        if not ratio < _MAX_STAGES + 0.5:  # also false for inf and NaN
+            raise ValueError(
+                f"T / dt = {ratio!r} stages; at most {_MAX_STAGES} are allowed"
+            )
+        self.n_stages = round(ratio)
+        if self.n_stages < 1 or abs(self.n_stages * dt - T) > 1e-9 * max(1.0, T):
+            raise ValueError("the horizon T must be an integral number of stages")
+        if self.d3 < 0 or self.d5 < 0:
+            raise ValueError("degrees must be nonnegative")
+        if self.N < 1 or self.K < 1:
+            raise ValueError("sample sizes must be at least 1")
 
 
-def train(
-    mu0_cfg: Mu0Config,
-    dt: float,
-    T: float,
-    N: int,
-    K: int,
-    d3: int,
-    d5: int,
-    seed: int,
-) -> MeanFieldModel:
+def train(mu0_cfg: Mu0Config, cfg: TrainConfig, seed: int) -> MeanFieldModel:
     """Fit the stagewise potential surrogate by forward recursion.
 
-    One cloud of N plants supplies the Monte-Carlo integrals; each
-    stage k draws fresh training and testing probes (K each), advances
-    every involved size to t_k = k dt with the flow already built from
-    stages 0..k-1, fits the stage, and moves on.  Stage 0 regresses on
-    (s, x) only (degree d3); later stages on (s, x, S, gamma) (degree
-    d5).  Cloud, training, and testing draws come from disjoint
-    sub-streams of ``seed``, so the entire procedure is reproducible.
-    The model's parameters are ``mu0_cfg.params``.
+    One cloud of ``cfg.N`` plants supplies the Monte-Carlo integrals; each
+    stage k draws fresh training and testing probes (``cfg.K`` each),
+    advances every involved size to t_k = k dt with the flow already built
+    from stages 0..k-1, fits the stage, and moves on.  Stage 0 regresses on
+    (s, x) only (degree ``cfg.d3``); later stages on (s, x, S, gamma)
+    (degree ``cfg.d5``).  Cloud, training, and testing draws come from
+    disjoint sub-streams of ``seed``, so the entire procedure is
+    reproducible.  The model's parameters are ``mu0_cfg.params``.
     """
-    m_stages = _stage_count(dt, T, N, K, d3, d5)
-    p = mu0_cfg.params
+    p, dt = mu0_cfg.params, cfg.dt
 
     def draw(tag, k, n):
         """The n plants of draw set ``tag`` at stage k."""
@@ -485,16 +472,16 @@ def train(
             sample_mu0(mu0_cfg.with_seed(_child_seed(seed, tag, k)), n)
         )
 
-    cloud = draw(_SET_CLOUD, 0, N)
+    cloud = draw(_SET_CLOUD, 0, cfg.N)
     spread = float(np.std(cloud.positions))
     if spread == 0.0:
         # Degenerate position cloud: fall back to the spatial decay scale.
         spread = p.sigma_x
     spec3 = FeatureSpec(
-        arity=3, degree=d3, center=cloud.positions.mean(axis=0), length_x=spread,
-        length_y=spread, dt=dt, params=p,
+        arity=3, degree=cfg.d3, center=cloud.positions.mean(axis=0),
+        length_x=spread, length_y=spread, dt=dt, params=p,
     )
-    spec5 = replace(spec3, arity=5, degree=d5)
+    spec5 = replace(spec3, arity=5, degree=cfg.d5)
 
     stages: list = []
     cloud_features: dict = {}  # {spec: the cloud's features}, kept for every stage
@@ -505,14 +492,14 @@ def train(
             return atoms.sizes
         return _flow(p, dt, t, _stage_values(stages, atoms, features), atoms)
 
-    for k in range(m_stages):
+    for k in range(cfg.n_stages):
         t_k = k * dt
         spec = spec3 if k == 0 else spec5
         sizes_cloud = advanced(t_k, cloud, cloud_features)
 
         sets = []
         for tag in (_SET_TRAIN, _SET_TEST):
-            probes = draw(tag, k, K)
+            probes = draw(tag, k, cfg.K)
             features: dict = {}
             sizes = advanced(t_k, probes, features)
             if spec not in features:
@@ -527,9 +514,9 @@ def train(
     return MeanFieldModel(
         stages=stages,
         dt=dt,
-        T=float(T),
+        T=float(cfg.T),
         mu0_cfg=mu0_cfg,
-        n_cloud=N,
+        n_cloud=cfg.N,
         seed=seed,
     )
 

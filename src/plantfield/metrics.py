@@ -20,7 +20,7 @@ from .initial import Mu0Config, sample_mu0, samples_to_state
 from .meanfield import (
     MeanFieldModel, _flow, _horizon_time, _stage_values, flow_eval_many
 )
-from .model import _require_positive
+from .model import _require_population, _require_positive
 from .population import (
     PopulationState,
     SolverConfig,
@@ -149,8 +149,7 @@ def bound_coefficients(
     The drive is s0_max e^{R_M} R_M; the A functional is a Monte-Carlo
     average over the cloud atoms.  The parameters are ``mu0_cfg.params``.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    _require_population("N", N)
     p = mu0_cfg.params
     drive = mu0_cfg.s0_support_max * math.exp(p.R_M) * p.R_M
     s, S, g = cloud.sizes, cloud.caps, cloud.rates
@@ -169,6 +168,16 @@ class DistanceReport:
     w1_full: np.ndarray
     flow_gap: np.ndarray
     bound_value: np.ndarray
+
+
+def _n_ladder(n_list) -> list:
+    """``n_list`` as ints, once each is a population size and they increase."""
+    n_list = [int(n) for n in n_list]
+    for n in n_list:
+        _require_population("n-list entry", n)
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n-list must be strictly increasing")
+    return n_list
 
 
 def convergence_experiment(
@@ -200,11 +209,7 @@ def convergence_experiment(
     members therefore equals this paired gap up to solver tolerance,
     without a probe solve.
     """
-    n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    if any(n < 2 for n in n_list):
-        raise ValueError("population sizes must be at least 2")
+    n_list = _n_ladder(n_list)
     t_grid = solver.snapshot_times
     if float(t_grid[-1]) > model.T + 1e-12:
         raise ValueError("snapshot times exceed the model horizon")

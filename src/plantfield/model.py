@@ -1,14 +1,13 @@
 """Core growth-and-competition model.
 
-Defines the global model constants, the pairwise competition potential in
-size- and log-space, the exact solution of the isolated (no-competition)
-growth law, the domain rule of plant rows, and the admissibility check that
-the simulator requires before integrating a population.
+Defines the global model constants, the reference definition of the
+pairwise competition potential in log-size variables, the domain rule of
+plant rows, and the admissibility check that the simulator requires before
+integrating a population.
 
 Sizes live in ``(s_m, s_m * exp(R_M))``; the log-size ``r = log(s / s_m)``
-maps that interval onto ``(0, R_M)``.  Both parameterizations are exposed
-because the integrator works in log space while user-facing data is in
-linear sizes.
+maps that interval onto ``(0, R_M)``.  The integrator works in log space,
+while user-facing data is in linear sizes.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "competition_potential",
     "log_potential",
-    "gompertz_closed_form",
     "validate_initial_config",
 ]
 
@@ -36,6 +33,12 @@ def _require_positive(prefix: str = "", **values) -> None:
             raise ValueError(
                 f"{prefix}{name} must be finite and strictly positive, got {value!r}"
             )
+
+
+def _require_population(name: str, n: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless the population size n >= 2."""
+    if n < 2:
+        raise ValueError(f"{name} = {n}: a population needs at least 2 individuals")
 
 
 @dataclass(frozen=True)
@@ -85,28 +88,6 @@ class ModelParams:
         return self.s_m * math.exp(self.R_M)
 
 
-def competition_potential(params: ModelParams, s, s_prime, dist):
-    """Competition potential exerted on a plant of size ``s`` by a neighbor
-    of size ``s_prime`` at Euclidean distance ``dist``.
-
-        C(s, s', d) = log(s'/s_m) / (2 R_M (1 + d^2 / sigma_x^2))
-                      * (1 + tanh(log(s'/s) / sigma_r))
-
-    The value lies in ``[0, 1]`` whenever both sizes lie in
-    ``[s_m, s_m * exp(R_M)]``.  It decreases with distance, increases with
-    the neighbor's size, and decreases with the plant's own size.
-    Broadcasts over array arguments; evaluated as :func:`log_potential`
-    at ``r = log(s/s_m)``, ``r' = log(s'/s_m)``.
-    """
-    s = np.asarray(s, dtype=float)
-    s_prime = np.asarray(s_prime, dtype=float)
-    if np.any(s <= 0.0) or np.any(s_prime <= 0.0):
-        raise ValueError("sizes must be strictly positive")
-    return log_potential(
-        params, np.log(s / params.s_m), np.log(s_prime / params.s_m), dist
-    )
-
-
 def log_potential(params: ModelParams, r, r_prime, dist):
     """Competition potential in log-size variables ``r = log(s / s_m)``.
 
@@ -129,28 +110,6 @@ def log_potential(params: ModelParams, r, r_prime, dist):
     dist = np.asarray(dist, dtype=float)
     spatial = 1.0 + (dist / params.sigma_x) ** 2
     out = r_prime / (2.0 * params.R_M * spatial) * (1.0 + np.tanh((r_prime - r) / params.sigma_r))
-    return out if out.ndim else float(out)
-
-
-def gompertz_closed_form(params: ModelParams, s0, S, gamma, t):
-    """Exact solution of the isolated growth law
-    ``ds/dt = gamma * s * (log(S/s_m) - log(s/s_m))`` with ``s(0) = s0``.
-
-    In log-size variables the law is linear,
-    ``dr/dt = gamma * (log(S/s_m) - r)``, giving
-
-        s(t) = S * (s0 / S) ** exp(-gamma * t)
-
-    which is evaluated here in log space for stability.  Broadcasts over
-    all of ``s0``, ``S``, ``gamma`` and ``t``.
-    """
-    s0, S, gamma, t = (np.asarray(v, dtype=float) for v in (s0, S, gamma, t))
-    if np.any(s0 <= 0.0):
-        raise ValueError("initial size must be strictly positive")
-    r0 = np.log(s0 / params.s_m)
-    r_cap = np.log(S / params.s_m)
-    r = r_cap + (r0 - r_cap) * np.exp(-gamma * t)
-    out = params.s_m * np.exp(r)
     return out if out.ndim else float(out)
 
 
@@ -190,8 +149,7 @@ def validate_initial_config(params: ModelParams, state) -> None:
     divides by ``N - 1``).
     """
     caps, rates, sizes0 = state.caps, state.rates, state.sizes
-    if caps.shape[0] < 2:
-        raise ValueError("population must contain at least 2 individuals")
+    _require_population("N", state.n)
     cap_ok, size_ok = _domain_checks(params, asymptotic_size=caps, initial_size=sizes0)
     _raise_first_offender("plant", [
         cap_ok,

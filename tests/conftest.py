@@ -63,12 +63,7 @@ def trained_model(exp_config, mu0_uniform):
     tic = time.perf_counter()
     model = pf.train(
         mu0_uniform,
-        dt=1.0,
-        T=10.0,
-        N=1000,
-        K=1000,
-        d3=5,
-        d5=3,
+        pf.TrainConfig(dt=1.0, T=10.0, N=1000, K=1000, d3=5, d5=3),
         seed=0,
     )
     elapsed = time.perf_counter() - tic
@@ -78,7 +73,8 @@ def trained_model(exp_config, mu0_uniform):
 @pytest.fixture(scope="session")
 def tiny_model(mu0_uniform):
     """A cheap 3-stage model for structural tests."""
-    return pf.train(mu0_uniform, dt=1.0, T=3.0, N=200, K=200, d3=3, d5=2, seed=7)
+    cfg = pf.TrainConfig(dt=1.0, T=3.0, N=200, K=200, d3=3, d5=2)
+    return pf.train(mu0_uniform, cfg, seed=7)
 
 
 @pytest.fixture()

@@ -14,7 +14,8 @@ import scipy.integrate
 
 import plantfield as pf
 from plantfield.cli import main as cli_main
-from plantfield.meanfield import _stage_values
+from oracles import gompertz_closed_form
+from plantfield.meanfield import _potential_integral, _stage_values
 
 
 def _report(num, ok, detail):
@@ -55,7 +56,7 @@ def test_criterion_02_decoupled_pair_follows_closed_form(params):
     traj = pf.integrate(params, state0, cfg)
     grid = np.linspace(0.0, 10.0, 101)
     got = np.array([traj.sizes_at(t) for t in grid])
-    ref = pf.gompertz_closed_form(
+    ref = gompertz_closed_form(
         params, s0, state0.caps, state0.rates, grid[:, None]
     )
     worst = float(np.max(np.abs(got - ref) / ref))
@@ -219,7 +220,7 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
             lambda u: gamma * math.exp(gamma * (u - t)) * step(u),
             0.0, t, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13,
         )
-        (got,) = pf.reconstructed_potential_integral(model, t, atom)
+        (got,) = _potential_integral(dt, t, vals[:, None], atom.rates)
         worst_int = max(worst_int, abs(got - quad))
 
     zero = pf.MeanFieldModel(
@@ -239,7 +240,7 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
         t = rng.uniform(0.0, model.T)
         atom = _one_atom(rng, 0.05)
         (got,) = pf.flow_eval_many(zero, t, atom)
-        (ref,) = pf.gompertz_closed_form(p, atom.sizes, atom.caps, atom.rates, t)
+        (ref,) = gompertz_closed_form(p, atom.sizes, atom.caps, atom.rates, t)
         worst_flow = max(worst_flow, abs(got - ref) / ref)
 
     ok = worst_int < 1e-9 and worst_flow < 1e-10

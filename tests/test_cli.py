@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import plantfield as pf
-from plantfield.cli import main
+from plantfield.cli import _parse_grid, main
+from oracles import gompertz_closed_form
 
 
 def run(*argv):
@@ -199,6 +200,68 @@ def test_exit_code_bad_model_and_grid(trained_dir, tmp_path):
         "potential-dump", "--model", model, "--grid", "2,-2,-1,1,4",
         "--out", str(tmp_path / "c5"),
     ) == 2
+
+
+def test_grid_steps_are_capped():
+    # The grid has steps^2 points, built in Python at ~1.5 KB each, so a
+    # grid beyond a million points is refused before anything is built.
+    assert _parse_grid("-2,2,-2,2,1000")[-1] == 1000
+    for steps in (-1, 1001, 100_000):
+        with pytest.raises(pf.ConfigError, match=r"grid steps must lie in \[0, 1000\]"):
+            _parse_grid(f"-2,2,-2,2,{steps}")
+
+
+def _one_plant():
+    return pf.PopulationState(
+        np.array([0.1]), np.zeros((1, 2)), np.array([0.75]), np.array([1.0])
+    )
+
+
+_POPULATION_RULE = "= 1: a population needs at least 2 individuals"
+
+
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        (lambda ec, model, out: pf.integrate(ec.params, _one_plant(), ec.solver),
+         ValueError, "N " + _POPULATION_RULE),
+        (lambda ec, model, out: pf.bound_coefficients(ec.mu0, _one_plant(), N=1),
+         ValueError, "N " + _POPULATION_RULE),
+        (lambda ec, model, out: pf.convergence_experiment(
+            pf.load_model(model), [1, 5], ec.solver, 0, ec.weights
+        ), ValueError, "n-list entry " + _POPULATION_RULE),
+        (lambda ec, model, out: pf.build_experiment_config(
+            pf.resolve_config({"sim.n": 1})
+        ), pf.ConfigError, "sim.n " + _POPULATION_RULE),
+        (lambda ec, model, out: run("simulate", "--n", "1", "--out", out),
+         None, "sim.n " + _POPULATION_RULE),
+        (lambda ec, model, out: run(
+            "converge", "--model", model, "--n-list", "1,5", "--out", out
+        ), None, "n-list entry " + _POPULATION_RULE),
+        (lambda ec, model, out: run(
+            "converge", "--model", model, "--n-list", "5,3", "--out", out
+        ), None, "n-list must be strictly increasing"),
+    ],
+    ids=[
+        "integrate", "bound_coefficients", "convergence_experiment",
+        "build_experiment_config", "simulate", "converge-1,5", "converge-5,3",
+    ],
+)
+def test_population_size_rule_at_every_entry(
+    entry, error, message, exp_config, trained_dir, tmp_path, capsys
+):
+    # A plant's competition index averages over the N - 1 others, so one
+    # rule refuses N = 1 wherever a population size enters; the commands
+    # report it as a configuration error (exit 2).
+    args = (exp_config, str(trained_dir / "model.json"), str(tmp_path / "o"))
+    if error is None:
+        assert entry(*args) == 2
+        text = capsys.readouterr().err
+    else:
+        with pytest.raises(error) as info:
+            entry(*args)
+        text = str(info.value)
+    assert message in text
 
 
 @pytest.mark.parametrize(
@@ -638,7 +701,7 @@ def test_decoupled_population_matches_isolated_growth(tmp_path):
     for seq in by_plant.values():
         s0, S, gamma = (float(seq[0][key]) for key in ("s", "S", "gamma"))
         for r in seq:
-            ref = pf.gompertz_closed_form(params, s0, S, gamma, float(r["t"]))
+            ref = gompertz_closed_form(params, s0, S, gamma, float(r["t"]))
             assert abs(float(r["s"]) - ref) / ref < 1e-5
 
 

@@ -203,20 +203,20 @@ def test_build_makes_the_training_law(exp_config):
 def test_section_keys_are_record_field_names(exp_config):
     # Each record is read from its section by field name, so a key that
     # names no field would be silently ignored.  Only the passed-in
-    # fields and the surface keys are exempt.
+    # fields, the surface keys and the keys read by key are exempt.
     surfaces = ("mu0.S_surface.", "mu0.gamma_surface.")
-    for prefix, record, passed_in in [
-        ("model", exp_config.params, set()),
-        ("mu0", exp_config.mu0, {"params", "seed", "S_surface", "gamma_surface"}),
-        ("solver", exp_config.solver, set()),
-        ("train", exp_config.train, set()),
-        ("metric", exp_config.weights, {"s_m"}),
+    for prefix, record, passed_in, by_key in [
+        ("model", exp_config.params, set(), set()),
+        ("mu0", exp_config.mu0, {"params", "seed", "S_surface", "gamma_surface"}, set()),
+        ("solver", exp_config.solver, set(), set()),
+        ("train", exp_config.train, set(), {"s0_min", "s0_max"}),  # into mu0_train
+        ("metric", exp_config.weights, {"s_m"}, set()),
     ]:
         keys = {
             k.split(".", 1)[1]
             for k in DEFAULTS
             if k.startswith(prefix + ".") and not k.startswith(surfaces)
-        }
+        } - by_key
         names = {f.name for f in fields(record)} - passed_in
         assert keys == names, prefix
 

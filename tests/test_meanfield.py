@@ -10,6 +10,9 @@ import scipy.integrate
 
 import plantfield as pf
 from conftest import one_plus_tanh
+from oracles import (
+    competition_potential, gompertz_closed_form, reconstructed_potential_integral
+)
 from plantfield import meanfield
 from plantfield.meanfield import (
     _SET_CLOUD,
@@ -160,7 +163,7 @@ def test_mc_potential_single_atom_is_pair_potential(p):
         p, np.array([0.1]), np.zeros((1, 2)), np.array([0.2]), np.array([[0.5, 0.0]])
     )
     assert got == pytest.approx(
-        pf.competition_potential(p, 0.1, 0.2, 0.5), rel=1e-14
+        competition_potential(p, 0.1, 0.2, 0.5), rel=1e-14
     )
 
 
@@ -173,7 +176,7 @@ def test_mc_potential_batch_and_average(p, rng):
     for k in range(2):
         manual = np.mean(
             [
-                pf.competition_potential(
+                competition_potential(
                     p, probe_s[k], cloud_s[j],
                     float(np.linalg.norm(probe_x[k] - cloud_x[j])),
                 )
@@ -404,9 +407,9 @@ def _random_atoms(rng, n, gamma_lo=0.1):
 
 def test_integral_zero_at_start_and_zero_rate(tiny_model):
     atom = _one(0.2, np.zeros(2), 0.75, 1.05)
-    assert pf.reconstructed_potential_integral(tiny_model, 0.0, atom) == 0.0
+    assert reconstructed_potential_integral(tiny_model, 0.0, atom) == 0.0
     frozen = _one(0.2, np.zeros(2), 0.75, 0.0)
-    assert pf.reconstructed_potential_integral(tiny_model, 2.0, frozen) == 0.0
+    assert reconstructed_potential_integral(tiny_model, 2.0, frozen) == 0.0
 
 
 def test_integral_single_stage_closed_form(tiny_model):
@@ -415,14 +418,14 @@ def test_integral_single_stage_closed_form(tiny_model):
     x = np.array([0.3, -0.1])
     atom = _one(0.2, x, 0.8, 0.9)
     (c0,) = pf.stage_potential_eval(tiny_model.stages[0], atom)
-    (got,) = pf.reconstructed_potential_integral(tiny_model, 0.6, atom)
+    (got,) = reconstructed_potential_integral(tiny_model, 0.6, atom)
     assert got == pytest.approx(c0 * (1.0 - math.exp(-0.9 * 0.6)), rel=1e-12)
 
 
 def test_integral_monotone_and_bounded(tiny_model):
     atom = _one(0.15, np.array([0.1, 0.4]), 0.8, 1.1)
     ts = np.linspace(0.0, tiny_model.T, 40)
-    vals = [pf.reconstructed_potential_integral(tiny_model, t, atom)[0] for t in ts]
+    vals = [reconstructed_potential_integral(tiny_model, t, atom)[0] for t in ts]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
     stage_vals = _stage_values(tiny_model.stages, atom)[:, 0]
     cap = stage_vals.max() * (1.0 - math.exp(-1.1 * tiny_model.T))
@@ -445,7 +448,7 @@ def test_integral_matches_adaptive_quadrature(tiny_model, rng):
             lambda u: gamma * math.exp(gamma * (u - t)) * step(u),
             0.0, t, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13,
         )
-        (got,) = pf.reconstructed_potential_integral(tiny_model, t, atoms)
+        (got,) = reconstructed_potential_integral(tiny_model, t, atoms)
         assert abs(got - quad) < 1e-10
 
 
@@ -488,9 +491,9 @@ def test_stage_values_match_each_stage_eval(tiny_model, rng, tmp_path):
 def test_integral_rejects_times_outside_horizon(tiny_model):
     atom = _one(0.2, np.zeros(2), 0.75, 1.0)
     with pytest.raises(ValueError):
-        pf.reconstructed_potential_integral(tiny_model, tiny_model.T + 0.5, atom)
+        reconstructed_potential_integral(tiny_model, tiny_model.T + 0.5, atom)
     with pytest.raises(ValueError):
-        pf.reconstructed_potential_integral(tiny_model, -0.5, atom)
+        reconstructed_potential_integral(tiny_model, -0.5, atom)
 
 
 def test_flow_identity_at_time_zero(tiny_model):
@@ -520,7 +523,7 @@ def test_flow_without_competition_is_isolated_growth(tiny_model, rng):
         t = rng.uniform(0.0, zero.T)
         atoms = _random_atoms(rng, 1, gamma_lo=0.05)
         got = pf.flow_eval_many(zero, t, atoms)
-        ref = pf.gompertz_closed_form(p, atoms.sizes, atoms.caps, atoms.rates, t)
+        ref = gompertz_closed_form(p, atoms.sizes, atoms.caps, atoms.rates, t)
         assert np.all(np.abs(got - ref) / ref < 1e-10)
 
 
@@ -557,12 +560,13 @@ def test_flow_rejects_bad_inputs(tiny_model):
 
 
 def test_training_is_deterministic(mu0_uniform):
-    a = pf.train(mu0_uniform, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=3)
-    b = pf.train(mu0_uniform, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=3)
+    cfg = pf.TrainConfig(dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1)
+    a = pf.train(mu0_uniform, cfg, seed=3)
+    b = pf.train(mu0_uniform, cfg, seed=3)
     for sa, sb in zip(a.stages, b.stages):
         assert np.array_equal(sa.beta, sb.beta)
         assert sa.r2_train == sb.r2_train and sa.r2_test == sb.r2_test
-    c = pf.train(mu0_uniform, dt=1.0, T=2.0, N=80, K=80, d3=2, d5=1, seed=4)
+    c = pf.train(mu0_uniform, cfg, seed=4)
     assert not np.array_equal(a.stages[0].beta, c.stages[0].beta)
 
 
@@ -612,7 +616,8 @@ def test_training_matches_the_rebuilt_recursion(mu0_uniform, dt, T):
     # flow, the stage values and the fit; the model must not change by a bit.
     args = (mu0_uniform, dt, T, 60, 60, 3, 2, 5)
     want = model_to_dict(_train_by_rebuilding(*args))
-    assert model_to_dict(pf.train(*args)) == want
+    got = pf.train(mu0_uniform, pf.TrainConfig(dt, T, 60, 60, 3, 2), seed=5)
+    assert model_to_dict(got) == want
 
 
 def test_training_builds_one_feature_matrix_per_set_and_spec(
@@ -629,7 +634,9 @@ def test_training_builds_one_feature_matrix_per_set_and_spec(
         return build(spec, atoms)
 
     monkeypatch.setattr(meanfield, "feature_map", counted)
-    pf.train(mu0_uniform, dt=1.0, T=3.0, N=20, K=20, d3=2, d5=1, seed=0)
+    pf.train(
+        mu0_uniform, pf.TrainConfig(dt=1.0, T=3.0, N=20, K=20, d3=2, d5=1), seed=0
+    )
     assert len(calls) == 12
     assert (calls.count(3), calls.count(5)) == (7, 5)
 
@@ -645,15 +652,21 @@ def test_training_stage_structure(tiny_model):
 
 def test_training_validates_horizon(mu0_uniform):
     with pytest.raises(ValueError):
-        pf.train(mu0_uniform, dt=0.7, T=2.0, N=50, K=50, d3=1, d5=1, seed=0)
+        pf.train(
+            mu0_uniform, pf.TrainConfig(dt=0.7, T=2.0, N=50, K=50, d3=1, d5=1), seed=0
+        )
     with pytest.raises(ValueError):
-        pf.train(mu0_uniform, dt=1.0, T=0.0, N=50, K=50, d3=1, d5=1, seed=0)
+        pf.train(
+            mu0_uniform, pf.TrainConfig(dt=1.0, T=0.0, N=50, K=50, d3=1, d5=1), seed=0
+        )
 
 
 def test_training_stores_requested_horizon(mu0_uniform, tmp_path):
     # 3 * 0.3 is 0.8999999999999999 in floating point; the model keeps the
     # horizon it was asked for, so grids built from model.T end on it.
-    model = pf.train(mu0_uniform, dt=0.3, T=0.9, N=30, K=30, d3=1, d5=1, seed=0)
+    model = pf.train(
+        mu0_uniform, pf.TrainConfig(dt=0.3, T=0.9, N=30, K=30, d3=1, d5=1), seed=0
+    )
     assert model.n_stages == 3
     assert model.T == 0.9
     pf.save_model(model, tmp_path / "m.json")
@@ -661,7 +674,9 @@ def test_training_stores_requested_horizon(mu0_uniform, tmp_path):
 
 
 def test_training_with_degree_zero(mu0_uniform):
-    model = pf.train(mu0_uniform, dt=1.0, T=2.0, N=60, K=60, d3=0, d5=0, seed=1)
+    model = pf.train(
+        mu0_uniform, pf.TrainConfig(dt=1.0, T=2.0, N=60, K=60, d3=0, d5=0), seed=1
+    )
     # Degree zero still regresses on the damping factor (one feature),
     # which is a weighted, not plain, average of the targets.
     assert all(st.beta.shape == (1,) for st in model.stages)

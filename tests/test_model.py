@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plantfield as pf
+from oracles import competition_potential, gompertz_closed_form
 
 # Frozen reference values, computed independently with 50-digit arithmetic.
 POTENTIAL_AT_01_02_05 = 0.17116523778307008
@@ -24,9 +25,9 @@ def p():
 
 
 def test_potential_matches_frozen_oracle(p):
-    got = pf.competition_potential(p, 0.1, 0.2, 0.5)
+    got = competition_potential(p, 0.1, 0.2, 0.5)
     assert got == pytest.approx(POTENTIAL_AT_01_02_05, rel=1e-15)
-    got = pf.competition_potential(p, 0.3, 0.1, 0.0)
+    got = competition_potential(p, 0.3, 0.1, 0.0)
     assert got == pytest.approx(POTENTIAL_AT_03_01_00, rel=1e-15)
 
 
@@ -34,7 +35,7 @@ def test_potential_self_value(p):
     # A plant against its own copy at distance zero: the tanh term is
     # exactly 1, leaving log(s/s_m) / (2 R_M).
     s = 0.2
-    got = pf.competition_potential(p, s, s, 0.0)
+    got = competition_potential(p, s, s, 0.0)
     assert got == pytest.approx(SELF_POTENTIAL_AT_02, rel=1e-15)
     assert got == pytest.approx(math.log(s / p.s_m) / (2.0 * p.R_M), rel=1e-14)
 
@@ -51,20 +52,20 @@ def test_potential_log_form_agrees(p, rng):
     )
     logged = pf.log_potential(p, np.log(s / p.s_m), np.log(sp / p.s_m), d)
     assert np.max(np.abs(direct - logged)) < 1e-12
-    assert np.array_equal(pf.competition_potential(p, s, sp, d), logged)
+    assert np.array_equal(competition_potential(p, s, sp, d), logged)
 
 
 def test_potential_broadcasts_and_scalar_type(p):
-    out = pf.competition_potential(p, 0.1, np.array([0.1, 0.2, 0.3]), 0.0)
+    out = competition_potential(p, 0.1, np.array([0.1, 0.2, 0.3]), 0.0)
     assert out.shape == (3,)
-    assert isinstance(pf.competition_potential(p, 0.1, 0.2, 0.5), float)
+    assert isinstance(competition_potential(p, 0.1, 0.2, 0.5), float)
 
 
 def test_potential_rejects_nonpositive_sizes(p):
     with pytest.raises(ValueError):
-        pf.competition_potential(p, 0.0, 0.2, 0.5)
+        competition_potential(p, 0.0, 0.2, 0.5)
     with pytest.raises(ValueError):
-        pf.competition_potential(p, 0.1, -0.2, 0.5)
+        competition_potential(p, 0.1, -0.2, 0.5)
 
 
 @settings(deadline=None, max_examples=200)
@@ -77,44 +78,44 @@ def test_potential_stays_in_unit_interval(r1, r2, d):
     p = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=1.32)
     s1 = p.s_m * math.exp(r1)
     s2 = p.s_m * math.exp(r2)
-    c = pf.competition_potential(p, s1, s2, d)
+    c = competition_potential(p, s1, s2, d)
     assert 0.0 <= c <= 1.0
 
 
 def test_potential_monotonicity(p):
     # Farther neighbours press less; bigger neighbours press more; a
     # bigger self feels less pressure.
-    base = pf.competition_potential(p, 0.1, 0.3, 0.5)
-    assert pf.competition_potential(p, 0.1, 0.3, 1.0) < base
-    assert pf.competition_potential(p, 0.1, 0.4, 0.5) > base
-    assert pf.competition_potential(p, 0.2, 0.3, 0.5) < base
+    base = competition_potential(p, 0.1, 0.3, 0.5)
+    assert competition_potential(p, 0.1, 0.3, 1.0) < base
+    assert competition_potential(p, 0.1, 0.4, 0.5) > base
+    assert competition_potential(p, 0.2, 0.3, 0.5) < base
 
 
 def test_growth_matches_frozen_oracle(p):
-    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 2.0) == pytest.approx(
+    assert gompertz_closed_form(p, 0.1, 0.75, 1.05, 2.0) == pytest.approx(
         GROWTH_01_075_105_T2, rel=1e-15
     )
-    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 0.7) == pytest.approx(
+    assert gompertz_closed_form(p, 0.1, 0.75, 1.05, 0.7) == pytest.approx(
         GROWTH_01_075_105_T07, rel=1e-15
     )
-    assert pf.gompertz_closed_form(p, 0.28, 0.9, 0.3, 5.0) == pytest.approx(
+    assert gompertz_closed_form(p, 0.28, 0.9, 0.3, 5.0) == pytest.approx(
         GROWTH_028_09_03_T5, rel=1e-15
     )
     # Every argument broadcasts: the three oracle values as one call.
-    both = pf.gompertz_closed_form(
+    both = gompertz_closed_form(
         p, [0.1, 0.1, 0.28], [0.75, 0.75, 0.9], [1.05, 1.05, 0.3], [2.0, 0.7, 5.0]
     )
     assert both == pytest.approx(
         [GROWTH_01_075_105_T2, GROWTH_01_075_105_T07, GROWTH_028_09_03_T5], rel=1e-15
     )
     with pytest.raises(ValueError, match="initial size"):
-        pf.gompertz_closed_form(p, [0.1, 0.0], 0.75, 1.05, 2.0)
+        gompertz_closed_form(p, [0.1, 0.0], 0.75, 1.05, 2.0)
 
 
 def test_growth_limits(p):
-    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 0.0) == pytest.approx(0.1, rel=1e-14)
-    assert pf.gompertz_closed_form(p, 0.1, 0.75, 1.05, 200.0) == pytest.approx(0.75, rel=1e-12)
-    assert pf.gompertz_closed_form(p, 0.1, 0.75, 0.0, 7.3) == pytest.approx(0.1, rel=1e-14)
+    assert gompertz_closed_form(p, 0.1, 0.75, 1.05, 0.0) == pytest.approx(0.1, rel=1e-14)
+    assert gompertz_closed_form(p, 0.1, 0.75, 1.05, 200.0) == pytest.approx(0.75, rel=1e-12)
+    assert gompertz_closed_form(p, 0.1, 0.75, 0.0, 7.3) == pytest.approx(0.1, rel=1e-14)
 
 
 def test_growth_matches_numeric_integration(p):
@@ -126,7 +127,7 @@ def test_growth_matches_numeric_integration(p):
     sol = pf.solve_ode(rhs, 0.0, 6.0, np.array([s0]), rel_tol=1e-11, abs_tol=1e-13)
     for t in (0.5, 1.7, 3.0, 6.0):
         assert sol(t)[0] == pytest.approx(
-            pf.gompertz_closed_form(p, s0, S, gamma, t), rel=1e-8
+            gompertz_closed_form(p, s0, S, gamma, t), rel=1e-8
         )
 
 
@@ -139,7 +140,7 @@ def test_growth_matches_numeric_integration(p):
 )
 def test_growth_stays_between_start_and_cap(s0, S, gamma, t):
     p = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=1.32)
-    s = pf.gompertz_closed_form(p, s0, S, gamma, t)
+    s = gompertz_closed_form(p, s0, S, gamma, t)
     lo, hi = min(s0, S), max(s0, S)
     assert lo - 1e-12 <= s <= hi + 1e-12
 

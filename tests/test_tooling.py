@@ -89,5 +89,7 @@ def test_benchmark_tracer_counts_training_pairs():
     n = k = 20
     tracer = spans.Tracer()
     with spans.patched(tracer):
-        meanfield.train(ec.mu0, dt=1.0, T=2.0, N=n, K=k, d3=2, d5=1, seed=1)
+        meanfield.train(
+            ec.mu0, meanfield.TrainConfig(dt=1.0, T=2.0, N=n, K=k, d3=2, d5=1), seed=1
+        )
     assert tracer.counts["mc_pairs"] == 2 * k * n * 2

@@ -258,8 +258,10 @@ def _pair_row_sums(r: np.ndarray, blocks, sigma_r: float) -> np.ndarray:
     kernel_ij/(e_i + e_j) and v = 2 e r.  W is symmetric: each block's
     transpose adds to the rows below.  Each e_i + e_j is the rank-2
     product [e_i, 1] [1; e_j], two exact products and one rounded sum, so
-    it equals ``np.add``'s bit for bit at any BLAS thread count; the
-    reductions are single-threaded ``einsum`` in a fixed order.
+    it equals ``np.add``'s bit for bit at any BLAS thread count.  Each
+    block reduces by two BLAS matrix-vector products, its rows and its
+    transpose, in a fixed block order; the bits do not depend on the
+    thread count, but may on the CPU.
     """
     scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, r)
     n = r.shape[0]
@@ -276,9 +278,9 @@ def _pair_row_sums(r: np.ndarray, blocks, sigma_r: float) -> np.ndarray:
         w = buf[: k.size].reshape(k.shape)
         np.matmul(left[i0:i1], right[:, i0:], out=w)
         np.divide(k, w, out=w)
-        out[i0:i1] += np.einsum("ij,j->i", w, v[i0:])
+        out[i0:i1] += w @ v[i0:]
         if i1 < n:
-            out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])
+            out[i1:] += v[i0:i1] @ w[:, i1 - i0 :]
     return out
 
 
@@ -291,11 +293,12 @@ def _cross_kernel(x, x_src, sigma_x: float):
     the bounding box, each denominator (1 + |u_i - w_j|^2)(e_i + e'_j)
     is an entry of the rank-8 product of the rows [1 + |u|^2, 1, -2u] x
     [e, 1] and [1, |w|^2, w] x [1, e']: a row block costs one ``matmul``,
-    ``reciprocal`` and ``einsum``, and builds no kernel.  A block with a
-    |u|, or any |w|, past ``_RANK8_REACH`` keeps its exact kernel over
-    the rank-2 e + e' instead.  Calls refill the factors, so they must
-    not overlap.  BLAS rounds each rank-8 sum in one thread: the bits do
-    not depend on the thread count, but may on the CPU.
+    one ``reciprocal`` and one matrix-vector product, and builds no
+    kernel.  A block with a |u|, or any |w|, past ``_RANK8_REACH`` keeps
+    its exact kernel over the rank-2 e + e' instead.  Calls refill the
+    factors, so they must not overlap.  BLAS rounds each rank-8 sum in
+    one thread, and the row sums are BLAS matrix-vector products: the
+    bits do not depend on the thread count, but may on the CPU.
     """
     pts = np.concatenate([x, x_src])
     c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
@@ -332,7 +335,7 @@ def _cross_kernel(x, x_src, sigma_x: float):
                 np.reciprocal(np.matmul(lhs[i0:i1], rhs, out=d), out=d)
             else:
                 np.divide(k, lhs[i0:i1, 2:4] @ rhs[:2], out=d)
-            out[i0:i1] = np.einsum("ij,j->i", d, v)
+            np.matmul(d, v, out=out[i0:i1])
         return out
 
     return row_sums

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import plantfield as pf
-from plantfield.cli import _parse_grid, main
+from plantfield.cli import _FLOW_CHUNK, _parse_grid, main
 from oracles import gompertz_closed_form
 
 
@@ -164,6 +164,32 @@ def test_potential_dump_is_deterministic(trained_dir, tmp_path):
     assert (outs[0] / "potential_surface.csv").read_bytes() == (
         outs[1] / "potential_surface.csv"
     ).read_bytes()
+
+
+def test_potential_dump_chunks_match_one_flow_evaluation(trained_dir, tmp_path):
+    # 65^2 points span a full flow chunk and a ragged second one: row i
+    # must still be grid point i, in row-major order, with the flow of
+    # one evaluation over the whole grid.
+    assert 64**2 <= _FLOW_CHUNK < 65**2
+    out = tmp_path / "dump"
+    model_path = trained_dir / "model.json"
+    assert run(
+        "potential-dump", "--model", str(model_path), "--grid", "-3,3,-2,2,65",
+        "--out", str(out),
+    ) == 0
+    rows = _read_rows(out / "potential_surface.csv")
+    model = pf.load_model(model_path)
+    mu0 = model.mu0_cfg
+    pts = np.array([
+        (a, b) for a in np.linspace(-3, 3, 65) for b in np.linspace(-2, 2, 65)
+    ])
+    caps = pf.surface_eval(mu0.S_surface, pts)
+    rates = pf.surface_eval(mu0.gamma_surface, pts)
+    grid = pf.PopulationState(np.full(len(pts), mu0.s0_mid), pts, caps, rates)
+    s_inf = pf.flow_eval_many(model, model.T, grid)
+    got = np.array([[float(r[k]) for k in ("x1", "x2", "S_bar", "gamma_bar")] for r in rows])
+    assert np.array_equal(got, np.column_stack([pts, caps, rates]))
+    assert [float(r["s_inf"]) for r in rows] == pytest.approx(s_inf, rel=1e-14, abs=0.0)
 
 
 def test_exit_code_config_errors(tmp_path):
@@ -740,6 +766,34 @@ def test_train_meanfield_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     for name in ("model.json", "r2.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("n", [129, 300])
+def test_simulate_bytes_do_not_depend_on_blas_threads(n, tmp_path):
+    # The population row sums are BLAS matrix-vector products per kernel
+    # block, which OpenBLAS may split across threads; one and two threads
+    # must still write the same trajectory and diagnostics byte for byte.
+    # 129 plants leave a one-row second block; 300 make three blocks.
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"solver.t_end = 1.0\nsim.n = {n}\n")
+    src = str(Path(pf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {
+            **os.environ, "PYTHONPATH": path,
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "plantfield", "simulate",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("trajectory.csv", "diagnostics.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 

@@ -112,9 +112,9 @@ def _broadcast_row_sums(r, kernel, sigma_r, r_sources=None):
         c0 = i0 if sym else 0
         w = np.add(e[i0:i1, None], e_src[c0:])
         np.divide(kernel[i0:i1, c0:], w, out=w)
-        out[i0:i1] += np.einsum("ij,j->i", w, v[c0:])
+        out[i0:i1] += w @ v[c0:]
         if sym and i1 < n_t:
-            out[i1:] += np.einsum("ij,i->j", w[:, i1 - i0 :], v[i0:i1])
+            out[i1:] += v[i0:i1] @ w[:, i1 - i0 :]
     return out
 
 
@@ -149,6 +149,29 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
         want = _fsum_row_sums(r, _full_kernel(x, 0.5), sigma_r, r)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert np.array_equal(_pair_row_sums(r, blocks, sigma_r), got)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 2 * _BLOCK + 9),
+    sigma_r=st.floats(3.0 / 600, 10.0),
+    spread=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_row_sums_match_double_loop_over_sizes_and_spreads(n, sigma_r, spread, seed):
+    # Any size up to a ragged third block, so every remainder path of the
+    # per-block BLAS matrix-vector products runs, any admissible sigma_r,
+    # and log-sizes spread up to the edge of the exp window.  Repeat calls
+    # give the same bits.
+    rng = np.random.default_rng(seed)
+    half = 0.5 * spread * _EXP_WINDOW * sigma_r * (1.0 - 1e-12)
+    r = 0.01 + half + rng.uniform(-half, half, n)
+    x = rng.normal(size=(n, 2))
+    blocks = list(_kernel_blocks(x, 0.5))
+    got = _pair_row_sums(r, blocks, sigma_r)
+    want = _fsum_row_sums(r, _full_kernel(x, 0.5), sigma_r, r)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.array_equal(_pair_row_sums(r, blocks, sigma_r), got)
 
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)

@@ -147,9 +147,10 @@ def _load_model_checked(path):
     try:
         mdict = load_model_dict(path)
         return model_from_dict(mdict), mdict
-    except FileNotFoundError as exc:
-        raise ConfigError(f"model file not found: {path}") from exc
-    # JSONDecodeError is a ValueError; a field of the wrong type raises TypeError.
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ConfigError(f"cannot read model file {path}: {exc.strerror}") from exc
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a field of the
+    # wrong type raises TypeError.
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid model file {path}: {exc}") from exc
 
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid_value(argv))
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (

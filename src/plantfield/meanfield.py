@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "plantfield-meanfield-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Sub-stream tags for the training draws.
 _SET_CLOUD = 0
@@ -123,63 +123,65 @@ def polynomial_features(values, d: int) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FeatureSpec:
-    """Variable transforms and polynomial degree of one stage's regression.
+    """The feature frame of a model's stages: the variable transforms and
+    the polynomial degrees of every stage's regression.
 
-    A value: ``center`` is kept as a tuple of two floats, so specs compare
-    and hash by their fields and equal specs share one feature matrix.
+    Stage 0 regresses on three variables (size and position) at degree
+    ``d3``; every later stage on five (adding cap and rate) at degree
+    ``d5``.  Positions are centred at ``center`` and scaled by ``length``;
+    ``dt`` is the stage length.
     """
 
-    arity: int
-    degree: int
-    center: tuple
-    length_x: float
-    length_y: float
+    center: np.ndarray
+    length: float
     dt: float
+    d3: int
+    d5: int
     params: ModelParams
 
     def __post_init__(self):
-        if self.arity not in (3, 5):
-            raise ValueError("arity must be 3 or 5")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (2,):
+        self.center = np.asarray(self.center, dtype=float)
+        if self.center.shape != (2,):
             raise ValueError("center must be a 2-vector")
-        object.__setattr__(self, "center", tuple(c.tolist()))
-        if not np.isfinite(c).all():
-            raise ValueError(f"center must be finite, got {self.center!r}")
-        _require_positive(length_x=self.length_x, length_y=self.length_y, dt=self.dt)
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"center must be finite, got {self.center.tolist()!r}")
+        _require_positive(length=self.length, dt=self.dt)
+        if not all(isinstance(d, int) and d >= 0 for d in (self.d3, self.d5)):
+            raise ValueError(
+                f"degrees must be nonnegative integers, got d3={self.d3!r}, d5={self.d5!r}"
+            )
 
-    @property
-    def n_features(self) -> int:
-        return n_monomials(self.arity, self.degree)
+    def n_features(self, k: int) -> int:
+        """Length of stage k's coefficient vector."""
+        return n_monomials(5, self.d5) if k else n_monomials(3, self.d3)
 
 
-def feature_map(spec: FeatureSpec, atoms: PopulationState) -> np.ndarray:
-    """Features of probes' initial data: polynomial in bounded transforms.
+def feature_map(spec: FeatureSpec, k: int, atoms: PopulationState) -> np.ndarray:
+    """Stage k's features of probes' initial data: polynomial in bounded
+    transforms.
 
-    ``atoms`` holds n plants; the result is (n, n_features).  The
-    transformed variables are log(s/s_m), arctan of each centered and
-    scaled position coordinate and, for arity 5, log(S/s_m) and
-    e^{-gamma dt}; arity 3 ignores S and gamma.  Every monomial is damped
+    ``atoms`` holds n plants; the result is (n, ``spec.n_features(k)``).
+    The transformed variables are log(s/s_m), arctan of each centered and
+    scaled position coordinate and, after stage 0, log(S/s_m) and
+    e^{-gamma dt}; stage 0 ignores S and gamma.  Every monomial is damped
     by the spatial factor 1 / (1 + |x - center|^2 / sigma_x^2).
     """
     p = spec.params
     x = atoms.positions
-    center = np.array([spec.center])
+    center = spec.center[None, :]
     dx = x - center
     vars_ = [
         np.log(atoms.sizes / p.s_m),
-        np.arctan(dx[:, 0] / spec.length_x),
-        np.arctan(dx[:, 1] / spec.length_y),
+        np.arctan(dx[:, 0] / spec.length),
+        np.arctan(dx[:, 1] / spec.length),
     ]
-    if spec.arity == 5:
+    if k:
         vars_.append(np.log(atoms.caps / p.s_m))
         vars_.append(np.exp(-atoms.rates * spec.dt))
     V = np.stack(vars_, axis=1)
-    feats = polynomial_features(V, spec.degree)
+    feats = polynomial_features(V, spec.d5 if k else spec.d3)
     cauchy = _kernel_block(x, center, p.sigma_x, np.empty((x.shape[0], 1)))[:, 0]
     return feats * cauchy[:, None]
 
@@ -224,21 +226,15 @@ def mc_potential(
 
 @dataclass
 class PotentialStage:
-    """One fitted stage: coefficients, their feature spec, and fit quality."""
+    """One fitted stage: its coefficients and fit quality.  Its features
+    come from the model's frame and its position among the stages."""
 
     beta: np.ndarray
-    spec: FeatureSpec
     r2_train: float
     r2_test: float
-    stage_index: int
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
-        if self.beta.shape != (self.spec.n_features,):
-            raise ValueError(
-                f"beta must have length {self.spec.n_features}, "
-                f"got {self.beta.shape}"
-            )
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("beta must be finite")
         for name in ("r2_train", "r2_test"):
@@ -246,7 +242,6 @@ class PotentialStage:
             if not math.isnan(v) and v > 1.0 + 1e-12:
                 raise ValueError(f"{name} cannot exceed 1")
             setattr(self, name, v)
-        self.stage_index = int(self.stage_index)
 
 
 def _r2(targets: np.ndarray, predictions: np.ndarray) -> float:
@@ -270,16 +265,11 @@ def _clamped(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.clip(F @ beta, 0.0, 1.0)
 
 
-def fit_stage(
-    spec: FeatureSpec,
-    training,
-    testing=None,
-    stage_index: int = 0,
-) -> PotentialStage:
+def fit_stage(training, testing=None) -> PotentialStage:
     """Least-squares fit of one stage's potential targets.
 
     ``training`` and ``testing`` are (features, targets) pairs where the
-    features are ``feature_map(spec, ...)`` of the probes.  The
+    features are the stage's ``feature_map`` of the probes.  The
     coefficient vector is the minimum-norm least-squares solution, so
     rank-deficient designs (e.g. all probes identical) are handled
     without pivoting choices.  Fit quality is measured on the clamped
@@ -291,32 +281,29 @@ def fit_stage(
         raise ValueError("training set must be nonempty")
     beta, *_ = np.linalg.lstsq(F, y, rcond=None)
     if not np.all(np.isfinite(beta)):
-        raise np.linalg.LinAlgError(f"stage {stage_index}: fitted beta is not finite")
+        raise np.linalg.LinAlgError("fitted beta is not finite")
     r2_train = _r2(y, _clamped(F, beta))
     r2_test = float("nan")
     if testing is not None:
         r2_test = _r2(testing[1], _clamped(testing[0], beta))
-    return PotentialStage(
-        beta=beta,
-        spec=spec,
-        r2_train=r2_train,
-        r2_test=r2_test,
-        stage_index=stage_index,
-    )
+    return PotentialStage(beta=beta, r2_train=r2_train, r2_test=r2_test)
 
 
-def stage_potential_eval(stage: PotentialStage, atoms: PopulationState) -> np.ndarray:
-    """Clamped stage potential of ``atoms``: the fitted combination
-    projected into [0,1]; shape (n,)."""
-    return _clamped(feature_map(stage.spec, atoms), stage.beta)
+def stage_potential_eval(
+    spec: FeatureSpec, k: int, stage: PotentialStage, atoms: PopulationState
+) -> np.ndarray:
+    """Clamped potential of ``atoms`` under ``stage``, the model's stage k:
+    the fitted combination projected into [0,1]; shape (n,)."""
+    return _clamped(feature_map(spec, k, atoms), stage.beta)
 
 
 @dataclass
 class MeanFieldModel:
-    """The trained surrogate: M fitted stages plus its training context."""
+    """The trained surrogate: M fitted stages, their one feature frame, and
+    the training context."""
 
     stages: list
-    dt: float
+    spec: FeatureSpec
     T: float
     mu0_cfg: Mu0Config
     n_cloud: int
@@ -325,14 +312,15 @@ class MeanFieldModel:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a model needs at least one stage")
-        _require_positive(dt=self.dt)
-        horizon = len(self.stages) * self.dt
+        horizon = len(self.stages) * self.spec.dt
         if not abs(horizon - self.T) <= 1e-9 * max(1.0, horizon):  # NaN, inf fail
             raise ValueError(f"stage count times dt must equal T, got T={self.T!r}")
-        if self.stages[0].spec.arity != 3:
-            raise ValueError("stage 0 must have arity 3")
-        if any(st.spec.arity != 5 for st in self.stages[1:]):
-            raise ValueError("stages beyond the first must have arity 5")
+        for k, st in enumerate(self.stages):
+            m = self.spec.n_features(k)
+            if st.beta.shape != (m,):
+                raise ValueError(
+                    f"stage {k}: beta must have length {m}, got shape {st.beta.shape}"
+                )
 
     @property
     def n_stages(self) -> int:
@@ -363,20 +351,27 @@ def _stage_weights(dt: float, n_stages: int, t, gamma) -> np.ndarray:
     return np.exp(g_b * (end - t_b)) - np.exp(g_b * (start - t_b))
 
 
-def _stage_values(stages, atoms: PopulationState, features=None) -> np.ndarray:
+def _stage_features(spec: FeatureSpec, k: int, atoms: PopulationState, features):
+    """Stage k's feature matrix of ``atoms``, kept in ``features`` ({arity:
+    matrix} of these same data): every stage after the first shares one."""
+    arity = 5 if k else 3
+    if arity not in features:
+        features[arity] = feature_map(spec, k, atoms)
+    return features[arity]
+
+
+def _stage_values(spec: FeatureSpec, stages, atoms: PopulationState, features=None):
     """Evaluate each stage's clamped potential at initial data; (M, n).
 
-    Stages with equal specs share one feature matrix, so each row equals
-    ``stage_potential_eval`` of its stage.  ``features`` ({spec: matrix}
-    of these same data) lets a caller keep the matrices across calls.
+    Row k equals ``stage_potential_eval(spec, k, stages[k], atoms)``.
+    ``features`` ({arity: matrix} of these same data) lets a caller keep
+    the two feature matrices across calls.
     """
     features = {} if features is None else features
-    rows = []
-    for stage in stages:
-        if stage.spec not in features:
-            features[stage.spec] = feature_map(stage.spec, atoms)
-        rows.append(_clamped(features[stage.spec], stage.beta))
-    return np.stack(rows)
+    return np.stack([
+        _clamped(_stage_features(spec, k, atoms, features), stage.beta)
+        for k, stage in enumerate(stages)
+    ])
 
 
 def _horizon_time(model: MeanFieldModel, t) -> float:
@@ -412,8 +407,8 @@ def flow_eval_many(model: MeanFieldModel, t: float, atoms: PopulationState) -> n
         model.params, initial_size=atoms.sizes, asymptotic_size=atoms.caps
     ))
     t = _horizon_time(model, t)
-    stage_vals = _stage_values(model.stages, atoms)
-    return _flow(model.params, model.dt, t, stage_vals, atoms)
+    stage_vals = _stage_values(model.spec, model.stages, atoms)
+    return _flow(model.params, model.spec.dt, t, stage_vals, atoms)
 
 
 def _child_seed(seed: int, tag: int, k: int) -> int:
@@ -477,24 +472,22 @@ def train(mu0_cfg: Mu0Config, cfg: TrainConfig, seed: int) -> MeanFieldModel:
     if spread == 0.0:
         # Degenerate position cloud: fall back to the spatial decay scale.
         spread = p.sigma_x
-    spec3 = FeatureSpec(
-        arity=3, degree=cfg.d3, center=cloud.positions.mean(axis=0),
-        length_x=spread, length_y=spread, dt=dt, params=p,
+    spec = FeatureSpec(
+        center=cloud.positions.mean(axis=0), length=spread, dt=dt,
+        d3=cfg.d3, d5=cfg.d5, params=p,
     )
-    spec5 = replace(spec3, arity=5, degree=cfg.d5)
 
     stages: list = []
-    cloud_features: dict = {}  # {spec: the cloud's features}, kept for every stage
+    cloud_features: dict = {}  # {arity: the cloud's features}, kept for every stage
 
     def advanced(t, atoms, features):
         """The sizes of ``atoms`` at t under the flow of the stages fitted so far."""
         if not stages:
             return atoms.sizes
-        return _flow(p, dt, t, _stage_values(stages, atoms, features), atoms)
+        return _flow(p, dt, t, _stage_values(spec, stages, atoms, features), atoms)
 
     for k in range(cfg.n_stages):
         t_k = k * dt
-        spec = spec3 if k == 0 else spec5
         sizes_cloud = advanced(t_k, cloud, cloud_features)
 
         sets = []
@@ -502,18 +495,19 @@ def train(mu0_cfg: Mu0Config, cfg: TrainConfig, seed: int) -> MeanFieldModel:
             probes = draw(tag, k, cfg.K)
             features: dict = {}
             sizes = advanced(t_k, probes, features)
-            if spec not in features:
-                features[spec] = feature_map(spec, probes)
             targets = mc_potential(
                 p, sizes, probes.positions, sizes_cloud, cloud.positions
             )
-            sets.append((features[spec], targets))
+            sets.append((_stage_features(spec, k, probes, features), targets))
 
-        stages.append(fit_stage(spec, *sets, stage_index=k))
+        try:
+            stages.append(fit_stage(*sets))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"stage {k}: {exc}") from exc
 
     return MeanFieldModel(
         stages=stages,
-        dt=dt,
+        spec=spec,
         T=float(cfg.T),
         mu0_cfg=mu0_cfg,
         n_cloud=cfg.N,
@@ -523,9 +517,9 @@ def train(mu0_cfg: Mu0Config, cfg: TrainConfig, seed: int) -> MeanFieldModel:
 
 # --------------------------------------------------------------------------
 # Serialization: versioned JSON, canonical layout, bit-exact round trips.
-# Each record is written as its dataclass fields by name, with three
-# exceptions: the shared ModelParams appear once, as "params"; the initial
-# law sits under "mu0"; and a stage's FeatureSpec fields sit beside its own.
+# Each record is written as its dataclass fields by name, with two
+# exceptions: the shared ModelParams appear once, as "params", and the
+# initial law sits under "mu0".
 
 
 def _fields_dict(obj, skip=("params",)) -> dict:
@@ -560,18 +554,17 @@ def model_to_dict(model: MeanFieldModel, config_sha256: str = "") -> dict:
         **_fields_dict(model, skip=("mu0_cfg", "stages")),
         "params": _fields_dict(model.params),
         "mu0": _fields_dict(model.mu0_cfg),
-        "stages": [
-            {**_fields_dict(st, skip=("spec",)), **_fields_dict(st.spec)}
-            for st in model.stages
-        ],
+        "stages": [_fields_dict(st) for st in model.stages],
     }
 
 
 def model_from_dict(d: dict) -> MeanFieldModel:
-    if d.get("format") != MODEL_FORMAT:
+    if not isinstance(d, dict) or d.get("format") != MODEL_FORMAT:
         raise ValueError("not a recognized model document")
     if d.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {d.get('version')!r}")
+        raise ValueError(
+            f"unsupported model version {d.get('version')!r}; retrain with train-meanfield"
+        )
     params = _from_fields(ModelParams, d["params"])
     mu0 = d["mu0"]
     mu0_cfg = _from_fields(
@@ -579,13 +572,9 @@ def model_from_dict(d: dict) -> MeanFieldModel:
         S_surface=_from_fields(SurfaceParams, mu0["S_surface"]),
         gamma_surface=_from_fields(SurfaceParams, mu0["gamma_surface"]),
     )
-    stages = [
-        _from_fields(
-            PotentialStage, sd, spec=_from_fields(FeatureSpec, sd, params=params)
-        )
-        for sd in d["stages"]
-    ]
-    return _from_fields(MeanFieldModel, d, mu0_cfg=mu0_cfg, stages=stages)
+    spec = _from_fields(FeatureSpec, d["spec"], params=params)
+    stages = [_from_fields(PotentialStage, sd) for sd in d["stages"]]
+    return _from_fields(MeanFieldModel, d, mu0_cfg=mu0_cfg, spec=spec, stages=stages)
 
 
 def save_model(model: MeanFieldModel, path, config_sha256: str = "") -> None:
@@ -605,8 +594,8 @@ def load_model(path) -> MeanFieldModel:
 def export_r2_csv(model: MeanFieldModel, path, comments=()) -> None:
     """One row per stage start time: t, r2_train, r2_test."""
     rows = [
-        (float(st.stage_index * model.dt), st.r2_train, st.r2_test)
-        for st in model.stages
+        (float(k * model.spec.dt), st.r2_train, st.r2_test)
+        for k, st in enumerate(model.stages)
     ]
     header = ["t", "r2_train", "r2_test"]
     write_csv(path, header, map(format_row, rows), comments=comments)

@@ -224,9 +224,9 @@ def convergence_experiment(
         if self_comparison:
             mf_sizes = sim_sizes
         else:
-            sv = _stage_values(model.stages, state0)  # one evaluation for every t
+            sv = _stage_values(model.spec, model.stages, state0)  # shared by every t
             mf_sizes = np.stack([
-                _flow(params, model.dt, _horizon_time(model, t), sv, state0)
+                _flow(params, model.spec.dt, _horizon_time(model, t), sv, state0)
                 for t in t_grid
             ])
 

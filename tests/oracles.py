@@ -63,5 +63,5 @@ def reconstructed_potential_integral(model, t: float, atoms) -> np.ndarray:
     and for gamma = 0 (the weight density vanishes identically).
     """
     t = _horizon_time(model, t)
-    stage_vals = _stage_values(model.stages, atoms)
-    return _potential_integral(model.dt, t, stage_vals, atoms.rates)
+    stage_vals = _stage_values(model.spec, model.stages, atoms)
+    return _potential_integral(model.spec.dt, t, stage_vals, atoms.rates)

@@ -203,14 +203,14 @@ def _one_atom(rng, gamma_lo):
 def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
     model, _ = trained_model
     p = model.params
-    dt, m = model.dt, model.n_stages
+    dt, m = model.spec.dt, model.n_stages
 
     worst_int = 0.0
     for _ in range(500):
         t = rng.uniform(0.0, model.T)
         atom = _one_atom(rng, 0.1)
         gamma = atom.rates[0]
-        vals = _stage_values(model.stages, atom)[:, 0]
+        vals = _stage_values(model.spec, model.stages, atom)[:, 0]
 
         def step(tau):
             return vals[min(int(tau / dt), m - 1)]
@@ -226,13 +226,12 @@ def test_criterion_08_flow_solves_its_integral_equation(trained_model, rng):
     zero = pf.MeanFieldModel(
         stages=[
             pf.PotentialStage(
-                beta=np.zeros_like(st.beta), spec=st.spec,
+                beta=np.zeros_like(st.beta),
                 r2_train=float("nan"), r2_test=float("nan"),
-                stage_index=st.stage_index,
             )
             for st in model.stages
         ],
-        dt=model.dt, T=model.T, mu0_cfg=model.mu0_cfg,
+        spec=model.spec, T=model.T, mu0_cfg=model.mu0_cfg,
         n_cloud=model.n_cloud, seed=model.seed,
     )
     worst_flow = 0.0

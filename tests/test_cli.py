@@ -521,14 +521,65 @@ def _dump_edited_model(trained_dir, tmp_path, edit):
         lambda d: d["mu0"].pop("delta_S"),
         lambda d: d["mu0"]["gamma_surface"].pop("curvature_trough"),
         lambda d: d["stages"][-1].pop("r2_test"),
-        lambda d: d["stages"][-1].update(dt="1.0"),
-        lambda d: d["stages"][-1].update(degree=2.5),
+        lambda d: d["spec"].update(dt="1.0"),
+        lambda d: d["spec"].update(d5=2.5),
     ],
-    ids=["mu0", "surface", "stage", "stage-dt-string", "stage-degree-float"],
+    ids=["mu0", "surface", "stage", "spec-dt-string", "spec-d5-float"],
 )
 def test_exit_code_model_missing_key(edit, trained_dir, tmp_path, capsys):
     assert _dump_edited_model(trained_dir, tmp_path, edit) == 2
     assert "invalid model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        (lambda d: d.update(version=1), ["model version 1", "retrain"]),
+        (lambda d: d["stages"][1]["beta"].pop(), ["stage 1: beta must have length 6"]),
+        (lambda d: d["spec"].update(d5=2.5), ["degrees must be", "d5=2.5"]),
+    ],
+    ids=["version-1", "short-beta", "d5-float"],
+)
+def test_exit_code_model_document_names_its_fault(
+    edit, words, trained_dir, tmp_path, capsys
+):
+    # A document of the previous layout (a frame per stage) is refused, not
+    # read; a coefficient vector is checked against its stage's position,
+    # and the frame's degrees are checked whether or not a stage uses them.
+    assert _dump_edited_model(trained_dir, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--model", b"[]"),
+        ("--model", None),
+        ("--model", b"\xff{}"),
+        ("--config", None),
+        ("--config", b"seed = 1 # \xff\n"),
+    ],
+    ids=[
+        "model-not-object", "model-directory", "model-not-utf8",
+        "config-directory", "config-not-utf8",
+    ],
+)
+def test_exit_code_unreadable_input_file(flag, content, tmp_path, capsys):
+    # An input that cannot be read as its format is a configuration error
+    # that names the file, not a traceback; ``None`` makes it a directory.
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if flag == "--model":
+        argv = ["potential-dump", "--model", str(path), "--grid", "0,1,0,1,2"]
+    else:
+        argv = ["simulate", "--config", str(path), "--n", "4"]
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(path) in err
 
 
 @pytest.mark.parametrize(
@@ -592,7 +643,7 @@ def test_exit_code_malformed_model_horizon(cmd, dt, T, trained_dir, tmp_path, ca
     # A negative horizon of whole stages (dt = -1, T = -m) and NaN values
     # pass a bare stage-count test (false for NaN), so dt is checked first.
     doc = json.loads((trained_dir / "model.json").read_text())
-    doc["dt"] = doc["dt"] if dt is None else dt
+    doc["spec"]["dt"] = doc["spec"]["dt"] if dt is None else dt
     doc["T"] = -len(doc["stages"]) if T is None else T
     bad = tmp_path / "horizon.json"
     bad.write_text(json.dumps(doc))
@@ -602,21 +653,21 @@ def test_exit_code_malformed_model_horizon(cmd, dt, T, trained_dir, tmp_path, ca
     assert "invalid model file" in err and ("dt" in err or "T=" in err)
 
 
-@pytest.mark.parametrize("field, index", [("dt", None), ("length_x", None), ("center", 0)])
+@pytest.mark.parametrize("field, index", [("dt", None), ("length", None), ("center", 0)])
 @pytest.mark.parametrize(
     "cmd",
     [("converge", "--n-list", "4"), ("potential-dump", "--grid", "0,1,0,1,2")],
     ids=["converge", "potential-dump"],
 )
 def test_exit_code_non_finite_stage_spec(cmd, field, index, trained_dir, tmp_path, capsys):
-    # json.load reads the NaN literal, so a stage spec can hold one; it is
-    # refused when the spec is built, before any row is computed.
+    # json.load reads the NaN literal, so the model's feature frame can hold
+    # one; it is refused when the frame is built, before any row is computed.
     doc = json.loads((trained_dir / "model.json").read_text())
-    stage = doc["stages"][1]
+    spec = doc["spec"]
     if index is None:
-        stage[field] = float("nan")
+        spec[field] = float("nan")
     else:
-        stage[field][index] = float("nan")
+        spec[field][index] = float("nan")
     bad = tmp_path / "spec.json"
     bad.write_text(json.dumps(doc))
     name, *rest = cmd

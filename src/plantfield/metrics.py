@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .initial import Mu0Config, sample_mu0, samples_to_state
 from .meanfield import (
@@ -25,6 +23,7 @@ from .population import (
     PopulationState,
     SolverConfig,
     Trajectory,
+    _sq_distances,
     empirical_flow,
     integrate,
     snapshot_measure,
@@ -73,15 +72,19 @@ def _trait_cost(
     w: ZMetricWeights, a: PopulationState, b: PopulationState
 ) -> np.ndarray:
     """The cap, position and rate terms of the ground metric between the
-    atoms of a (rows) and b (columns); the size term is added per use.
-
-    ``cdist`` forms dx^2 + dy^2 exactly as NumPy's subtract and square do,
-    without an (n, n, 2) temporary.
-    """
+    atoms of a (rows) and b (columns); the size term is added per use."""
     dS = np.abs(a.caps[:, None] - b.caps[None, :]) / w.s_m
-    dxy = np.sqrt(cdist(a.positions, b.positions, "sqeuclidean")) / w.ell
+    dxy = np.sqrt(_sq_distances(a.positions, b.positions)) / w.ell
     dg = w.tau_r * np.abs(a.rates[:, None] - b.rates[None, :])
     return dS + dxy + dg
+
+
+def linear_sum_assignment(cost):
+    """SciPy's assignment solver, imported on first use: only matching
+    needs ``scipy.optimize``, which adds about 22 MB resident."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _matched_cost(w: ZMetricWeights, sizes_a, sizes_b, trait) -> float:

@@ -17,7 +17,6 @@ from itertools import repeat
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .model import (
     ModelParams, _domain_checks, _raise_first_offender, _require_positive,
@@ -209,14 +208,24 @@ def _hold_in_band(r, caps_log, tol, step_index):
     return _project(r, caps_log)
 
 
+def _sq_distances(a, b, out=None) -> np.ndarray:
+    """Squared distances dx^2 + dy^2 between points a (T, 2) and b (S, 2),
+    written into ``out`` (T, S) if given; dy^2 takes one T x S temporary.
+    The bits equal SciPy's ``cdist(a, b, "sqeuclidean")``."""
+    out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    np.multiply(out, out, out=out)
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    out += np.multiply(dy, dy, out=dy)
+    return out
+
+
 def _kernel_block(x, sources, sigma_x: float, out: np.ndarray) -> np.ndarray:
     """Write 1 / (1 + |x_i - x'_j|^2 / sigma_x^2) of targets x (T, 2) and
     sources x' (S, 2) into ``out`` (T, S, C-contiguous) and return it.
 
-    ``cdist`` forms dx^2 + dy^2 exactly as NumPy's subtract and square do,
-    and the rest is in place, so no T x S temporary is made.
+    ``_sq_distances`` makes one T x S temporary; the rest is in place.
     """
-    cdist(x, sources, "sqeuclidean", out=out)
+    _sq_distances(x, sources, out)
     out /= sigma_x**2
     out += 1.0
     return np.reciprocal(out, out=out)

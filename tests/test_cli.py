@@ -794,30 +794,47 @@ def test_degree_zero_training_runs(tmp_path):
     assert all(st.beta.shape == (1,) for st in model.stages)
 
 
+def _package_env(**extra):
+    """The environment of a child process that imports this package."""
+    src = str(Path(pf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def _assert_bytes_do_not_depend_on_blas_threads(argv, names, tmp_path):
+    """Run ``plantfield argv --out <dir>`` under one and two BLAS threads,
+    each in a fresh process, and compare the files ``names`` byte for byte."""
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = _package_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "plantfield", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def default_model(trained_model, tmp_path_factory):
+    """The session's model trained at the default settings, as a file."""
+    path = tmp_path_factory.mktemp("default_model") / "model.json"
+    pf.save_model(trained_model[0], path)
+    return path
+
+
 def test_train_meanfield_bytes_do_not_depend_on_blas_threads(tmp_path):
     # The training targets' rank-8 cross sums are rounded inside the BLAS
     # kernel; one and two BLAS threads must still write the same model and
     # R^2 table byte for byte.
     cfg = tmp_path / "small.cfg"
     cfg.write_text("train.T = 2.0\ntrain.N = 300\ntrain.K = 300\n")
-    src = str(Path(pf.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {
-            **os.environ, "PYTHONPATH": path,
-            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-        }
-        proc = subprocess.run(
-            [sys.executable, "-m", "plantfield", "train-meanfield",
-             "--config", str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("model.json", "r2.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    _assert_bytes_do_not_depend_on_blas_threads(
+        ["train-meanfield", "--config", str(cfg)], ["model.json", "r2.csv"], tmp_path
+    )
 
 
 @pytest.mark.parametrize("n", [129, 300])
@@ -828,24 +845,72 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(n, tmp_path):
     # 129 plants leave a one-row second block; 300 make three blocks.
     cfg = tmp_path / "short.cfg"
     cfg.write_text(f"solver.t_end = 1.0\nsim.n = {n}\n")
-    src = str(Path(pf.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {
-            **os.environ, "PYTHONPATH": path,
-            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-        }
-        proc = subprocess.run(
-            [sys.executable, "-m", "plantfield", "simulate",
-             "--config", str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("trajectory.csv", "diagnostics.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    _assert_bytes_do_not_depend_on_blas_threads(
+        ["simulate", "--config", str(cfg)], ["trajectory.csv", "diagnostics.json"],
+        tmp_path,
+    )
+
+
+def test_converge_bytes_do_not_depend_on_blas_threads(default_model, tmp_path):
+    # Each N integrates a population (row sums by block gemv) and evaluates
+    # the surrogate flow (stage products F @ beta); 129 plants leave a
+    # one-row second kernel block.
+    _assert_bytes_do_not_depend_on_blas_threads(
+        ["converge", "--model", str(default_model), "--n-list", "50,129"],
+        ["distances.csv"], tmp_path,
+    )
+
+
+def test_potential_dump_bytes_do_not_depend_on_blas_threads(default_model, tmp_path):
+    # 97^2 = 9409 grid points make two full flow chunks and a ragged third,
+    # each a threaded F @ beta product.
+    _assert_bytes_do_not_depend_on_blas_threads(
+        ["potential-dump", "--model", str(default_model), "--grid", "-1,2,-3,1,97"],
+        ["potential_surface.csv"], tmp_path,
+    )
+
+
+_LOADED_SCIPY = """\
+import json, sys
+from plantfield.cli import main
+heavy = ("scipy.optimize", "scipy.spatial")
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_scipy_they_run(tmp_path):
+    # scipy.optimize and scipy.spatial hold about a quarter of a simulate
+    # process's resident memory: simulate and train-meanfield must not load
+    # them, and converge loads scipy.optimize for its matching when it runs.
+    # One process runs the commands in turn, so each sees what the earlier
+    # ones loaded.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "solver.t_end = 1.0\nsim.n = 8\n"
+        "train.T = 1.0\ntrain.N = 40\ntrain.K = 40\n"
+    )
+    model = tmp_path / "train" / "model.json"
+    commands = [
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
+        ["train-meanfield", "--config", str(cfg), "--out", str(tmp_path / "train")],
+        ["potential-dump", "--model", str(model), "--grid", "-1,1,-1,1,3",
+         "--out", str(tmp_path / "dump")],
+        ["converge", "--config", str(cfg), "--model", str(model), "--n-list", "4,6",
+         "--out", str(tmp_path / "conv")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY, json.dumps(commands)],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    # scipy.optimize imports scipy.spatial itself.
+    assert "scipy.optimize" in loaded.pop("converge")
+    assert loaded == {"simulate": [], "train-meanfield": [], "potential-dump": []}
 
 
 def test_module_execution():

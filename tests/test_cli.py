@@ -872,22 +872,24 @@ def test_potential_dump_bytes_do_not_depend_on_blas_threads(default_model, tmp_p
 
 _LOADED_SCIPY = """\
 import json, sys
+import plantfield
 from plantfield.cli import main
-heavy = ("scipy.optimize", "scipy.spatial")
-loaded = {}
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = {"import plantfield": scipy_modules()}
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded[argv[0]] = [m for m in heavy if m in sys.modules]
+    loaded[argv[0]] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_commands_load_only_the_scipy_they_run(tmp_path):
-    # scipy.optimize and scipy.spatial hold about a quarter of a simulate
-    # process's resident memory: simulate and train-meanfield must not load
-    # them, and converge loads scipy.optimize for its matching when it runs.
-    # One process runs the commands in turn, so each sees what the earlier
-    # ones loaded.
+    # Loading SciPy costs a process about 20 MB resident and 0.3 s: the
+    # package, simulate, train-meanfield and potential-dump must not load
+    # any of it, and converge loads scipy.optimize for its matching when it
+    # runs.  One process runs the commands in turn, so each sees what the
+    # earlier ones loaded.
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
         "solver.t_end = 1.0\nsim.n = 8\n"
@@ -908,9 +910,11 @@ def test_commands_load_only_the_scipy_they_run(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    # scipy.optimize imports scipy.spatial itself.
     assert "scipy.optimize" in loaded.pop("converge")
-    assert loaded == {"simulate": [], "train-meanfield": [], "potential-dump": []}
+    assert loaded == {
+        "import plantfield": [], "simulate": [], "train-meanfield": [],
+        "potential-dump": [],
+    }
 
 
 def test_module_execution():

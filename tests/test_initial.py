@@ -1,14 +1,18 @@
 """Initial-distribution sampling: surfaces, truncated normals, streams."""
 
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
 import plantfield as pf
-from plantfield.initial import _truncnorm_ppf, export_samples_csv
+from plantfield import initial
+from plantfield.initial import _ndtr, _ndtri, _truncnorm_ppf, export_samples_csv
 
 # Frozen surface values at landmark positions (50-digit arithmetic).
 CAP_SURFACE_AT_PEAK = 0.96616617919084683
@@ -114,6 +118,126 @@ def test_truncnorm_ppf_matches_scipy_in_either_tail(mean, sd, lo, hi):
     got = _truncnorm_ppf(u, mean, sd, lo, hi)
     assert np.all((lo < got) & (got < hi))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def _max_rel_err(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+# At the few-ulp floor both implementations round differently, not better:
+# SciPy's ndtri reads 4.5e-16 where AS241 (also CPython's) reads 7.4e-16.
+_ULP_FLOOR = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("lo, hi", [(-37.5, -8.0), (-8.0, 8.3)])
+def test_ndtr_matches_mpmath(lo, hi):
+    # Up to -37.5 the CDF is a normal float; SciPy 1.17.1 errs by 2.3e-13
+    # (relative) on the deep lower tail and 1.0e-14 on [-8, 8].
+    x = np.linspace(lo, hi, 1501)
+    with mpmath.workdps(50):
+        want = np.array([float(mpmath.ncdf(v)) for v in x.tolist()])
+    ours, theirs = _max_rel_err(_ndtr(x), want), _max_rel_err(ndtr(x), want)
+    assert ours <= max(theirs, _ULP_FLOOR), (ours, theirs)
+    assert ours < 1e-15
+
+
+def _ndtri_mpmath(p):
+    """The quantile at the exact float p, by Newton steps at 50 digits."""
+    with mpmath.workdps(50):
+        p, x = mpmath.mpf(p), mpmath.mpf(float(ndtri(p)))
+        for _ in range(5):
+            x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+        return float(x)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        np.geomspace(1e-300, 0.075, 1200),  # the lower tail, both rationals
+        np.linspace(0.075, 0.925, 801),  # the centre
+        1.0 - np.geomspace(1e-16, 0.075, 400),  # the upper tail
+    ],
+    ids=["lower", "centre", "upper"],
+)
+def test_ndtri_matches_mpmath(p):
+    p = p[p != 0.5]
+    want = np.array([_ndtri_mpmath(v) for v in p.tolist()])
+    ours, theirs = _max_rel_err(_ndtri(p), want), _max_rel_err(ndtri(p), want)
+    assert ours <= max(theirs, _ULP_FLOOR), (ours, theirs)
+
+
+def test_ndtri_is_monotone():
+    # Grids through every branch switch (|p - 1/2| = 0.425 and r = 5 on
+    # both sides), each spaced wider than the rounding: at one-ulp spacing
+    # of p, AS241's tail rationals can step back by one ulp.
+    edges = [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)]
+    for p in [
+        np.linspace(0.0, 1.0, 100_001),
+        np.geomspace(1e-300, 0.5, 100_000),
+        1.0 - np.geomspace(0.5, 1e-16, 10_000),
+        *(e + max(1e-12 * min(e, 1.0 - e), 2 * np.spacing(e)) * np.arange(-2000, 2001)
+          for e in edges),
+    ]:
+        assert np.all(np.diff(_ndtri(p)) >= 0.0), p[0]
+
+
+def test_normal_cdf_and_quantile_edges():
+    # Exact edges are handled, not computed through: no warning and no
+    # floating-point error flag (underflow aside) may be raised.
+    raised = {"divide": "raise", "over": "raise", "invalid": "raise"}
+    with warnings.catch_warnings(), np.errstate(**raised):
+        warnings.simplefilter("error")
+        cdf = _ndtr(np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, -40.0, 40.0]))
+        quantile = _ndtri(np.array([0.0, 1.0, np.nan, 0.5, -0.1, 1.5]))
+        scalars = (_ndtr(-np.inf), _ndtr(np.nan), _ndtri(0.0), _ndtri(1.0))
+    np.testing.assert_array_equal(cdf, [0.0, 1.0, np.nan, 0.5, 0.5, 0.0, 1.0])
+    np.testing.assert_array_equal(
+        quantile, [-np.inf, np.inf, np.nan, 0.0, np.nan, np.nan]
+    )
+    np.testing.assert_array_equal(scalars, [0.0, np.nan, -np.inf, np.inf])
+
+
+def test_truncnorm_ppf_keeps_a_bound_whose_cdf_underflows():
+    # At -40 sd the CDF is 0, so u = 0 asks for the quantile at 0: -inf,
+    # clipped to the bound.  Either end of a standardised interval.
+    assert _truncnorm_ppf(0.0, 0.0, 1.0, -40.0, 0.0) == -40.0
+    assert _truncnorm_ppf(1.0, 0.0, 1.0, 0.0, 40.0) == 40.0
+    got = _truncnorm_ppf(np.array([0.0, 0.5]), np.array([0.0, 0.0]), 1.0, -40.0, 0.0)
+    assert got[0] == -40.0 and -40.0 < got[1] < 0.0
+
+
+def test_sample_redraws_a_cap_on_its_bound(mu0_point, monkeypatch):
+    # A flat cap surface 250 sd above S_lower: the CDF at the bound is 0 and
+    # a first uniform of 0 puts plant 0 on the bound, so it is redrawn from
+    # its own stream.
+    flat = replace(mu0_point.S_surface, offset=0.75, peak_value=0.75, trough_value=0.75)
+    cfg = replace(mu0_point, S_surface=flat, delta_S=0.001).with_seed(6)
+    hi = cfg.params.max_size
+    real = initial._stream
+
+    class FirstUniformZero:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, n):
+            u = self.rng.random(n)
+            u[0] = 0.0
+            return u
+
+    def stream(seed, key):
+        rng = real(seed, key)
+        return FirstUniformZero(rng) if key == (initial._STREAM_S,) else rng
+
+    plain = pf.sample_mu0(cfg, 8)
+    monkeypatch.setattr(initial, "_stream", stream)
+    patched = pf.sample_mu0(cfg, 8)
+    assert _truncnorm_ppf(0.0, 0.75, 0.001, cfg.S_lower, hi) == cfg.S_lower
+    redrawn = _truncnorm_ppf(real(6, (initial._STREAM_S, 0)).random(), 0.75, 0.001,
+                             cfg.S_lower, hi)
+    assert cfg.S_lower < redrawn < hi
+    assert patched.S[0] == redrawn
+    assert np.array_equal(patched.S[1:], plain.S[1:])
+    assert np.array_equal(patched.gamma, plain.gamma)
 
 
 def test_position_moments(mu0_point):

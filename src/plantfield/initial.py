@@ -272,16 +272,60 @@ def _ndtri(p):
     return x.reshape(p.shape)
 
 
+# Standardised lower bound past which the upper tail is inverted in scaled
+# form: the tail mass Q(z) underflows to 0 about 38.5 sd out.
+_FAR_TAIL = 30.0
+
+
+def _mills(z):
+    """The Mills ratio Q(z)/phi(z) by the asymptotic series of ``_ndtr``,
+    at full precision for z >= ``_FAR_TAIL``."""
+    t = 1.0 / z
+    return _horner(_ERFC_ASYMPTOTIC, t * t) * t
+
+
+def _far_tail_quantile(u, z_lo, z_hi):
+    """Quantile u < 1 of N(0, 1) conditioned to [z_lo, z_hi], for z_lo at
+    or past ``_FAR_TAIL``, by Newton's method on the log of the scaled tail
+    R(z) = Q(z)/phi(z_lo) = exp(-(z - z_lo)(z + z_lo)/2) M(z), M the Mills
+    ratio.  The draw solves R(z) = R(z_lo) - u (R(z_lo) - R(z_hi)); the log
+    of R falls with slope -1/M(z) and is concave, so Newton from z_lo
+    lands past the root once and then falls to it quadratically."""
+    m_lo = _mills(z_lo)
+
+    def log_ratio(z):  # log R(z)/R(z_lo)
+        return np.log(_mills(z) / m_lo) - 0.5 * (z - z_lo) * (z + z_lo)
+
+    # Capped at z_lo + 40, the product in log_ratio cannot overflow; past
+    # the cap R(z_hi)/R(z_lo) < e^-1200 rounds to 0 all the same.
+    rho = np.exp(log_ratio(np.minimum(z_hi, z_lo + 40.0)))
+    # log(1 - u (1 - rho)); 1 - u is exact from u = 1/2 on.
+    target = np.where(
+        u < 0.5, np.log1p(-u * (1.0 - rho)), np.log((1.0 - u) + u * rho)
+    )
+    z = z_lo
+    for _ in range(6):
+        z = z + _mills(z) * (log_ratio(z) - target)
+    return z
+
+
 def _truncnorm_ppf(u, mean, sd, lo, hi):
     """Inverse CDF of N(mean, sd^2) conditioned to [lo, hi], by one CDF call
     over both standardised bounds.  Where lo lies above the mean, it inverts
     the mirrored upper tail: the CDF rounds to 1 about 8 sd above the mean,
-    which would clip every draw to a bound."""
+    which would clip every draw to a bound.  From ``_FAR_TAIL`` sd on, where
+    the tail itself underflows, ``_far_tail_quantile`` draws every u < 1
+    (u = 1, the upper bound, stays with the CDF form)."""
     z = np.stack(np.broadcast_arrays((lo - mean) / sd, (hi - mean) / sd))
     upper = z[0] > 0.0
     a, b = _ndtr(np.where(upper, -z[::-1], z))
     p = np.where(upper, b - u * (b - a), a + u * (b - a))
-    x = mean + np.where(upper, -sd, sd) * _ndtri(p)
+    q = _ndtri(p)
+    far = np.broadcast_to((z[0] >= _FAR_TAIL) & (u < 1.0), q.shape)
+    if far.any():
+        u_far, z_lo, z_hi = (np.broadcast_to(v, q.shape)[far] for v in (u, *z))
+        q[far] = -_far_tail_quantile(u_far, z_lo, z_hi)
+    x = mean + np.where(upper, -sd, sd) * q
     return np.clip(x, lo, hi)
 
 

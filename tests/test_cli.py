@@ -457,6 +457,20 @@ def test_exit_code_diverged_integration(tmp_path, monkeypatch, capsys):
     assert "numerical failure: size bound violated" in capsys.readouterr().err
 
 
+def test_simulate_draws_caps_far_above_their_mean(tmp_path):
+    # S_lower = 0.5 lies 40 sd above a flat cap mean of 0.1: the tail
+    # mass there underflows, yet every cap must be drawn inside its bounds.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        "mu0.S_surface.offset = 0.1\nmu0.S_surface.peak = 0.1\n"
+        "mu0.S_surface.trough = 0.1\nmu0.delta_S = 0.01\n"
+    )
+    out = tmp_path / "o"
+    assert run("simulate", "--config", str(cfg), "--n", "20", "--out", str(out)) == 0
+    caps = np.array([float(r["S"]) for r in _read_rows(out / "trajectory.csv")])
+    assert np.all((0.5 < caps) & (caps < 0.51))
+
+
 def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys):
     def nan_integrate(params, state0, cfg):
         pf.solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, state0.sizes)
@@ -872,6 +886,12 @@ def test_potential_dump_bytes_do_not_depend_on_blas_threads(default_model, tmp_p
 
 _LOADED_SCIPY = """\
 import json, sys
+if sys.argv[2] == "refuse":
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is refused")
+    sys.meta_path.insert(0, RefuseScipy())
 import plantfield
 from plantfield.cli import main
 def scipy_modules():
@@ -884,37 +904,43 @@ print(json.dumps(loaded))
 """
 
 
-def test_commands_load_only_the_scipy_they_run(tmp_path):
-    # Loading SciPy costs a process about 20 MB resident and 0.3 s: the
-    # package, simulate, train-meanfield and potential-dump must not load
-    # any of it, and converge loads scipy.optimize for its matching when it
-    # runs.  One process runs the commands in turn, so each sees what the
-    # earlier ones loaded.
+def test_no_command_loads_scipy(tmp_path):
+    # Loading SciPy costs a process about 40 MB resident and 0.8 s: neither
+    # the package nor any command may load any of it.  One process runs
+    # the commands in turn, so each sees what the earlier ones loaded; a
+    # second process refuses every scipy import and must write the same
+    # bytes.
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
         "solver.t_end = 1.0\nsim.n = 8\n"
         "train.T = 1.0\ntrain.N = 40\ntrain.K = 40\n"
     )
-    model = tmp_path / "train" / "model.json"
-    commands = [
-        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
-        ["train-meanfield", "--config", str(cfg), "--out", str(tmp_path / "train")],
-        ["potential-dump", "--model", str(model), "--grid", "-1,1,-1,1,3",
-         "--out", str(tmp_path / "dump")],
-        ["converge", "--config", str(cfg), "--model", str(model), "--n-list", "4,6",
-         "--out", str(tmp_path / "conv")],
-    ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_SCIPY, json.dumps(commands)],
-        env=_package_env(), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert "scipy.optimize" in loaded.pop("converge")
-    assert loaded == {
-        "import plantfield": [], "simulate": [], "train-meanfield": [],
-        "potential-dump": [],
-    }
+    outs = {}
+    for mode in ("load", "refuse"):
+        out = outs[mode] = tmp_path / mode
+        model = out / "train" / "model.json"
+        commands = [
+            ["simulate", "--config", str(cfg), "--out", str(out / "sim")],
+            ["train-meanfield", "--config", str(cfg), "--out", str(out / "train")],
+            ["potential-dump", "--model", str(model), "--grid", "-1,1,-1,1,3",
+             "--out", str(out / "dump")],
+            ["converge", "--config", str(cfg), "--model", str(model),
+             "--n-list", "4,6", "--out", str(out / "conv")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_SCIPY, json.dumps(commands), mode],
+            env=_package_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import plantfield": [], "simulate": [], "train-meanfield": [],
+            "potential-dump": [], "converge": [],
+        }
+    files = sorted(p.relative_to(outs["load"]) for p in outs["load"].rglob("*.*"))
+    assert len(files) == 6
+    assert files == sorted(p.relative_to(outs["refuse"]) for p in outs["refuse"].rglob("*.*"))
+    for name in files:
+        assert (outs["load"] / name).read_bytes() == (outs["refuse"] / name).read_bytes(), name
 
 
 def test_module_execution():

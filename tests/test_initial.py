@@ -206,6 +206,30 @@ def test_truncnorm_ppf_keeps_a_bound_whose_cdf_underflows():
     assert got[0] == -40.0 and -40.0 < got[1] < 0.0
 
 
+def _truncnorm_ppf_mpmath(u, lo, hi):
+    """The quantile u of N(0, 1) conditioned to [lo, hi], by Newton steps
+    on the tail mass at 50 digits, from the exact floats given."""
+    with mpmath.workdps(50):
+        u, lo, hi = mpmath.mpf(u), mpmath.mpf(lo), mpmath.mpf(hi)
+        tail = lambda z: mpmath.erfc(z / mpmath.sqrt(2)) / 2
+        target = tail(lo) - u * (tail(lo) - tail(hi))
+        z = lo
+        for _ in range(60):
+            z += (tail(z) - target) / mpmath.npdf(z)
+        return float(z)
+
+
+@pytest.mark.parametrize("lo", [30.0, 30.5, 38.4, 40.0, 55.0, 200.0, 1e4])
+def test_truncnorm_ppf_far_tail_matches_mpmath(lo):
+    # From 30 sd on, the tail mass is inverted in scaled form; past about
+    # 38.5 sd it underflows, and every draw would be clipped to a bound.
+    u = np.array([0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 2.0**-53])
+    for hi in (lo + 1e-6 / lo, lo + 0.01, lo + 0.5, lo + 3.0, lo + 1e3):
+        want = [_truncnorm_ppf_mpmath(v, lo, hi) for v in u.tolist()]
+        got = _truncnorm_ppf(u, 0.0, 1.0, lo, hi)
+        np.testing.assert_allclose(got, want, rtol=_ULP_FLOOR, atol=0.0)
+
+
 def test_sample_redraws_a_cap_on_its_bound(mu0_point, monkeypatch):
     # A flat cap surface 250 sd above S_lower: the CDF at the bound is 0 and
     # a first uniform of 0 puts plant 0 on the bound, so it is redrawn from

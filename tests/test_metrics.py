@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 import plantfield as pf
@@ -182,6 +183,75 @@ def test_matching_refuses_oversized_and_mismatched(w, rng):
         pf.w1_matching(a, _measure(rng, 5), w)
 
 
+def _assert_assignment_equals_scipy(cost):
+    # The package solves the assignment with NumPy alone; SciPy's solver
+    # is the oracle here.  Ties can pick another optimum, so the matched
+    # sums are compared, to the bound criterion 07 uses.
+    n = cost.shape[0]
+    cols = metrics._min_cost_assignment(cost)
+    assert np.array_equal(np.sort(cols), np.arange(n))
+    rows, want = linear_sum_assignment(cost)
+    assert cost[np.arange(n), cols].sum() == pytest.approx(
+        cost[rows, want].sum(), rel=1e-12, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("kind", ["uniform", "signed", "integer-ties"])
+def test_assignment_equals_scipy_on_dense_costs(kind):
+    rng = np.random.default_rng(29)
+    draw = {
+        "uniform": lambda n: rng.random((n, n)),
+        "signed": lambda n: rng.uniform(-1.0, 1.0, (n, n)),
+        "integer-ties": lambda n: rng.integers(0, 4, (n, n)).astype(float),
+    }[kind]
+    for n in range(1, 65):
+        for _ in range(3):
+            _assert_assignment_equals_scipy(draw(n))
+
+
+@pytest.mark.parametrize("cheap_traits", [False, True])
+def test_assignment_equals_scipy_on_converge_costs(exp_config, cheap_traits):
+    # Built as converge builds them: one state's trait cost against
+    # itself plus the size term of two nearby size vectors.  Cheap
+    # position and rate terms make some swaps pay.
+    w = exp_config.weights
+    if cheap_traits:
+        w = replace(w, ell=1e3, tau_r=1e-3)
+    rng = np.random.default_rng(31)
+    for n in range(1, 65):
+        state = _measure(rng, n)
+        trait = metrics._trait_cost(w, state, state)
+        for spread in (1e-4, 1e-2, 0.3):
+            near = state.sizes + rng.normal(scale=spread, size=n)
+            _assert_assignment_equals_scipy(
+                np.abs(np.subtract.outer(state.sizes, near)) / w.s_m + trait
+            )
+
+
+def test_assignment_equals_scipy_on_permuted_diagonals_and_wide_scales():
+    rng = np.random.default_rng(37)
+    for n in range(1, 65):
+        # Off-diagonal entries exceed every diagonal one, so the only
+        # optimum gives row k the column it held before the shuffle.
+        diagonal = rng.random((n, n)) + np.where(np.eye(n, dtype=bool), 0.0, 1.0)
+        perm = rng.permutation(n)
+        for scale in (1e-6, 1.0, 1e6, 1e14):
+            assert np.array_equal(
+                metrics._min_cost_assignment(scale * diagonal[perm]), perm
+            )
+            _assert_assignment_equals_scipy(scale * diagonal[perm])
+        _assert_assignment_equals_scipy(
+            rng.random((n, n)) * 10.0 ** rng.uniform(-6, 14, (n, n))
+        )
+
+
+def test_assignment_refuses_a_cost_without_a_finite_matching():
+    for cost in ([[1.0, np.nan], [0.0, 2.0]], [[np.inf, np.inf], [0.0, 1.0]],
+                 [[1.0, np.inf], [2.0, np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            metrics._min_cost_assignment(np.array(cost))
+
+
 def test_bound_constants_frozen_values(mu0_uniform, rng):
     cloud = _measure(rng, 40)
     c = pf.bound_coefficients(mu0_uniform, cloud, 100)
@@ -345,14 +415,14 @@ def test_full_w1_is_nan_above_the_cap_without_an_assignment(
     tiny_model, exp_config, monkeypatch
 ):
     sizes = []
-    assign = metrics.linear_sum_assignment
+    assign = metrics._min_cost_assignment
 
     def counted(cost):
         sizes.append(cost.shape[0])
         return assign(cost)
 
     monkeypatch.setattr(metrics, "DEFAULT_MATCHING_CAP", 10)
-    monkeypatch.setattr(metrics, "linear_sum_assignment", counted)
+    monkeypatch.setattr(metrics, "_min_cost_assignment", counted)
     cfg = _grid(1.0, 0.5)
     small, big = pf.convergence_experiment(
         tiny_model, [10, 11], cfg, seed=2, weights=exp_config.weights

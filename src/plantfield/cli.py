@@ -28,7 +28,7 @@ from .config import (
     load_config_file,
     resolve_config,
 )
-from .initial import sample_mu0, samples_to_state, surface_eval
+from .initial import InteriorDrawError, sample_mu0, samples_to_state, surface_eval
 from .meanfield import (
     export_r2_csv,
     flow_eval_many,
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid_value(argv))
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InteriorDrawError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -21,6 +21,7 @@ from .population import PopulationState
 from .textio import format_row, write_csv
 
 __all__ = [
+    "InteriorDrawError",
     "Mu0Config",
     "Sample",
     "SurfaceParams",
@@ -315,23 +316,30 @@ def _truncnorm_ppf(u, mean, sd, lo, hi):
     the mirrored upper tail: the CDF rounds to 1 about 8 sd above the mean,
     which would clip every draw to a bound.  From ``_FAR_TAIL`` sd on, where
     the tail itself underflows, ``_far_tail_quantile`` draws every u < 1
-    (u = 1, the upper bound, stays with the CDF form)."""
+    (u = 1 is the upper bound itself).  The mirrored target (1 - u) b + u a
+    keeps full precision as u -> 1, where b - u (b - a) would cancel."""
     z = np.stack(np.broadcast_arrays((lo - mean) / sd, (hi - mean) / sd))
     upper = z[0] > 0.0
     a, b = _ndtr(np.where(upper, -z[::-1], z))
-    p = np.where(upper, b - u * (b - a), a + u * (b - a))
+    p = np.where(upper, (1.0 - u) * b + u * a, a + u * (b - a))
     q = _ndtri(p)
     far = np.broadcast_to((z[0] >= _FAR_TAIL) & (u < 1.0), q.shape)
     if far.any():
         u_far, z_lo, z_hi = (np.broadcast_to(v, q.shape)[far] for v in (u, *z))
         q[far] = -_far_tail_quantile(u_far, z_lo, z_hi)
     x = mean + np.where(upper, -sd, sd) * q
-    return np.clip(x, lo, hi)
+    return np.clip(np.where(u < 1.0, x, hi), lo, hi)
 
 
-def _redraw(seed, stream_id, v, mean, sd, lo, hi, inside):
+class InteriorDrawError(ValueError):
+    """A truncated law sits within rounding of a bound of its interval, so
+    no draw lands strictly inside it: a configuration error."""
+
+
+def _redraw(seed, stream_id, v, mean, sd, lo, hi, inside, keys):
     """Redraw in place each value of ``v`` that ``inside`` refuses, from a
-    stream of its own index."""
+    stream of its own index; ``keys`` names the settings that fix a law no
+    redraw can leave."""
     for i in np.nonzero(~inside(v))[0]:
         rng = _stream(seed, (stream_id, int(i)))
         for _ in range(_MAX_REDRAWS):
@@ -339,8 +347,12 @@ def _redraw(seed, stream_id, v, mean, sd, lo, hi, inside):
             if inside(v[i]):
                 break
         else:
-            raise RuntimeError(f"could not draw an interior value in {_MAX_REDRAWS} "
-                               f"attempts (stream {stream_id}, index {i})")
+            raise InteriorDrawError(
+                f"could not draw an interior value in {_MAX_REDRAWS} attempts "
+                f"(stream {stream_id}, index {i}): the normal law of mean "
+                f"{float(mean[i])!r} and sd {sd!r} truncated to [{lo!r}, {hi!r}] "
+                f"lies within rounding of a bound; change {keys}"
+            )
 
 
 def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
@@ -368,9 +380,9 @@ def sample_mu0(cfg: Mu0Config, n: int) -> Sample:
     # S must land strictly inside its truncation interval; gamma = 0 has
     # probability zero but is representable, and is redrawn too.
     _redraw(cfg.seed, _STREAM_S, S, means[0], cfg.delta_S, lo_S, hi_S,
-            lambda v: (lo_S < v) & (v < hi_S))
+            lambda v: (lo_S < v) & (v < hi_S), "mu0.delta_S or mu0.S_lower")
     _redraw(cfg.seed, _STREAM_GAMMA, gamma, means[1], cfg.delta_gamma, 0.0,
-            cfg.gamma_max, lambda v: v > 0.0)
+            cfg.gamma_max, lambda v: v > 0.0, "mu0.delta_gamma or mu0.gamma_surface")
 
     if cfg.s0_law == "point":
         s0 = np.full(n, float(cfg.s0))

@@ -18,8 +18,11 @@ themselves advanced with the flow built from stages 0..k-1.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
@@ -411,6 +414,59 @@ def flow_eval_many(model: MeanFieldModel, t: float, atoms: PopulationState) -> n
     return _flow(model.params, model.spec.dt, t, stage_vals, atoms)
 
 
+@lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS that NumPy
+    bundles, looked up once in the library NumPy's LAPACK calls run in;
+    None where they are absent (another BLAS, or another NumPy build)."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# The thread count is one setting of the whole process, so bodies of
+# _one_blas_thread running at once in several Python threads share it.
+_blas_lock = threading.Lock()
+_blas_users = {"count": 0, "threads_before": 0}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with the bundled OpenBLAS on one thread.
+
+    The stage fits (1000 x 56 ``lstsq``) run about twice as fast on one
+    thread as on two, and give the same bits.  The first of concurrent
+    bodies sets the count; the last to leave, also by an exception,
+    restores the count the first found.  Without the OpenBLAS symbols it
+    does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if _blas_users["count"] == 0:
+            _blas_users["threads_before"] = get()
+            set_(1)
+        _blas_users["count"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users["count"] -= 1
+            if _blas_users["count"] == 0:
+                set_(_blas_users["threads_before"])
+
+
 def _child_seed(seed: int, tag: int, k: int) -> int:
     """64-bit sub-seed for one draw set (cloud / train / test, stage k)."""
     words = np.random.SeedSequence(seed, spawn_key=(tag, k)).generate_state(2)
@@ -457,7 +513,9 @@ def train(mu0_cfg: Mu0Config, cfg: TrainConfig, seed: int) -> MeanFieldModel:
     (s, x) only (degree ``cfg.d3``); later stages on (s, x, S, gamma)
     (degree ``cfg.d5``).  Cloud, training, and testing draws come from
     disjoint sub-streams of ``seed``, so the entire procedure is
-    reproducible.  The model's parameters are ``mu0_cfg.params``.
+    reproducible.  The model's parameters are ``mu0_cfg.params``.  The
+    stages run with the bundled OpenBLAS on one thread (``_one_blas_thread``),
+    and the caller's thread count is restored on return.
     """
     p, dt = mu0_cfg.params, cfg.dt
 
@@ -486,24 +544,25 @@ def train(mu0_cfg: Mu0Config, cfg: TrainConfig, seed: int) -> MeanFieldModel:
             return atoms.sizes
         return _flow(p, dt, t, _stage_values(spec, stages, atoms, features), atoms)
 
-    for k in range(cfg.n_stages):
-        t_k = k * dt
-        sizes_cloud = advanced(t_k, cloud, cloud_features)
+    with _one_blas_thread():
+        for k in range(cfg.n_stages):
+            t_k = k * dt
+            sizes_cloud = advanced(t_k, cloud, cloud_features)
 
-        sets = []
-        for tag in (_SET_TRAIN, _SET_TEST):
-            probes = draw(tag, k, cfg.K)
-            features: dict = {}
-            sizes = advanced(t_k, probes, features)
-            targets = mc_potential(
-                p, sizes, probes.positions, sizes_cloud, cloud.positions
-            )
-            sets.append((_stage_features(spec, k, probes, features), targets))
+            sets = []
+            for tag in (_SET_TRAIN, _SET_TEST):
+                probes = draw(tag, k, cfg.K)
+                features: dict = {}
+                sizes = advanced(t_k, probes, features)
+                targets = mc_potential(
+                    p, sizes, probes.positions, sizes_cloud, cloud.positions
+                )
+                sets.append((_stage_features(spec, k, probes, features), targets))
 
-        try:
-            stages.append(fit_stage(*sets))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"stage {k}: {exc}") from exc
+            try:
+                stages.append(fit_stage(*sets))
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"stage {k}: {exc}") from exc
 
     return MeanFieldModel(
         stages=stages,

@@ -80,3 +80,19 @@ def tiny_model(mu0_uniform):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def blas_threads():
+    """The bundled OpenBLAS's (get, set) thread-count calls, through the
+    symbols training uses, with the count set to 3 (neither 1 nor the
+    usual environment value) and restored after the test.  Skips where
+    NumPy's BLAS has no such symbols."""
+    calls = pf.meanfield._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy's BLAS exports no scipy_openblas thread-count symbols")
+    get, set_ = calls
+    before = get()
+    set_(3)
+    yield calls
+    set_(before)

@@ -471,6 +471,26 @@ def test_simulate_draws_caps_far_above_their_mean(tmp_path):
     assert np.all((0.5 < caps) & (caps < 0.51))
 
 
+@pytest.mark.parametrize("command", ["simulate", "train-meanfield"])
+def test_caps_within_rounding_of_their_bound_are_a_configuration_error(
+    command, tmp_path, capsys
+):
+    # S_lower = 0.5 lies 4e8 sd above a flat cap mean of 0.1: every exact
+    # draw lies within about 1e-17 of the bound and rounds onto it, so no
+    # cap can be drawn strictly inside (S_lower, S_max).
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(
+        "mu0.S_surface.offset = 0.1\nmu0.S_surface.peak = 0.1\n"
+        "mu0.S_surface.trough = 0.1\nmu0.delta_S = 1e-9\n"
+        "train.T = 1.0\ntrain.N = 10\ntrain.K = 10\n"
+    )
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "mu0.delta_S" in err and "mu0.S_lower" in err
+
+
 def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys):
     def nan_integrate(params, state0, cfg):
         pf.solve_ode(lambda t, y: np.full_like(y, np.nan), 0.0, 1.0, state0.sizes)
@@ -951,3 +971,19 @@ def test_module_execution():
     assert proc.returncode == 0
     for cmd in ("simulate", "train-meanfield", "converge", "potential-dump"):
         assert cmd in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["simulate", "train-meanfield", "converge", "potential-dump"])
+def test_commands_leave_the_blas_thread_count_as_they_found_it(
+    command, blas_threads, small_train_cfg, trained_dir, tmp_path
+):
+    get, _ = blas_threads
+    model = str(trained_dir / "model.json")
+    argv = {
+        "simulate": ["--n", "8"],
+        "train-meanfield": ["--config", str(small_train_cfg)],
+        "converge": ["--model", model, "--n-list", "8,16"],
+        "potential-dump": ["--model", model, "--grid", "-1,1,-1,1,5"],
+    }[command]
+    assert run(command, *argv, "--out", str(tmp_path / "o")) == 0
+    assert get() == 3

@@ -230,6 +230,36 @@ def test_truncnorm_ppf_far_tail_matches_mpmath(lo):
         np.testing.assert_allclose(got, want, rtol=_ULP_FLOOR, atol=0.0)
 
 
+def _truncnorm_ppf_mpmath_bisect(u, lo, hi):
+    """The quantile u of N(0, 1) conditioned to [lo, hi], by bisection on
+    the tail mass at 50 digits, from the exact floats given: Newton steps
+    from lo would take hundreds of steps to cross a wide interval."""
+    with mpmath.workdps(50):
+        u, lo, hi = mpmath.mpf(u), mpmath.mpf(lo), mpmath.mpf(hi)
+        tail = lambda z: mpmath.erfc(z / mpmath.sqrt(2)) / 2
+        target = tail(lo) - u * (tail(lo) - tail(hi))
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if tail(mid) > target else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.5, 2.0), (1.0, 9.0), (3.0, 30.5), (7.0, 8.0), (29.0, 29.5), (12.0, 12.0 + 1e-6)],
+)
+def test_truncnorm_ppf_mirrored_tail_near_one_matches_mpmath(lo, hi):
+    # Above the mean the upper tail is inverted; as u -> 1 its target mass
+    # Q(hi) + (1 - u)(Q(lo) - Q(hi)) must not cancel, even when Q(lo) is
+    # many orders above Q(hi).  u = 1 is the upper bound itself.
+    u = np.array([0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-40, 1.0 - 2.0**-53])
+    want = [_truncnorm_ppf_mpmath_bisect(v, lo, hi) for v in u.tolist()]
+    got = _truncnorm_ppf(u, 0.0, 1.0, lo, hi)
+    np.testing.assert_allclose(got, want, rtol=_ULP_FLOOR, atol=0.0)
+    assert _truncnorm_ppf(1.0, 0.0, 1.0, lo, hi) == hi
+    assert _truncnorm_ppf(1.0, 0.0, 1.0, 30.0, 30.5) == 30.5  # the far-tail branch
+
+
 def test_sample_redraws_a_cap_on_its_bound(mu0_point, monkeypatch):
     # A flat cap surface 250 sd above S_lower: the CDF at the bound is 0 and
     # a first uniform of 0 puts plant 0 on the bound, so it is redrawn from

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -732,3 +734,115 @@ def test_r2_csv_layout(tiny_model, tmp_path):
     assert len(lines) == 2 + tiny_model.n_stages
     t0 = lines[2].split(",")
     assert float(t0[0]) == 0.0
+
+
+# --------------------------------------------------------------------------
+# The OpenBLAS thread count while training.
+
+
+def test_bundled_openblas_thread_symbols_are_found():
+    # A NumPy that bundles scipy-openblas under other symbol names would
+    # otherwise leave training on the caller's thread count, and no test
+    # would fail.
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy before 1.26 reports no dicts
+        pytest.skip("NumPy reports no BLAS build dependency")
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"NumPy is built against {blas.get('name')!r}")
+    assert meanfield._openblas_thread_calls() is not None
+
+
+def test_train_fits_its_stages_on_one_blas_thread(blas_threads, mu0_uniform, monkeypatch):
+    get, _ = blas_threads
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(*args, **kwargs):
+        seen.append(get())
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    cfg = pf.TrainConfig(dt=1.0, T=3.0, N=50, K=50, d3=2, d5=1)
+    pf.train(mu0_uniform, cfg, seed=3)
+    assert seen == [1, 1, 1]
+    assert get() == 3
+
+
+def test_train_restores_the_blas_thread_count_when_a_stage_raises(
+    blas_threads, mu0_uniform, monkeypatch
+):
+    get, _ = blas_threads
+    calls = []
+    mc_potential = meanfield.mc_potential
+
+    def failing_second_stage(*args):
+        calls.append(get())
+        if len(calls) > 2:
+            raise RuntimeError("target failed")
+        return mc_potential(*args)
+
+    monkeypatch.setattr(meanfield, "mc_potential", failing_second_stage)
+    cfg = pf.TrainConfig(dt=1.0, T=3.0, N=50, K=50, d3=2, d5=1)
+    with pytest.raises(RuntimeError, match="target failed"):
+        pf.train(mu0_uniform, cfg, seed=3)
+    assert calls == [1, 1, 1]
+    assert get() == 3
+
+
+def test_one_blas_thread_is_shared_by_concurrent_bodies(blas_threads):
+    # The count is one setting of the process: while any body runs it must
+    # read 1, and the last body to leave restores the count of before.
+    get, _ = blas_threads
+    wrong = []
+
+    def worker():
+        for _ in range(200):
+            with meanfield._one_blas_thread():
+                if get() != 1:
+                    wrong.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+    assert get() == 3
+
+
+def test_stage_targets_and_fit_do_not_depend_on_blas_threads(blas_threads, mu0_uniform):
+    # Training runs on one thread; its two BLAS-heavy steps must still give
+    # the same bits on two, at the default sizes (K = N = 1000, 56 features).
+    _, set_ = blas_threads
+    p = mu0_uniform.params
+    cloud, train_set, test_set = (
+        pf.samples_to_state(pf.sample_mu0(mu0_uniform.with_seed(s), 1000))
+        for s in (11, 12, 13)
+    )
+    spec = pf.FeatureSpec(
+        center=cloud.positions.mean(axis=0), length=float(np.std(cloud.positions)),
+        dt=1.0, d3=5, d5=3, params=p,
+    )
+    probe_sets = (train_set, test_set)
+    features = [pf.feature_map(spec, 1, probes) for probes in probe_sets]
+    results = []
+    for threads in (1, 2):
+        set_(threads)
+        targets = [
+            pf.mc_potential(p, probes.sizes, probes.positions, cloud.sizes, cloud.positions)
+            for probes in probe_sets
+        ]
+        results.append((targets, pf.fit_stage(*zip(features, targets))))
+    (targets1, stage1), (targets2, stage2) = results
+    assert features[0].shape == (1000, 56)
+    for y1, y2 in zip(targets1, targets2):
+        assert np.array_equal(y1, y2)
+    assert np.array_equal(stage1.beta, stage2.beta)
+    assert (stage1.r2_train, stage1.r2_test) == (stage2.r2_train, stage2.r2_test)

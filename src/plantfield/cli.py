@@ -38,7 +38,7 @@ from .meanfield import (
     save_model,
     train,
 )
-from .metrics import _n_ladder, convergence_experiment, export_distances_csv
+from .metrics import _n_ladder, convergence_experiment, export_distances_csv, run_sizes
 from .model import _domain_checks, _raise_first_offender
 from .population import (
     IntegrationDivergedError,
@@ -177,7 +177,7 @@ def cmd_converge(args) -> int:
         solver,
         seed=ec.seed,
         weights=replace(ec.weights, s_m=model.params.s_m),
-        self_comparison=args.self_comparison,
+        target=args.target,
     )
     export_distances_csv(reports, out / "distances.csv", comments=[header])
     return 0
@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--self-comparison",
-        action="store_true",
+        dest="target",
+        action="store_const",
+        const=run_sizes,
         help="compare each run against itself (all distances zero)",
     )
     p.add_argument("--out", required=True, help="output directory")

@@ -11,6 +11,7 @@ a-priori bound evaluated on the initial empirical cloud.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,16 +33,21 @@ from .population import (
 from .textio import format_row, write_csv
 
 __all__ = [
+    "DISTANCE_COLUMNS",
     "BoundCoefficients",
-    "DistanceReport",
     "ZMetricWeights",
     "bound_coefficients",
     "convergence_experiment",
     "export_distances_csv",
     "flow_gap",
+    "run_sizes",
+    "surrogate_sizes",
     "w1_matching",
     "w1_sorted_1d",
 ]
+
+# A convergence report's distances, in the order distances.csv writes them.
+DISTANCE_COLUMNS = ("w1_size", "w1_full", "flow_gap", "bound_value")
 
 # The assignment is cubic in the worst case (unrelated atom sets), and near
 # linear on converge's diagonally dominant costs, where its warm start
@@ -221,26 +227,37 @@ def bound_coefficients(
     return BoundCoefficients(A_mu=A_mu, drive_constant=drive, N=int(N))
 
 
-@dataclass
-class DistanceReport:
-    """Per-time distances between one finite run and the surrogate."""
-
-    N: int
-    times: np.ndarray
-    w1_size: np.ndarray
-    w1_full: np.ndarray
-    flow_gap: np.ndarray
-    bound_value: np.ndarray
-
-
 def _n_ladder(n_list) -> list:
     """``n_list`` as ints, once each is a population size and they increase."""
-    n_list = [int(n) for n in n_list]
+    n_list = list(n_list)
     for n in n_list:
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"n-list entry = {n!r}: not an integer")
         _require_population("n-list entry", n)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n-list must be strictly increasing")
-    return n_list
+    return [int(n) for n in n_list]
+
+
+def surrogate_sizes(model: MeanFieldModel):
+    """The target that grows a run's initial data by the surrogate flow of
+    ``model`` to each of the run's snapshot times: sizes (T, n)."""
+
+    def target(traj: Trajectory) -> np.ndarray:
+        state0 = traj.initial
+        sv = _stage_values(model.spec, model.stages, state0)  # shared by every t
+        return np.stack([
+            _flow(model.params, model.spec.dt, _horizon_time(model, t), sv, state0)
+            for t in traj.times
+        ])
+
+    return target
+
+
+def run_sizes(traj: Trajectory) -> np.ndarray:
+    """The target that is the run itself: every distance is exactly zero,
+    a pipeline identity check."""
+    return traj.sizes
 
 
 def convergence_experiment(
@@ -249,19 +266,19 @@ def convergence_experiment(
     solver: SolverConfig,
     seed: int,
     weights: ZMetricWeights,
-    self_comparison: bool = False,
+    target=None,
 ) -> list:
     """Distance trend over increasing population sizes.
 
     For each N: draw the population from the model's training law
     ``model.mu0_cfg`` (samples are nested across N via the
     seed-extension property), run it under ``model.params`` with
-    ``solver``, evaluate the surrogate flow at the same initial data,
-    and report distances on ``solver.snapshot_times``, which must end
-    within the model horizon.  The full-state W1 is computed for N up to
-    ``DEFAULT_MATCHING_CAP`` and is NaN above it.  In self-comparison
-    mode the population is compared to itself, so all distances are
-    exactly zero — a pipeline identity check.
+    ``solver``, and compare its sizes with ``target(traj)``, by default
+    ``surrogate_sizes(model)``, on ``solver.snapshot_times``, which must
+    end within the model horizon.  Each report maps ``N``, the times
+    ``t`` and each name in ``DISTANCE_COLUMNS`` to its values.  The
+    full-state W1 is computed for N up to ``DEFAULT_MATCHING_CAP`` and
+    is NaN above it.
 
     The flow gap is the paired member gap
     ``mean_i |s_i^N(t) - flow(t, z_i)|``.  A probe grown by
@@ -276,63 +293,42 @@ def convergence_experiment(
     t_grid = solver.snapshot_times
     if float(t_grid[-1]) > model.T + 1e-12:
         raise ValueError("snapshot times exceed the model horizon")
-    mu0_cfg, params = model.mu0_cfg, model.params
+    if target is None:
+        target = surrogate_sizes(model)
+    mu0_cfg = model.mu0_cfg
 
     reports = []
     for n in n_list:
         state0 = samples_to_state(sample_mu0(mu0_cfg.with_seed(seed), n))
-        traj = integrate(params, state0, solver)
-        sim_sizes = traj.sizes  # (T, n)
+        traj = integrate(model.params, state0, solver)
+        sim_sizes, ref_sizes = traj.sizes, target(traj)
 
-        if self_comparison:
-            mf_sizes = sim_sizes
-        else:
-            sv = _stage_values(model.spec, model.stages, state0)  # shared by every t
-            mf_sizes = np.stack([
-                _flow(params, model.spec.dt, _horizon_time(model, t), sv, state0)
-                for t in t_grid
-            ])
-
-        # Both runs share the initial traits; only the sizes differ.
+        # The run and its target share the initial traits; only the sizes differ.
         measure0 = snapshot_measure(state0)
         coeffs = bound_coefficients(mu0_cfg, measure0, n)
-        w1_size = np.array(
-            [w1_sorted_1d(sim_sizes[k], mf_sizes[k]) for k in range(t_grid.size)]
+        size_w1 = np.array(
+            [w1_sorted_1d(sim_sizes[k], ref_sizes[k]) for k in range(t_grid.size)]
         )
-        w1_full = np.full(t_grid.size, float("nan"))
+        full_w1 = np.full(t_grid.size, float("nan"))
         if n <= DEFAULT_MATCHING_CAP:
             trait = _trait_cost(weights, measure0, measure0)
             for k in range(t_grid.size):
-                w1_full[k] = _matched_cost(weights, sim_sizes[k], mf_sizes[k], trait)
-        gap = np.abs(sim_sizes - mf_sizes).mean(axis=1)
-        bound = coeffs.drive_term(t_grid)
+                full_w1[k] = _matched_cost(weights, sim_sizes[k], ref_sizes[k], trait)
+        gap = np.abs(sim_sizes - ref_sizes).mean(axis=1)
+        columns = (size_w1, full_w1, gap, coeffs.drive_term(t_grid))
         reports.append(
-            DistanceReport(
-                N=n,
-                times=t_grid.copy(),
-                w1_size=w1_size,
-                w1_full=w1_full,
-                flow_gap=gap,
-                bound_value=bound,
-            )
+            {"N": n, "t": t_grid.copy(), **dict(zip(DISTANCE_COLUMNS, columns))}
         )
     return reports
 
 
 def export_distances_csv(reports, path, comments=()) -> None:
-    """One row per (N, t): N,t,w1_size,w1_full,flow_gap,bound_value."""
-    header = ["N", "t", "w1_size", "w1_full", "flow_gap", "bound_value"]
+    """One row per (N, t): N, t and the ``DISTANCE_COLUMNS`` in order."""
 
     def rows():
         for rep in reports:
-            for k, t in enumerate(rep.times):
-                yield (
-                    rep.N,
-                    float(t),
-                    float(rep.w1_size[k]),
-                    float(rep.w1_full[k]),
-                    float(rep.flow_gap[k]),
-                    float(rep.bound_value[k]),
-                )
+            for k, t in enumerate(rep["t"]):
+                yield rep["N"], float(t), *(float(rep[c][k]) for c in DISTANCE_COLUMNS)
 
+    header = ["N", "t", *DISTANCE_COLUMNS]
     write_csv(path, header, map(format_row, rows()), comments=comments)

@@ -1,6 +1,7 @@
-"""Shared fixtures: default configuration and the two expensive runs
-(the 50-plant reference simulation and the full-size surrogate training)
-are built once per session and reused by unit and acceptance tests."""
+"""Shared fixtures: default configuration and the three expensive runs
+(the 50-plant reference simulation, the full-size surrogate training and
+the convergence ladder against it) are built once per session and reused
+by unit and acceptance tests."""
 
 import math
 import time
@@ -68,6 +69,20 @@ def trained_model(exp_config, mu0_uniform):
     )
     elapsed = time.perf_counter() - tic
     return model, elapsed
+
+
+@pytest.fixture(scope="session")
+def convergence_reports(exp_config, trained_model):
+    """Distances over N = 50, 100, 200, 400 against the full-size model on
+    [0, 10]; returns (reports, seconds)."""
+    model, _ = trained_model
+    tic = time.perf_counter()
+    reports = pf.convergence_experiment(
+        model, [50, 100, 200, 400],
+        pf.SolverConfig(t_end=10.0),
+        seed=0, weights=exp_config.weights,
+    )
+    return reports, time.perf_counter() - tic
 
 
 @pytest.fixture(scope="session")

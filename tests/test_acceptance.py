@@ -128,24 +128,10 @@ def test_criterion_05_training_quality(trained_model):
     )
 
 
-@pytest.fixture(scope="session")
-def convergence_reports(exp_config, trained_model):
-    import time
-
-    model, _ = trained_model
-    tic = time.perf_counter()
-    reports = pf.convergence_experiment(
-        model, [50, 100, 200, 400],
-        pf.SolverConfig(t_end=10.0),
-        seed=0, weights=exp_config.weights,
-    )
-    return reports, time.perf_counter() - tic
-
-
 def test_criterion_06_distances_shrink_with_population(convergence_reports):
     reports, elapsed = convergence_reports
-    w1_final = [r.w1_size[-1] for r in reports]
-    gap_final = [r.flow_gap[-1] for r in reports]
+    w1_final = [r["w1_size"][-1] for r in reports]
+    gap_final = [r["flow_gap"][-1] for r in reports]
     ratio_w1 = w1_final[0] / w1_final[-1]
     ratio_gap = gap_final[0] / gap_final[-1]
     non_mono = sum(b > a for a, b in zip(w1_final, w1_final[1:])) + sum(

@@ -319,14 +319,14 @@ def _grid(t_end, snapshot_dt):
 def test_self_comparison_is_exactly_zero(tiny_model, exp_config):
     reports = pf.convergence_experiment(
         tiny_model, [5, 9], _grid(1.0, 0.5), seed=3,
-        weights=exp_config.weights, self_comparison=True,
+        weights=exp_config.weights, target=pf.run_sizes,
     )
-    assert [r.N for r in reports] == [5, 9]
+    assert [r["N"] for r in reports] == [5, 9]
     for r in reports:
-        assert np.all(r.w1_size == 0.0)
-        assert np.all(r.w1_full == 0.0)
-        assert np.all(r.flow_gap == 0.0)
-        assert np.all(r.bound_value > 0.0)
+        assert np.all(r["w1_size"] == 0.0)
+        assert np.all(r["w1_full"] == 0.0)
+        assert np.all(r["flow_gap"] == 0.0)
+        assert np.all(r["bound_value"] > 0.0)
 
 
 def test_bound_value_is_the_drive_term_of_the_draw(tiny_model, exp_config):
@@ -341,7 +341,7 @@ def test_bound_value_is_the_drive_term_of_the_draw(tiny_model, exp_config):
     cloud = _cloud_measure(pf.sample_mu0(mu0.with_seed(seed), 2 * n), n)
     c = pf.bound_coefficients(mu0, cloud, n)
     expected = [(c.drive_constant + t * c.A_mu) / (n - 1) for t in cfg.snapshot_times]
-    assert report.bound_value.tolist() == expected
+    assert report["bound_value"].tolist() == expected
 
 
 def test_convergence_flow_gap_equals_member_probe_gap(
@@ -362,9 +362,9 @@ def test_convergence_flow_gap_equals_member_probe_gap(
     probes = pf.empirical_flow(traj, members, cfg)
     mf = np.stack([pf.flow_eval_many(tiny_model, t, members) for t in t_grid])
     probe_gaps = np.abs(probes - mf)
-    assert np.all(report.flow_gap[1:] > 0.0)
+    assert np.all(report["flow_gap"][1:] > 0.0)
     np.testing.assert_allclose(
-        report.flow_gap, probe_gaps.mean(axis=1), rtol=0.0, atol=1e-8
+        report["flow_gap"], probe_gaps.mean(axis=1), rtol=0.0, atol=1e-8
     )
 
 
@@ -378,8 +378,8 @@ def test_convergence_experiment_grows_no_probes(
     reports = pf.convergence_experiment(
         tiny_model, [5, 8], _grid(1.0, 1.0), seed=1, weights=exp_config.weights
     )
-    assert [r.N for r in reports] == [5, 8]
-    assert all(np.all(np.isfinite(r.flow_gap)) for r in reports)
+    assert [r["N"] for r in reports] == [5, 8]
+    assert all(np.all(np.isfinite(r["flow_gap"])) for r in reports)
 
 
 @pytest.mark.parametrize("cheap_traits", [False, True])
@@ -399,7 +399,7 @@ def test_full_w1_equals_matching_at_each_time(
         tiny_model, [2, 50, 200], cfg, seed=seed, weights=w
     )
     for rep in reports:
-        sample = pf.sample_mu0(tiny_model.mu0_cfg.with_seed(seed), rep.N)
+        sample = pf.sample_mu0(tiny_model.mu0_cfg.with_seed(seed), rep["N"])
         state0 = pf.samples_to_state(sample)
         sim = pf.integrate(tiny_model.params, state0, cfg).sizes
         for k, t in enumerate(cfg.snapshot_times):
@@ -407,8 +407,32 @@ def test_full_w1_equals_matching_at_each_time(
             expected = pf.w1_matching(
                 replace(state0, sizes=sim[k]), replace(state0, sizes=mf), w
             )
-            assert rep.w1_full[k] == expected
-        assert rep.w1_full[-1] > 0.0
+            assert rep["w1_full"][k] == expected
+        assert rep["w1_full"][-1] > 0.0
+
+
+def test_identity_coupling_bounds_both_w1_columns(exp_config, convergence_reports):
+    # Pairing each plant with itself is a feasible coupling: its size cost
+    # is the member gap and it adds no trait cost, so on every (N, t) row
+    # it bounds the sorted W1 and s_m times the full-state W1.
+    reports, _ = convergence_reports
+    s_m = exp_config.weights.s_m
+    for rep in reports:
+        limit = rep["flow_gap"] * (1.0 + 1e-12)
+        assert np.all(rep["w1_size"] <= limit), rep["N"]
+        assert np.all(s_m * rep["w1_full"] <= limit), rep["N"]
+
+
+def test_a_rung_alone_equals_its_rows_in_the_ladder(tiny_model, exp_config):
+    # Draws are nested in N and each rung is computed on its own, so a
+    # one-rung ladder reproduces the rung's report in a longer ladder.
+    cfg, w = _grid(1.0, 0.25), exp_config.weights
+    (alone,) = pf.convergence_experiment(tiny_model, [10], cfg, seed=2, weights=w)
+    ladder = pf.convergence_experiment(tiny_model, [10, 20, 40], cfg, seed=2, weights=w)
+    assert [r["N"] for r in ladder] == [10, 20, 40]
+    assert alone.keys() == ladder[0].keys()
+    for name, values in alone.items():
+        np.testing.assert_array_equal(values, ladder[0][name], err_msg=name)
 
 
 def test_full_w1_is_nan_above_the_cap_without_an_assignment(
@@ -427,8 +451,8 @@ def test_full_w1_is_nan_above_the_cap_without_an_assignment(
     small, big = pf.convergence_experiment(
         tiny_model, [10, 11], cfg, seed=2, weights=exp_config.weights
     )
-    assert np.all(np.isfinite(small.w1_full))
-    assert np.all(np.isnan(big.w1_full))
+    assert np.all(np.isfinite(small["w1_full"]))
+    assert np.all(np.isnan(big["w1_full"]))
     assert sizes == [10] * cfg.snapshot_times.size
 
 
@@ -468,6 +492,11 @@ def test_convergence_experiment_validation(tiny_model, exp_config):
         pf.convergence_experiment(tiny_model, [10, 10], _grid(1.0, 1.0), 0, w)
     with pytest.raises(ValueError, match="at least 2"):
         pf.convergence_experiment(tiny_model, [1, 5], _grid(1.0, 1.0), 0, w)
+    with pytest.raises(ValueError, match=r"n-list entry = 2\.5: not an integer"):
+        pf.convergence_experiment(tiny_model, [2.5, 10], _grid(1.0, 1.0), 0, w)
+    with pytest.raises(ValueError, match=r"n-list entry = 3\.9: not an integer"):
+        metrics._n_ladder([3.9])
+    assert metrics._n_ladder(np.array([5, 9])) == [5, 9]
     with pytest.raises(ValueError, match="horizon"):
         pf.convergence_experiment(
             tiny_model, [5, 10], _grid(tiny_model.T + 1.0, 1.0), 0, w
@@ -477,7 +506,7 @@ def test_convergence_experiment_validation(tiny_model, exp_config):
 def test_distances_csv_layout(tiny_model, exp_config, tmp_path):
     reports = pf.convergence_experiment(
         tiny_model, [4, 6], _grid(1.0, 0.5), seed=11,
-        weights=exp_config.weights, self_comparison=True,
+        weights=exp_config.weights, target=pf.run_sizes,
     )
     out = tmp_path / "distances.csv"
     export_distances_csv(reports, out, comments=["seed=11"])

@@ -18,18 +18,20 @@ from plantfield import (
     solver,
 )
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_benchmark_tracer_hooks_resolve_and_restore():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     hooked = [
         (cli, "main"),
         (cli, "sample_mu0"),
@@ -67,7 +69,7 @@ def test_benchmark_step_accounting_matches_the_solver():
     # The tracer infers rejected steps from the RHS call pattern
     # 1 + 6 (accepted + rejected) + repairs; a large first step makes the
     # controller reject some, so both terms are exercised.
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     ec = config.build_experiment_config(config.resolve_config({"seed": 1}))
     state = initial.samples_to_state(initial.sample_mu0(ec.mu0, 8))
     cfg = population.SolverConfig(t_end=10.0, dt_init=2.0)
@@ -84,7 +86,7 @@ def test_benchmark_tracer_counts_training_pairs():
     # The tracer's mc_potential wrapper unpacks the call's five positional
     # arguments; each of the 2 stages draws a training and a testing set of
     # K probes against the N-atom cloud.
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     ec = config.build_experiment_config(config.resolve_config({"seed": 1}))
     n = k = 20
     tracer = spans.Tracer()
@@ -93,3 +95,21 @@ def test_benchmark_tracer_counts_training_pairs():
             ec.mu0, meanfield.TrainConfig(dt=1.0, T=2.0, N=n, K=k, d3=2, d5=1), seed=1
         )
     assert tracer.counts["mc_pairs"] == 2 * k * n * 2
+
+
+def test_benchmark_checks_accept_a_package_distances_csv(
+    tiny_model, exp_config, tmp_path
+):
+    # The benchmark's output checks restate the matching cap and read the
+    # distance columns by name; a renamed column or a moved cap must fail
+    # here too.  One rung lies on each side of the cap.
+    checks = _load_perfbench("checks")
+    cap = metrics.DEFAULT_MATCHING_CAP
+    assert checks.MATCHING_CAP == cap
+    reports = metrics.convergence_experiment(
+        tiny_model, [5, cap + 1], population.SolverConfig(t_end=1.0),
+        seed=0, weights=exp_config.weights,
+    )
+    out = tmp_path / "distances.csv"
+    metrics.export_distances_csv(reports, out)
+    assert checks.distances_invariants(out) == []

@@ -97,13 +97,13 @@ def log_potential(params: ModelParams, r, r_prime, dist):
     This is the reference definition of the potential.  Whole populations
     sum it with two array kernels in ``population``, both through the
     exact identity 1 + tanh((r' - r)/sigma_r) = 2 e'/(e + e'), e =
-    exp(2 r/sigma_r).  ``_pair_row_sums`` (a population against itself)
-    reads half-stored kernel blocks and forms e + e' as an exact rank-2
-    product, bit-identical at any BLAS thread count.  ``_cross_kernel``
-    (probes and training targets against other sources) builds no block:
-    it forms each denominator as a rank-8 product of centred positions,
-    within about eps (1 + 4 max|u|^2) relative of the exact sums, 4e-13
-    at the reach past which it takes the exact blocks.
+    exp(2 r/sigma_r).  ``_GrowthWorkspace.row_sums`` (a population
+    against itself) reads half-stored kernel blocks and forms e + e' as an
+    exact rank-2 product, bit-identical at any BLAS thread count.
+    ``_cross_kernel`` (probes and training targets against other sources)
+    builds no block: it forms each denominator as a rank-8 product of
+    centred positions, within about eps (1 + 4 max|u|^2) relative of the
+    exact sums, 4e-13 at the reach past which it takes the exact blocks.
     """
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)

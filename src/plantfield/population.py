@@ -7,6 +7,13 @@ carried out on log-sizes r_i = log(s_i / s_m), which keeps sizes
 positive by construction, and the integrator's dense output (the
 Dormand-Prince continuous extension) is retained so a frozen run can
 later serve as the background environment for a batch of probe plants.
+
+Each run builds one growth workspace (``_GrowthWorkspace``): the
+half-stored kernel blocks of the positions with their views, and the
+buffers one right-hand side needs, so a call allocates nothing and every
+N takes the same sequence of in-place ufunc and BLAS calls.  The
+competition index (``_competition_all``) and the growth formula
+(``_growth``) are shared with the probe solves of ``empirical_flow``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .model import (
     ModelParams, _domain_checks, _raise_first_offender, _require_positive,
     validate_initial_config,
 )
-from .solver import DenseSolution, solve_ode
+from .solver import _MIN_STEP, DenseSolution, solve_ode
 from .textio import format_floats, format_row, format_value, write_csv
 
 __all__ = [
@@ -146,7 +153,10 @@ class SolverConfig:
     ``snapshot_times`` is derived, not a field: the grid 0, snapshot_dt,
     2 snapshot_dt, ... ending on ``t_end`` exactly, which ``replace``
     rebuilds.  The error controller sets every step after the first,
-    ``dt_init``.
+    ``dt_init``.  A ``dt_init``, or a nonzero ``t_end``, below the
+    solver's smallest step at t = 0 (``solver._MIN_STEP``, about 3.6e-15)
+    could only underflow, and a ``rel_tol`` of 1 or more accepts an error
+    as large as the state, so controls nothing: each is refused.
     """
 
     t_end: float
@@ -159,6 +169,17 @@ class SolverConfig:
         _require_positive(
             "solver.", dt_init=self.dt_init, rel_tol=self.rel_tol, abs_tol=self.abs_tol
         )
+        if not self.rel_tol < 1.0:
+            raise ValueError(
+                f"solver.rel_tol must be below 1, got {self.rel_tol!r}: a relative "
+                "error as large as the state controls nothing"
+            )
+        for name, value in (("dt_init", self.dt_init), ("t_end", self.t_end)):
+            if 0.0 < value < _MIN_STEP:
+                raise ValueError(
+                    f"solver.{name} = {value!r} is below the smallest step the "
+                    f"solver takes from t = 0, {_MIN_STEP:.3g}"
+                )
         self.snapshot_times = _snapshot_times(self.t_end, self.snapshot_dt)
 
 
@@ -199,7 +220,7 @@ def _hold_in_band(r, caps_log, tol, step_index):
     the band by more than ``tol`` (scalar or per plant); otherwise raise
     ``IntegrationDivergedError`` for the worst plant."""
     breach = np.maximum(-r, r - caps_log)
-    if breach.max() <= 0.0:
+    if breach[breach.argmax()] <= 0.0:  # the largest breach, or a NaN
         return r
     excess = breach - tol
     worst_i = int(np.argmax(excess))
@@ -240,14 +261,10 @@ def _kernel_blocks(x, sigma_x: float):
         yield _kernel_block(x[i0:i1], x[i0:], sigma_x, np.empty((i1 - i0, n - i0)))
 
 
-def _exp_shift(sigma_r: float, *logs) -> float:
-    """The midpoint of the log-size arrays ``logs`` together, which
+def _exp_shift(sigma_r: float, lo, hi) -> float:
+    """The midpoint of log-sizes spanning [lo, hi], which
     ``exp(2 (r - mid)/sigma_r)`` shifts by; a spread over
     ``_EXP_WINDOW * sigma_r`` would overflow and raises instead."""
-    lo, hi = np.inf, -np.inf
-    for r in logs:
-        lo = np.minimum.reduce(r, initial=lo)
-        hi = np.maximum.reduce(r, initial=hi)
     # Python floats: scalar arithmetic on NumPy scalars costs more per call.
     lo, hi = float(lo), float(hi)
     if hi - lo > _EXP_WINDOW * sigma_r:
@@ -258,45 +275,10 @@ def _exp_shift(sigma_r: float, *logs) -> float:
     return 0.5 * (lo + hi)
 
 
-def _pair_row_sums(r: np.ndarray, blocks, sigma_r: float) -> np.ndarray:
-    """Row sums of r_j * kernel_ij * (1 + tanh((r_j - r_i)/sigma_r)) over
-    a population with log-sizes r (N,) and ``_kernel_blocks`` ``blocks``;
-    each term is ``model.log_potential`` times 2 R_M.  With c from
-    ``_exp_shift`` and e = exp(2 (r - c)/sigma_r), the tanh factor is
-    2 e_j/(e_i + e_j), so a row sum is sum_j W_ij v_j with W_ij =
-    kernel_ij/(e_i + e_j) and v = 2 e r.  W is symmetric: each block's
-    transpose adds to the rows below.  Each e_i + e_j is the rank-2
-    product [e_i, 1] [1; e_j], two exact products and one rounded sum, so
-    it equals ``np.add``'s bit for bit at any BLAS thread count.  Each
-    block reduces by two BLAS matrix-vector products, its rows and its
-    transpose, in a fixed block order; the bits do not depend on the
-    thread count, but may on the CPU.
-    """
-    scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, r)
-    n = r.shape[0]
-    # Rows [1; e; 1]: [e, 1] is the left factor and [1; e] the right one.
-    q = np.empty((3, n))
-    q.fill(1.0)  # cheaper than np.ones at small N
-    e = np.exp((r - mid) * scale, out=q[1])
-    left, right = q[1:].T, q[:2]
-    v = 2.0 * e * r
-    out = np.zeros(n)
-    buf = np.empty(min(_BLOCK, n) * n)
-    for i0, k in zip(range(0, n, _BLOCK), blocks):
-        i1 = i0 + k.shape[0]
-        w = buf[: k.size].reshape(k.shape)
-        np.matmul(left[i0:i1], right[:, i0:], out=w)
-        np.divide(k, w, out=w)
-        out[i0:i1] += w @ v[i0:]
-        if i1 < n:
-            out[i1:] += v[i0:i1] @ w[:, i1 - i0 :]
-    return out
-
-
 def _cross_kernel(x, x_src, sigma_x: float):
-    """``row_sums(r, r_src, sigma_r)``: the ``_pair_row_sums`` terms of
-    targets (log-sizes r (T,), positions x (T, 2)) against other sources
-    (r' (S,), x' (S, 2)), summed over each row.
+    """``row_sums(r, r_src, sigma_r)``: the ``_GrowthWorkspace.row_sums``
+    terms of targets (log-sizes r (T,), positions x (T, 2)) against other
+    sources (r' (S,), x' (S, 2)), summed over each row.
 
     With u = (x - c)/sigma_x, w = (x' - c)/sigma_x and c the centre of
     the bounding box, each denominator (1 + |u_i - w_j|^2)(e_i + e'_j)
@@ -331,7 +313,9 @@ def _cross_kernel(x, x_src, sigma_x: float):
     buf = np.empty(min(_CROSS_BLOCK, n_t) * n_s)
 
     def row_sums(r, r_src, sigma_r: float) -> np.ndarray:
-        scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, r, r_src)
+        lo = np.minimum.reduce(r_src, initial=np.minimum.reduce(r, initial=np.inf))
+        hi = np.maximum.reduce(r_src, initial=np.maximum.reduce(r, initial=-np.inf))
+        scale, mid = 2.0 / sigma_r, _exp_shift(sigma_r, lo, hi)
         e, e_src = np.exp((r - mid) * scale), np.exp((r_src - mid) * scale)
         np.multiply(left[:, :, 1], e[:, None], out=left[:, :, 0])
         np.multiply(right[:, 0], e_src, out=right[:, 1])
@@ -350,25 +334,125 @@ def _cross_kernel(x, x_src, sigma_x: float):
     return row_sums
 
 
-def _competition_all(params: ModelParams, r: np.ndarray, row, n_sources: int):
-    """Mean neighbour potential on targets with pair row sums ``row``:
-    the self term r_i (unit kernel, tanh 0) is dropped and the rest
-    averaged over n_sources - 1, so a probe that duplicates a source
-    feels what it feels.  Roundoff below 0 is raised to 0."""
-    c = (row - r) / (2.0 * params.R_M * (n_sources - 1))
+def _competition_all(params: ModelParams, r, row, n_sources: int, out=None):
+    """Mean neighbour potential on targets with pair row sums ``row``,
+    written into ``out`` if given: the self term r_i (unit kernel, tanh 0)
+    is dropped and the rest averaged over n_sources - 1, so a probe that
+    duplicates a source feels what it feels.  Roundoff below 0 is raised
+    to 0."""
+    c = np.subtract(row, r, out=out)
+    c /= 2.0 * params.R_M * (n_sources - 1)
     return np.maximum(c, 0.0, out=c)
 
 
-def _grow(cfg: SolverConfig, r0, caps_log, rates, competition, monitor=None):
-    """Solve the log-size growth r' = rates (caps_log (1 - C) - r) from r0.
+def _growth(rates, caps_log, c, r, out) -> np.ndarray:
+    """The log-size growth r' = rates (caps_log (1 - C) - r) under the
+    mean load ``c``, written into ``out``."""
+    g = np.subtract(1.0, c, out=out)
+    g *= caps_log
+    g -= r
+    g *= rates
+    return g
 
-    ``competition(t, r)`` is the mean load C on each grown plant.  Returns
-    the dense solution over [0, cfg.t_end] and its rows on the snapshot grid.
+
+class _GrowthWorkspace:
+    """The growth right-hand side of one population run, preallocated.
+
+    Built once per ``integrate`` from the run's plants: the half-stored
+    ``_kernel_blocks`` of the positions, each with its row and column
+    views of the factors and buffers, and one buffer each for e, v, the
+    row sums, a block, the competition index and r'.  A call is a fixed
+    sequence of in-place ufunc and BLAS calls that allocates nothing.
+    Each method returns one of these buffers, which the next call
+    overwrites: a caller that keeps a result copies it.
     """
 
-    def rhs(t, r):
-        return rates * (caps_log * (1.0 - competition(t, r)) - r)
+    def __init__(self, params: ModelParams, plants: PopulationState):
+        n = plants.n
+        self.params, self.n = params, n
+        self.caps_log = np.log(plants.caps / params.s_m)
+        self.rates = plants.rates
+        self.n_clamped = 0
+        # Rows [1; e; 1]: [e, 1] is the left factor and [1; e] the right one.
+        q = np.ones((3, n))
+        self.e, left, right = q[1], q[1:].T, q[:2]
+        self.v, self.row, self.c, self.dr = np.empty((4, n))
+        v, row = self.v, self.row
+        part = np.empty(n)  # one block's share of the row sums
+        buf = np.empty(min(_BLOCK, n) * n)
+        self.blocks = []
+        blocks = _kernel_blocks(plants.positions, params.sigma_x)
+        for i0, k in zip(range(0, n, _BLOCK), blocks):
+            i1, w = i0 + k.shape[0], buf[: k.size].reshape(k.shape)
+            self.blocks.append((
+                # Its own rows against the columns j >= i0 ...
+                (k, w, left[i0:i1], right[:, i0:], v[i0:], part[i0:i1], row[i0:i1]),
+                # ... and, by symmetry, the rows below against its columns.
+                (v[i0:i1], w[:, i1 - i0 :], part[i1:], row[i1:]) if i1 < n else None,
+            ))
 
+    def row_sums(self, r: np.ndarray) -> np.ndarray:
+        """Row sums of r_j * kernel_ij * (1 + tanh((r_j - r_i)/sigma_r))
+        over the population at log-sizes r (N,); each term is
+        ``model.log_potential`` times 2 R_M.
+
+        With c from ``_exp_shift`` and e = exp(2 (r - c)/sigma_r), the
+        tanh factor is 2 e_j/(e_i + e_j), so a row sum is sum_j W_ij v_j
+        with W_ij = kernel_ij/(e_i + e_j) and v = 2 e r.  W is symmetric:
+        each block's transpose adds to the rows below.  Each e_i + e_j is
+        the rank-2 product [e_i, 1] [1; e_j], two exact products and one
+        rounded sum, so it equals ``np.add``'s bit for bit at any BLAS
+        thread count.  Each block reduces by two BLAS matrix-vector
+        products, its rows and its transpose, in a fixed block order; the
+        bits do not depend on the thread count, but may on the CPU.
+        """
+        sigma_r = self.params.sigma_r
+        # r[argmin] is the minimum, or a NaN as np.minimum's would be, at a
+        # quarter of a reduction's call overhead.
+        mid = _exp_shift(sigma_r, r[r.argmin()], r[r.argmax()])
+        e, v, row = self.e, self.v, self.row
+        np.subtract(r, mid, out=e)
+        e *= 2.0 / sigma_r
+        np.exp(e, out=e)
+        np.multiply(e, 2.0, out=v)
+        v *= r
+        row.fill(0.0)
+        for own, below in self.blocks:
+            k, w, left, right, v_cols, part, out = own
+            np.matmul(left, right, out=w)
+            np.divide(k, w, out=w)
+            out += np.matmul(w, v_cols, out=part)
+            if below is not None:
+                v_rows, w_below, part, out = below
+                out += np.matmul(v_rows, w_below, out=part)
+        return row
+
+    def competition(self, r: np.ndarray) -> np.ndarray:
+        """The competition index of every plant at log-sizes r."""
+        return _competition_all(self.params, r, self.row_sums(r), self.n, out=self.c)
+
+    def rhs(self, t: float, r: np.ndarray) -> np.ndarray:
+        """r' at log-sizes r; the growth is autonomous, so t is unused."""
+        return _growth(self.rates, self.caps_log, self.competition(r), r, out=self.dr)
+
+    def hold(self, r: np.ndarray, tol, step_index: int) -> np.ndarray:
+        """``_hold_in_band`` against the caps, counting projected plants."""
+        fixed = _hold_in_band(r, self.caps_log, tol, step_index)
+        if fixed is not r:
+            self.n_clamped += int(np.sum(fixed != r))
+        return fixed
+
+    def monitor(self, t: float, r: np.ndarray, step_index: int) -> np.ndarray:
+        """The solver's check on an accepted state: roundoff only."""
+        return self.hold(r, _BREACH_TOLERANCE, step_index)
+
+
+def _grow(cfg: SolverConfig, r0, rhs, monitor=None):
+    """Solve the log-size growth ``r' = rhs(t, r)`` from r0.
+
+    Returns the dense solution over [0, cfg.t_end] and its rows on the
+    snapshot grid.
+    """
     dense = solve_ode(
         rhs, 0.0, cfg.t_end, r0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
         dt_init=cfg.dt_init, monitor=monitor,
@@ -394,40 +478,23 @@ def integrate(
     """
     validate_initial_config(params, initial)
 
-    caps_log = np.log(initial.caps / params.s_m)
-    blocks = list(_kernel_blocks(initial.positions, params.sigma_x))
+    ws = _GrowthWorkspace(params, initial)
     r0 = np.log(initial.sizes / params.s_m)
-    clamp_count = 0
-
-    def load(t, r):
-        row = _pair_row_sums(r, blocks, params.sigma_r)
-        return _competition_all(params, r, row, len(r))
-
-    def hold(r, tol, step_index):
-        nonlocal clamp_count
-        fixed = _hold_in_band(r, caps_log, tol, step_index)
-        if fixed is not r:
-            clamp_count += int(np.sum(fixed != r))
-        return fixed
-
-    dense, r_mat = _grow(
-        cfg, r0, caps_log, initial.rates,
-        load,
-        lambda t, r, step_index: hold(r, _BREACH_TOLERANCE, step_index),
-    )
+    dense, r_mat = _grow(cfg, r0, ws.rhs, ws.monitor)
     # Each snapshot row is checked under the index of the step whose
     # segment holds it.
-    interp_tol = np.maximum(_BREACH_TOLERANCE, cfg.abs_tol + cfg.rel_tol * caps_log)
+    interp_tol = np.maximum(_BREACH_TOLERANCE, cfg.abs_tol + cfg.rel_tol * ws.caps_log)
     steps = np.maximum(np.searchsorted(dense.ts, cfg.snapshot_times) - 1, 0)
-    r_mat = np.stack([hold(r_t, interp_tol, int(k)) for r_t, k in zip(r_mat, steps)])
-    sizes_mat = params.s_m * np.exp(r_mat)
-    c_mat = np.stack([load(t, r_t) for t, r_t in zip(cfg.snapshot_times, r_mat)])
+    c_mat = np.empty_like(r_mat)
+    for j, step_index in enumerate(steps.tolist()):
+        r_mat[j] = ws.hold(r_mat[j], interp_tol, step_index)
+        c_mat[j] = ws.competition(r_mat[j])
     return Trajectory(
         times=cfg.snapshot_times,
         initial=initial,
-        sizes=sizes_mat,
+        sizes=params.s_m * np.exp(r_mat),
         c_indices=c_mat,
-        n_clamped=clamp_count,
+        n_clamped=ws.n_clamped,
         dense=dense,
         params=params,
     )
@@ -462,14 +529,14 @@ def empirical_flow(
 
     x_bg = background.initial.positions
     row_sums = _cross_kernel(probes.positions, x_bg, params.sigma_x)
+    caps_log = np.log(S / params.s_m)
 
-    def load(t, r):
+    def rhs(t, r):
         row = row_sums(r, background.dense(t), params.sigma_r)
-        return _competition_all(params, r, row, background.n)
+        c = _competition_all(params, r, row, background.n)
+        return _growth(probes.rates, caps_log, c, r, out=c)
 
-    _, r_mat = _grow(
-        cfg, np.log(s0 / params.s_m), np.log(S / params.s_m), probes.rates, load
-    )
+    _, r_mat = _grow(cfg, np.log(s0 / params.s_m), rhs)
     return params.s_m * np.exp(r_mat)
 
 

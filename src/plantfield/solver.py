@@ -13,7 +13,12 @@ another integration, between nodes.
 
 The right-hand side is called as ``f(t, y)`` with ``y`` a 1-D float array.
 An optional per-step ``monitor`` callback can repair (or reject, by
-raising) each accepted state before it is committed.
+raising) each accepted state before it is committed.  The step loop
+works in buffers made once per solve: the tableau scaled by h, with
+precomputed row and stage views, the stages, the error estimate and the
+states, so a step forms its stage inputs and error norm in place.  A
+trial whose stage right-hand side raises ``FloatingPointError`` is
+rejected like one whose error is too large.
 """
 
 from __future__ import annotations
@@ -74,6 +79,9 @@ _DP_ROWS = np.vstack([_DP_A, _DP_ERR, _DP_D])
 
 _STAGE_NODES = list(enumerate(_DP_C.tolist()))[1:]
 _EPS = float(np.finfo(float).eps)
+# No step is shorter than _MIN_STEP max(|t|, 1): below it t + h cannot
+# resolve the step, and the run stops with ``StepSizeUnderflowError``.
+_MIN_STEP = 16.0 * _EPS
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -98,8 +106,9 @@ class NonFiniteStateError(RuntimeError):
 class SolverStats:
     """What one ``solve_ode`` call did.
 
-    ``n_rhs`` counts right-hand-side calls (1 + 6 per tried step + 1 per
-    repaired state); ``h_min``/``h_max`` span the accepted step sizes (0
+    ``n_rhs`` counts the right-hand-side calls made: 1, plus 6 per tried
+    step, fewer for a trial that a raising stage ended, plus 1 per
+    repaired state; ``h_min``/``h_max`` span the accepted step sizes (0
     when no step was taken).
     """
 
@@ -191,6 +200,12 @@ def solve_ode(
     ``monitor(t, y, step_index) -> y`` runs on every accepted state and
     may return a repaired copy or raise to abort.  A repaired step's
     slope and dense coefficients are rebuilt from the repaired state.
+    Both receive the solver's own state buffers, which later steps
+    overwrite: a callable that keeps ``y`` copies it.  A trial step whose
+    stage right-hand side raises ``FloatingPointError`` (the kernel
+    window's ``KernelRangeError`` is one) is rejected and retried with
+    the smallest step factor, so only accepted states must lie where
+    ``f`` can be evaluated.
 
     Returns the dense solution over ``[t0, t_end]``.
     """
@@ -198,40 +213,53 @@ def solve_ode(
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
     _require_positive(rel_tol=rel_tol, abs_tol=abs_tol, dt_init=dt_init)
-    ts = [t0]
-    ys = [y0.copy()]
-    k1 = np.asarray(f(t0, y0), dtype=float)
-    fs = [k1.copy()]
-    r5 = []
+    # The steps' workspace: the scaled tableau and its row views, the
+    # stages, the error estimate and r5, the two states and the error
+    # norm's scale.
+    hm = np.empty_like(_DP_ROWS)
+    k = np.empty((7,) + y0.shape)
+    stages = [(c, hm[i, :i], k[:i], k[i]) for i, c in _STAGE_NODES]
+    est_rows, est = hm[7:], np.empty((2,) + y0.shape)
+    err, r5_step = est
+    y, y_new = y0.copy(), np.empty_like(y0)
+    scale, y_abs = np.empty((2,) + y0.shape)
+    k[0] = f(t0, y0)
+    ts, ys, fs, r5 = [t0], [y0.copy()], [k[0].copy()], []
     n_rhs = 1
     n_rejected = 0
     h_min, h_max = math.inf, 0.0
 
     t = t0
-    y = y0.copy()
     h = dt_init
-    k = np.empty((7,) + y0.shape)
-    k[0] = k1
     step_index = 0
     while t < t_end:
         h = min(h, t_end - t)
-        if h < 16.0 * _EPS * max(abs(t), 1.0):
+        if h < _MIN_STEP * max(abs(t), 1.0):
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t!r} (step {step_index})"
             )
-        hm = h * _DP_ROWS
-        for i, c in _STAGE_NODES:
-            y_new = y + hm[i, :i] @ k[:i]
-            k[i] = f(t + c * h, y_new)
-        n_rhs += 6
+        np.multiply(_DP_ROWS, h, out=hm)
+        try:
+            for c, a, k_done, k_next in stages:
+                np.dot(a, k_done, out=y_new)
+                y_new += y
+                n_rhs += 1
+                k_next[...] = f(t + c * h, y_new)
+        except FloatingPointError:
+            n_rejected += 1
+            h *= _MIN_FACTOR
+            continue
         # The last stage input is the 5th-order solution, so k[6] is the
         # slope there (FSAL).
-        err, r5_step = hm[7:] @ k
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        q = err / scale
+        np.dot(est_rows, k, out=est)
+        np.maximum(np.abs(y, out=scale), np.abs(y_new, out=y_abs), out=scale)
+        scale *= rel_tol
+        scale += abs_tol
+        q = np.divide(err, scale, out=scale)
         norm = math.sqrt(float(np.dot(q, q)) / q.size)
-        # A NaN norm would only shrink h until it underflows; say why.
-        if not (math.isfinite(norm) and np.isfinite(y_new).all()):
+        # A NaN norm would only shrink h until it underflows; say why.  The
+        # largest |y_new| (a NaN if there is one) is finite iff all are.
+        if not (math.isfinite(norm) and math.isfinite(y_abs.flat[y_abs.argmax()])):
             raise NonFiniteStateError(t, step_index)
         if norm <= 1.0:
             t = t + h
@@ -240,12 +268,12 @@ def solve_ode(
             if monitor is not None:
                 y_fixed = monitor(t, y_new, step_index)
                 if y_fixed is not y_new and not np.array_equal(y_fixed, y_new):
-                    y_new = np.asarray(y_fixed, dtype=float)
-                    k[6] = f(t, y_new)
+                    y_new[...] = y_fixed
                     n_rhs += 1
-                    r5_step = hm[8] @ k
-            r5.append(r5_step)
-            y = y_new
+                    k[6] = f(t, y_new)
+                    np.dot(hm[8], k, out=r5_step)
+            r5.append(r5_step.copy())
+            y, y_new = y_new, y
             ts.append(t)
             ys.append(y.copy())
             fs.append(k[6].copy())

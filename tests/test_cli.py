@@ -386,8 +386,14 @@ def test_plain_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):
+    # Rates near 1e16 need steps near 3e-16 to stay stable, below the
+    # smallest step the solver takes at t = 0 (about 3.6e-15).
     cfg = tmp_path / "under.cfg"
-    cfg.write_text("solver.dt_init = 1e-300\n")
+    cfg.write_text(
+        "mu0.gamma_max = 2e16\nmu0.delta_gamma = 1e15\n"
+        "mu0.gamma_surface.offset = 1e16\nmu0.gamma_surface.peak = 1e16\n"
+        "mu0.gamma_surface.trough = 1e16\n"
+    )
     rc = run(
         "simulate", "--config", str(cfg), "--n", "4",
         "--out", str(tmp_path / "o"),
@@ -410,17 +416,23 @@ def test_exit_code_solver_failure(tmp_path, capsys):
         ("solver.dt_init = nan", "solver.dt_init"),
         ("solver.rel_tol = inf", "solver.rel_tol"),
         ("solver.abs_tol = nan", "solver.abs_tol"),
+        ("solver.t_end = 1e-16\nsolver.snapshot_dt = 1e-16", "solver.t_end"),
+        ("solver.dt_init = 1e-300", "solver.dt_init"),
+        ("solver.rel_tol = 1", "solver.rel_tol"),
     ],
     ids=[
         "t_end-inf", "t_end-nan", "t_end-negative", "t_end-negative-fraction",
         "snapshot-count-overflows", "snapshot-count-above-ceiling", "snapshot_dt-inf",
         "dt_init-inf",
         "dt_init-nan", "rel_tol-inf", "abs_tol-nan",
+        "t_end-below-min-step", "dt_init-below-min-step", "rel_tol-one",
     ],
 )
 def test_exit_code_non_finite_solver_settings(lines, key, tmp_path, capsys):
     # Rejected when the config is built, naming the key, before any solve.
     # t_end and snapshot_dt are checked by the snapshot grid SolverConfig builds.
+    # A first step or a nonzero horizon below the solver's smallest step
+    # could only underflow, and a rel_tol of 1 controls nothing.
     cfg = tmp_path / "solver.cfg"
     cfg.write_text(lines + "\n")
     rc = run("simulate", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
@@ -431,11 +443,11 @@ def test_exit_code_non_finite_solver_settings(lines, key, tmp_path, capsys):
 
 @pytest.mark.parametrize("dt", ["1e-300", "1e-320"])
 def test_exit_code_converge_grid_over_model_horizon(dt, trained_dir, tmp_path, capsys):
-    # The config's own grid (t_end = snapshot_dt) is one step; against the
-    # model's horizon it has too many points (1e-300) or an infinite count
+    # The config's own grid (t_end = 0) is one point; against the model's
+    # horizon it has too many points (1e-300) or an infinite count
     # (1e-320).  Both are refused before anything is allocated.
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text(f"solver.t_end = {dt}\nsolver.snapshot_dt = {dt}\n")
+    cfg.write_text(f"solver.t_end = 0\nsolver.snapshot_dt = {dt}\n")
     rc = run(
         "converge", "--config", str(cfg), "--model", str(trained_dir / "model.json"),
         "--n-list", "4", "--out", str(tmp_path / "o"),
@@ -450,11 +462,26 @@ def test_exit_code_diverged_integration(tmp_path, monkeypatch, capsys):
     # accepted step crosses the cap by far more than roundoff.
     monkeypatch.setattr(
         "plantfield.population._competition_all",
-        lambda params, r, row, n_sources: -np.ones_like(r),
+        lambda params, r, row, n_sources, out=None: -np.ones_like(r),
     )
     rc = run("simulate", "--n", "4", "--out", str(tmp_path / "o"))
     assert rc == 3
     assert "numerical failure: size bound violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["5", "10"])
+def test_simulate_survives_a_first_step_outside_the_kernel_window(dt, tmp_path):
+    # The first trial step's stage states spread past 700 sigma_r; the
+    # kernel raises KernelRangeError, which rejects the trial, so h shrinks
+    # and the run holds every plant in s_m < s < S.
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(f"solver.dt_init = {dt}\n")
+    out = tmp_path / "o"
+    argv = ("simulate", "--config", str(cfg), "--n", "50", "--seed", "3", "--out", str(out))
+    assert run(*argv) == 0
+    rows = _read_rows(out / "trajectory.csv")
+    s, caps = (np.array([float(r[key]) for r in rows]) for key in ("s", "S"))
+    assert np.all((pf.DEFAULTS["model.s_m"] < s) & (s < caps))
 
 
 def test_simulate_draws_caps_far_above_their_mean(tmp_path):

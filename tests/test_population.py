@@ -21,7 +21,6 @@ from plantfield.population import (
     _cross_kernel,
     _kernel_block,
     _kernel_blocks,
-    _pair_row_sums,
     _sq_distances,
     export_trajectory_csv,
 )
@@ -87,6 +86,15 @@ def _fsum_row_sums(r, kernel, sigma_r, r_sources):
     ])
 
 
+def _workspace(x, sigma_r):
+    """The growth workspace of plants at x (N, 2) with sigma_x = 0.5.  Its
+    row sums read only the positions, sigma_x and sigma_r, so the other
+    columns are fillers and R_M is any that sigma_r admits."""
+    ones = np.ones(x.shape[0])
+    q = pf.ModelParams(s_m=0.05, R_M=min(3.0, 300.0 * sigma_r), sigma_x=0.5, sigma_r=sigma_r)
+    return population._GrowthWorkspace(q, pf.PopulationState(0.1 * ones, x, ones, ones))
+
+
 def _full_kernel(x, sigma_x, sources=None):
     """The whole (T, S) kernel matrix, as an oracle; sources default to x."""
     src = x if sources is None else sources
@@ -96,8 +104,9 @@ def _full_kernel(x, sigma_x, sources=None):
 def _broadcast_row_sums(r, kernel, sigma_r, r_sources=None):
     """The row sums over a whole kernel matrix with e_i + e'_j formed by a
     broadcast ``np.add``, block by block and in the same order as
-    ``_pair_row_sums``: its results must match bit for bit, as must the
-    rows of a ``_cross_kernel`` block that takes the exact kernel."""
+    ``_GrowthWorkspace.row_sums``: its results must match bit for bit, as
+    must the rows of a ``_cross_kernel`` block that takes the exact
+    kernel."""
     sym = r_sources is None
     src = r if sym else r_sources
     lo = min(r.min(initial=np.inf), src.min())
@@ -146,11 +155,11 @@ def test_pair_row_sums_match_double_loop(sigma_r, rng):
     for n in (2, _BLOCK - 1, _BLOCK + 1, 700):
         r = rng.uniform(0.01, 2.99, n)
         x = rng.normal(size=(n, 2))
-        blocks = list(_kernel_blocks(x, 0.5))
-        got = _pair_row_sums(r, blocks, sigma_r)
+        ws = _workspace(x, sigma_r)
+        got = ws.row_sums(r).copy()
         want = _fsum_row_sums(r, _full_kernel(x, 0.5), sigma_r, r)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert np.array_equal(_pair_row_sums(r, blocks, sigma_r), got)
+        assert np.array_equal(ws.row_sums(r), got)
 
 
 @settings(deadline=None, max_examples=60)
@@ -169,11 +178,11 @@ def test_pair_row_sums_match_double_loop_over_sizes_and_spreads(n, sigma_r, spre
     half = 0.5 * spread * _EXP_WINDOW * sigma_r * (1.0 - 1e-12)
     r = 0.01 + half + rng.uniform(-half, half, n)
     x = rng.normal(size=(n, 2))
-    blocks = list(_kernel_blocks(x, 0.5))
-    got = _pair_row_sums(r, blocks, sigma_r)
+    ws = _workspace(x, sigma_r)
+    got = ws.row_sums(r).copy()
     want = _fsum_row_sums(r, _full_kernel(x, 0.5), sigma_r, r)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert np.array_equal(_pair_row_sums(r, blocks, sigma_r), got)
+    assert np.array_equal(ws.row_sums(r), got)
 
 
 @pytest.mark.parametrize("sigma_r", _SIGMA_R_RANGE)
@@ -201,16 +210,16 @@ def test_pair_row_sums_raise_outside_exp_window(rng):
     # A log-size spread over 700 sigma_r would overflow exp; the kernel
     # names the problem instead of returning inf or NaN.
     r = np.array([0.0, 1.5, 3.0])
-    blocks = list(_kernel_blocks(rng.normal(size=(3, 2)), 0.5))
+    x_pop = rng.normal(size=(3, 2))
     with pytest.raises(pf.KernelRangeError, match=r"spread 3 exceeds 700 \* sigma_r \(sigma_r=0\.004\)"):
-        _pair_row_sums(r, blocks, 0.004)
+        _workspace(x_pop, 0.004).row_sums(r)
     # The cross case spans targets and sources together; either side alone
     # would fit the window.
     x, x_src = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
     with pytest.raises(pf.KernelRangeError):
         _cross_kernel(x, x_src, 0.5)(r[:2], r[2:], 0.004)
     # At the edge of the window the same data gives finite sums.
-    assert np.all(np.isfinite(_pair_row_sums(r, blocks, 3.0 / 700)))
+    assert np.all(np.isfinite(_workspace(x_pop, 3.0 / 700).row_sums(r)))
     assert np.all(np.isfinite(_cross_kernel(x, x_src, 0.5)(r[:2], r[2:], 3.0 / 700)))
     # mc_potential cannot reach the window: it refuses sizes outside
     # (s_m, s_m e^{R_M}), whose log-sizes spread by less than R_M <= 600 sigma_r.
@@ -345,7 +354,7 @@ def test_pair_row_sums_equal_broadcast_add_oracle(sigma_r, rng):
     for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 700):
         r = rng.uniform(0.01, 2.99, n)
         x = rng.normal(size=(n, 2))
-        got = _pair_row_sums(r, list(_kernel_blocks(x, 0.5)), sigma_r)
+        got = _workspace(x, sigma_r).row_sums(r)
         want = _broadcast_row_sums(r, _full_kernel(x, 0.5), sigma_r)
         assert np.array_equal(got, want)
     for t_n in (40, _BLOCK + 22):
@@ -360,7 +369,7 @@ def test_pair_row_sums_equal_broadcast_add_oracle(sigma_r, rng):
     r = 1.0 + rng.uniform(-half, half, n)
     r[:2] = 1.0 - half, 1.0 + half
     x = rng.normal(size=(n, 2))
-    got = _pair_row_sums(r, list(_kernel_blocks(x, 0.5)), sigma_r)
+    got = _workspace(x, sigma_r).row_sums(r)
     assert np.all(np.isfinite(got))
     want = _broadcast_row_sums(r, _full_kernel(x, 0.5), sigma_r)
     assert np.array_equal(got, want)
@@ -470,7 +479,7 @@ def test_cross_row_sums_within_cancellation_bound(
 def test_rank2_product_equals_add_bit_for_bit(u, u_src, flip):
     # [e_i, 1] [1; e'_j] makes two exact products (a multiply by 1) and one
     # rounded sum, so it equals e_i + e'_j exactly for any exponent the
-    # window admits, laid out as _pair_row_sums lays it out (T != S).
+    # window admits, laid out as _GrowthWorkspace lays it out (T != S).
     if flip:
         u, u_src = u_src, u
     q = np.empty((3, len(u)))
@@ -502,12 +511,12 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
         state0 = pf.samples_to_state(pf.sample_mu0(exp_config.mu0, n))
         cfg = pf.SolverConfig(t_end=4.0)
         traj = pf.integrate(exp_config.params, state0, cfg)
-    # The oracle ignores the blocks it is handed and rebuilds the whole
+    # The oracle ignores the workspace's blocks and rebuilds the whole
     # kernel from the positions.
     kernel = _full_kernel(state0.positions, exp_config.params.sigma_x)
     monkeypatch.setattr(
-        population, "_pair_row_sums",
-        lambda r, blocks, sigma_r: _direct_row_sums(r, kernel, sigma_r),
+        population._GrowthWorkspace, "row_sums",
+        lambda ws, r: _direct_row_sums(r, kernel, ws.params.sigma_r),
     )
     direct = pf.integrate(exp_config.params, state0, cfg)
     for got, want in zip(traj.sizes, direct.sizes):
@@ -515,6 +524,41 @@ def test_trajectory_matches_direct_kernel(n, exp_config, default_run, monkeypatc
     assert traj.c_indices == pytest.approx(
         direct.c_indices, rel=1e-12, abs=1e-15
     )
+
+
+@pytest.mark.parametrize("sigma_r", [3.0 / 600, 1.32, 10.0])
+def test_workspace_competition_and_growth_equal_the_formulas(sigma_r, rng, monkeypatch):
+    # The workspace's competition index and r' equal the formulas written
+    # out here bit for bit, over one block, a block and a row either side
+    # of it and three blocks; the row sums come from the broadcast oracle,
+    # which equals the workspace's.  Calls reuse the workspace's buffers,
+    # so what a caller kept (the solver's node slopes, the snapshot C-index
+    # rows) must not change under a later call.
+    q = pf.ModelParams(s_m=0.05, R_M=3.0, sigma_x=0.5, sigma_r=sigma_r)
+    made = []
+
+    class Recorded(population._GrowthWorkspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(population, "_GrowthWorkspace", Recorded)
+    for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300):
+        state = _random_state(q, n, rng)
+        r = np.log(state.sizes / q.s_m)
+        caps_log = np.log(state.caps / q.s_m)
+        row = _broadcast_row_sums(r, _full_kernel(state.positions, q.sigma_x), sigma_r)
+        c = np.maximum((row - r) / (2.0 * q.R_M * (n - 1)), 0.0)
+        growth = state.rates * (caps_log * (1.0 - c) - r)
+        traj = pf.integrate(q, state, pf.SolverConfig(t_end=1.0))
+        (ws,) = made
+        made.clear()
+        fs, c_rows = traj.dense.fs.copy(), traj.c_indices.copy()
+        assert ws.competition(r).tobytes() == c.tobytes()
+        assert ws.rhs(0.0, r).tobytes() == growth.tobytes()
+        ws.rhs(0.0, r[::-1].copy())
+        assert traj.dense.fs.tobytes() == fs.tobytes()
+        assert traj.c_indices.tobytes() == c_rows.tobytes()
 
 
 @settings(deadline=None, max_examples=60)

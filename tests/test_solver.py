@@ -213,6 +213,26 @@ def test_run_statistics_count_what_the_solver_did():
     assert solve_ode(_f, 1.0, 1.0, _Y0).stats == SolverStats(1, 0, 0, 0.0, 0.0)
 
 
+def test_stage_floating_point_error_rejects_the_trial():
+    # A stage state where f cannot be evaluated (it raises
+    # FloatingPointError, as the kernel window does) rejects the trial, so
+    # h shrinks and the run goes on.  n_rhs counts the calls made, the
+    # raising ones too, so it falls short of 1 + 6 per trial.
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        if np.abs(y).max() > 5.0:
+            raise FloatingPointError("state out of range")
+        return _f(t, y)
+
+    sol = solve_ode(f, 0.0, 2.0, _Y0, dt_init=50.0)
+    st = sol.stats
+    assert st.n_rejected > 0
+    assert st.n_rhs == len(calls) < 1 + 6 * (st.n_accepted + st.n_rejected)
+    assert np.abs(sol(2.0) - _exact(2.0)).max() < 1e-7
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         solve_ode(_f, 1.0, 0.0, _Y0)
